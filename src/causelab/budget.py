@@ -37,7 +37,8 @@ def budget_from_env(explicit: int | None = None) -> int | None:
     """Resolve the enumeration cap for the CLI.
 
     An explicit value wins; otherwise the CAUSELAB_BUDGET environment
-    variable applies; otherwise None selects the library default.
+    variable applies; otherwise None selects the library default.  The
+    variable must hold a positive integer.
     """
     if explicit is not None:
         return explicit
@@ -45,6 +46,9 @@ def budget_from_env(explicit: int | None = None) -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
+    if value <= 0:
+        raise ValueError(f"{ENV_VAR} must be positive, got {value}")
+    return value

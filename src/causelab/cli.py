@@ -79,6 +79,16 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="causelab", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -87,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         if instance:
             p.add_argument("-i", "--instance", required=True, help="instance JSON file")
         p.add_argument("--format", choices=["json", "table"], default="json")
-        p.add_argument("--budget", type=int, default=None, help="enumeration cap")
+        p.add_argument("--budget", type=_positive_int, default=None, help="enumeration cap")
 
     p = sub.add_parser("causes", help="actual causes for a query answer")
     common(p)

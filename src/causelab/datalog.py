@@ -5,8 +5,16 @@ Rules have positive bodies only, which keeps entailment monotone; that
 monotonicity is what the abduction layer exploits.  Evaluation is
 semi-naive: each iteration joins the facts first derived in the previous
 round against everything older, so no ground rule instance fires twice.
-Derivations are recorded while evaluating and feed the minimal-support
-computation, a fixpoint over antichains of base-fact sets.
+The joins run on the engine of :mod:`causelab.model`: one
+:class:`~causelab.model.FactIndex` over the model grows with each round,
+each round's delta gets a small index of its own, and the "old" pool is
+the full index with the delta facts skipped.  A rule position is skipped
+when its delta has no facts for its atom or when an earlier atom has no
+old facts.  The budget is charged per candidate fact an index probe
+returns, not per fact scanned.  Derivations are recorded while
+evaluating and feed the minimal-support computation, a fixpoint over
+antichains of base-fact sets restricted to the derived atoms the goals
+depend on.
 """
 from __future__ import annotations
 
@@ -15,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .budget import Meter
 from .hitting import minimize_family
-from .model import Atom, Fact, Variable, ground_atom, match_atom
+from .model import Atom, Fact, FactIndex, Variable, matches, variable_positions
 
 __all__ = [
     "DatalogRule",
@@ -78,53 +86,41 @@ class DatalogProgram:
         return "\n".join(str(r) for r in self.rules)
 
 
-def _join(
-    body: tuple[Atom, ...],
-    pools: list[Iterable[Fact]],
-    meter: Meter,
-) -> Iterator[dict[Variable, str]]:
-    """Bindings mapping each body atom into the pool at its position."""
-
-    def extend(i: int, binding: dict[Variable, str]) -> Iterator[dict[Variable, str]]:
-        if i == len(body):
-            yield binding
-            return
-        a = body[i]
-        for f in pools[i]:
-            if f.relation != a.relation:
-                continue
-            meter.charge()
-            extended = match_atom(a, f, binding)
-            if extended is not None:
-                yield from extend(i + 1, extended)
-
-    yield from extend(0, {})
+def _old_is_empty(full: FactIndex, delta: FactIndex, a: Atom) -> bool:
+    group = (a.relation, a.arity)
+    return full.size(group) == delta.size(group)
 
 
 def _seminaive(
     program: DatalogProgram, facts: Iterable[Fact], meter: Meter
-) -> tuple[frozenset[Fact], dict[Fact, frozenset[frozenset[Fact]]]]:
+) -> tuple[frozenset[Fact], dict[Fact, set[frozenset[Fact]]]]:
     model: set[Fact] = set(facts)
+    full = FactIndex(model)
     delta: set[Fact] = set(model)
     derivations: dict[Fact, set[frozenset[Fact]]] = {}
     while delta:
-        old = model - delta
+        delta_index = FactIndex(delta)
         fresh: set[Fact] = set()
         for r in program.rules:
-            n = len(r.body)
-            for i in range(n):
-                pools: list[Iterable[Fact]] = [
-                    old if j < i else (delta if j == i else model) for j in range(n)
-                ]
-                for binding in _join(r.body, pools, meter):
-                    head = ground_atom(r.head, binding)
-                    bodyset = frozenset(ground_atom(a, binding) for a in r.body)
-                    derivations.setdefault(head, set()).add(bodyset)
-                    if head not in model:
-                        fresh.add(head)
+            sources = variable_positions(r.body)
+            # Head terms as (atom, position) of a body match; constants as (-1, value).
+            head = [sources[t] if isinstance(t, Variable) else (-1, t) for t in r.head.terms]
+            for i, a in enumerate(r.body):
+                if not delta_index.size((a.relation, a.arity)) or any(
+                    _old_is_empty(full, delta_index, b) for b in r.body[:i]
+                ):
+                    continue
+                for m in matches(full, r.body, meter, (i, delta_index, delta)):
+                    derived = Fact(
+                        r.head.relation, tuple(p if k < 0 else m[k].args[p] for k, p in head)
+                    )
+                    derivations.setdefault(derived, set()).add(frozenset(m))
+                    if derived not in model:
+                        fresh.add(derived)
         model |= fresh
+        full.add(fresh)
         delta = fresh
-    return frozenset(model), {h: frozenset(bs) for h, bs in derivations.items()}
+    return frozenset(model), derivations
 
 
 def evaluate(
@@ -139,7 +135,7 @@ def evaluate(
 
 def ground_derivations(
     program: DatalogProgram, facts: Iterable[Fact], *, budget: int | None = None
-) -> tuple[frozenset[Fact], dict[Fact, frozenset[frozenset[Fact]]]]:
+) -> tuple[frozenset[Fact], dict[Fact, set[frozenset[Fact]]]]:
     """The model together with every ground rule instance that fires in it,
     keyed by derived head and valued by the set of instantiated bodies."""
     meter = Meter(budget, "fixpoint evaluation")
@@ -202,16 +198,26 @@ def minimal_supports(
     if not goal_set <= model:
         return frozenset()
 
+    # Only derived atoms the goals depend on can contribute to their supports.
+    needed: set[Fact] = set()
+    stack = [g for g in goal_set if g in derivations]
+    while stack:
+        head = stack.pop()
+        if head not in needed:
+            needed.add(head)
+            stack.extend(b for body in derivations[head] for b in body if b in derivations)
+    heads = [h for h in derivations if h in needed]
+
     supports: dict[Fact, set[frozenset[Fact]]] = {f: {frozenset({f})} for f in base}
-    for head in derivations:
+    for head in heads:
         supports.setdefault(head, set())
 
     changed = True
     while changed:
         changed = False
-        for head, bodies in derivations.items():
+        for head in heads:
             target = supports[head]
-            for bodyset in bodies:
+            for bodyset in derivations[head]:
                 factors = [supports[b] for b in sorted(bodyset)]
                 for combo in _combine(factors, meter):
                     if _antichain_add(target, combo):

@@ -5,19 +5,34 @@ conjunctive queries together with their denial-constraint and
 violation-view faces, plus query evaluation and minimal-witness
 enumeration.
 
+Join engine
+-----------
+:func:`matches` is the one join behind query evaluation, witnesses and
+the Datalog fixpoint.  A :class:`FactIndex` groups facts by relation and
+builds a hash table on a tuple of argument positions the first time a
+probe needs it.  Each atom tuple gets a static plan, cached with a bound:
+atoms with the most bound terms go first, and each step probes the index
+on its bound positions, binds the free ones and checks repeated
+variables.  The engine yields the matched facts, so witnesses and
+derivation bodies reuse them instead of grounding new ones.  A budget
+meter is charged per candidate fact a probe returns.
+
 Conventions
 -----------
 Constants are opaque strings; there are no typed attributes.  In textual
 form variables start with an uppercase letter and constants start with a
 lowercase letter or are double-quoted; the :func:`atom` helper applies
-the same convention to bare strings.  Every value here is immutable and
+the same convention to bare strings.  Every value here except a
+:class:`FactIndex`, which each caller builds for itself, is immutable and
 every operation is a pure function, so concurrent use is safe.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, TypeAlias, Union
+from functools import lru_cache
+from operator import itemgetter
+from typing import AbstractSet, Iterable, Iterator, Mapping, TypeAlias, Union
 
 from .budget import Meter
 from .errors import SchemaError
@@ -42,8 +57,10 @@ __all__ = [
     "dc_to_view",
     "view_to_query",
     "check_query_schema",
-    "match_atom",
     "ground_atom",
+    "FactIndex",
+    "matches",
+    "variable_positions",
     "valuations",
     "eval_bcq",
     "witnesses",
@@ -342,23 +359,6 @@ def check_query_schema(query: BooleanQuery, schemas: frozenset[RelationSchema] |
             )
 
 
-def match_atom(a: Atom, f: Fact, binding: Mapping[Variable, str]) -> dict[Variable, str] | None:
-    """Extend ``binding`` so that ``a`` maps onto ``f``; None when impossible."""
-    if a.relation != f.relation or len(a.terms) != len(f.args):
-        return None
-    out = dict(binding)
-    for term, value in zip(a.terms, f.args):
-        if isinstance(term, Variable):
-            bound = out.get(term)
-            if bound is None:
-                out[term] = value
-            elif bound != value:
-                return None
-        elif term != value:
-            return None
-    return out
-
-
 def ground_atom(a: Atom, valuation: Mapping[Variable, str]) -> Fact:
     """Apply a valuation to an atom, producing a ground fact."""
     return Fact(
@@ -367,25 +367,159 @@ def ground_atom(a: Atom, valuation: Mapping[Variable, str]) -> Fact:
     )
 
 
+def variable_positions(atoms: Iterable[Atom]) -> dict[Variable, tuple[int, int]]:
+    """Where each variable first occurs: (atom index, argument position)."""
+    out: dict[Variable, tuple[int, int]] = {}
+    for k, a in enumerate(atoms):
+        for p, t in enumerate(a.terms):
+            if isinstance(t, Variable):
+                out.setdefault(t, (k, p))
+    return out
+
+
+#: Facts of one relation at one arity.
+_Group: TypeAlias = tuple[str, int]
+
+
+class FactIndex:
+    """Facts grouped by relation and arity, plus hash tables on tuples of
+    argument positions, each built the first time a lookup needs it.
+
+    :meth:`add` extends the groups and every table already built, so one
+    index can grow across fixpoint rounds.  A table key is the bare
+    argument for one position and the tuple of arguments for several.
+    """
+
+    __slots__ = ("groups", "_tables")
+
+    def __init__(self, facts: Iterable[Fact] = ()) -> None:
+        self.groups: dict[_Group, list[Fact]] = {}
+        self._tables: dict[tuple[_Group, tuple[int, ...]], dict[object, list[Fact]]] = {}
+        self.add(facts)
+
+    def add(self, facts: Iterable[Fact]) -> None:
+        fresh: dict[_Group, list[Fact]] = {}
+        for f in facts:
+            fresh.setdefault((f.relation, len(f.args)), []).append(f)
+        for group, new in fresh.items():
+            self.groups.setdefault(group, []).extend(new)
+        for (group, positions), table in self._tables.items():
+            _fill(table, positions, fresh.get(group, ()))
+
+    def size(self, group: _Group) -> int:
+        return len(self.groups.get(group, ()))
+
+    def table(self, group: _Group, positions: tuple[int, ...]) -> dict[object, list[Fact]]:
+        table = self._tables.get((group, positions))
+        if table is None:
+            table = self._tables[(group, positions)] = {}
+            _fill(table, positions, self.groups.get(group, ()))
+        return table
+
+
+def _fill(
+    table: dict[object, list[Fact]], positions: tuple[int, ...], facts: Iterable[Fact]
+) -> None:
+    key_of = itemgetter(*positions)
+    for f in facts:
+        table.setdefault(key_of(f.args), []).append(f)
+
+
+@lru_cache(maxsize=1024)
+def _plan(atoms: tuple[Atom, ...], first: int | None) -> tuple[tuple, tuple]:
+    """Static join order for ``atoms``: ``first`` (if given) leads, then
+    repeatedly the atom with the most bound terms, earliest on ties.
+
+    Constants and variables each own a slot of the binding array.
+    Returns the steps and the initial slots (constants filled, variables
+    None).  A step is (atom index, group, probed positions, getter of the
+    probe key from the slots, (position, slot) pairs to bind, (position,
+    position) pairs that must agree).
+    """
+    slots: dict[Term, int] = {}
+    pending = list(range(len(atoms)))
+    steps = []
+
+    def bound(i: int) -> int:
+        return sum(not isinstance(t, Variable) or t in slots for t in atoms[i].terms)
+
+    while pending:
+        k = first if first is not None and not steps else max(pending, key=lambda i: (bound(i), -i))
+        pending.remove(k)
+        a = atoms[k]
+        positions, key_slots, binds, checks = [], [], [], []
+        fresh: dict[Term, int] = {}
+        for p, t in enumerate(a.terms):
+            if t in fresh:
+                checks.append((p, fresh[t]))
+            elif isinstance(t, Variable) and t not in slots:
+                fresh[t] = p
+                binds.append((p, slots.setdefault(t, len(slots))))
+            else:
+                positions.append(p)
+                key_slots.append(slots.setdefault(t, len(slots)))
+        key_of = itemgetter(*key_slots) if key_slots else None
+        group = (a.relation, a.arity)
+        steps.append((k, group, tuple(positions), key_of, tuple(binds), tuple(checks)))
+    return tuple(steps), tuple(None if isinstance(t, Variable) else t for t in slots)
+
+
+def matches(
+    index: FactIndex,
+    atoms: tuple[Atom, ...],
+    meter: Meter | None = None,
+    delta: tuple[int, FactIndex, AbstractSet[Fact]] | None = None,
+) -> Iterator[tuple[Fact, ...]]:
+    """The join engine: every tuple of facts from ``index``, one per atom
+    and in atom order, onto which one valuation maps the atoms.
+
+    Each step of the cached plan probes the index on its bound positions
+    and binds the free ones.  ``meter`` is charged once per candidate
+    fact a probe returns, so facts the index never hands out cost
+    nothing.  With ``delta = (i, delta_index, delta_facts)`` atom ``i``
+    matches only delta facts, atoms before it only facts outside the
+    delta, and atoms after it any fact: one semi-naive term.
+    """
+    first = None if delta is None else delta[0]
+    steps, init = _plan(atoms, first)
+    vals = list(init)
+    matched: list[Fact | None] = [None] * len(atoms)
+    skip: AbstractSet[Fact] = delta[2] if delta is not None else frozenset()
+    resolved = []
+    for k, group, positions, key_of, binds, checks in steps:
+        source = delta[1] if k == first else index
+        rows = source.table(group, positions) if positions else source.groups.get(group, ())
+        resolved.append((k, rows, key_of, binds, checks, first is not None and k < first))
+    last = len(resolved) - 1
+
+    def extend(i: int) -> Iterator[tuple[Fact, ...]]:
+        k, rows, key_of, binds, checks, old = resolved[i]
+        candidates = rows if key_of is None else rows.get(key_of(vals), ())
+        if meter is not None and candidates:
+            meter.charge(len(candidates))
+        for f in candidates:
+            if old and f in skip:
+                continue
+            args = f.args
+            if checks and any(args[p] != args[q] for p, q in checks):
+                continue
+            for p, s in binds:
+                vals[s] = args[p]
+            matched[k] = f
+            if i == last:
+                yield tuple(matched)  # type: ignore[arg-type]
+            else:
+                yield from extend(i + 1)
+
+    return extend(0)
+
+
 def valuations(facts: Iterable[Fact], query: BooleanQuery) -> Iterator[dict[Variable, str]]:
     """All total valuations of the query's variables that map every atom
-    onto a fact of the given set, by backtracking join."""
-    by_relation: dict[str, list[Fact]] = {}
-    for f in sorted(facts):
-        by_relation.setdefault(f.relation, []).append(f)
-    atoms = query.atoms
-
-    def extend(i: int, binding: dict[Variable, str]) -> Iterator[dict[Variable, str]]:
-        if i == len(atoms):
-            yield dict(binding)
-            return
-        a = atoms[i]
-        for f in by_relation.get(a.relation, ()):
-            extended = match_atom(a, f, binding)
-            if extended is not None:
-                yield from extend(i + 1, extended)
-
-    yield from extend(0, {})
+    onto a fact of the given set."""
+    sources = variable_positions(query.atoms)
+    for m in matches(FactIndex(facts), query.atoms):
+        yield {v: m[k].args[p] for v, (k, p) in sources.items()}
 
 
 def eval_bcq(
@@ -395,7 +529,7 @@ def eval_bcq(
 ) -> bool:
     """True iff some valuation maps every atom of the query into ``facts``."""
     check_query_schema(query, schemas)
-    return next(valuations(facts, query), None) is not None
+    return next(matches(FactIndex(facts), query.atoms), None) is not None
 
 
 def witnesses(
@@ -407,17 +541,13 @@ def witnesses(
 ) -> frozenset[Witness]:
     """Exactly the minimal support sets of the query within ``facts``.
 
-    Each witness is the fact-image of some valuation; enumeration runs
-    over valuations and then keeps the subset-minimal images, so it does
-    not walk the subset lattice.
+    Each witness is the set of facts one match of the join engine maps
+    the atoms onto; enumeration keeps the subset-minimal ones, so it does
+    not walk the subset lattice.  The budget counts join candidates.
     """
     check_query_schema(query, schemas)
     meter = Meter(budget, "witness enumeration")
-    images: set[frozenset[Fact]] = set()
-    for val in valuations(facts, query):
-        meter.charge()
-        images.add(frozenset(ground_atom(a, val) for a in query.atoms))
-    return minimize_family(images)
+    return minimize_family(matches(FactIndex(facts), query.atoms, meter))
 
 
 def satisfies_dc(

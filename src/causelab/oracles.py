@@ -3,13 +3,14 @@
 These transcribe the definitions directly, walking subset lattices and
 naive fixpoints, and exist so the optimized engines can be checked
 against something that is obviously right.  They are deliberately
-independent of the hitting-set and semi-naive code paths and only make
-sense at small sizes.
+independent of the hitting-set and semi-naive code paths and of the
+indexed join engine: queries and rule bodies are evaluated by the plain
+nested-loop join below.  They only make sense at small sizes.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .abduction import AbductionProblem
 from .causality import CauseReport, CauseSet
@@ -17,15 +18,16 @@ from .diagnosis import DiagnosisProblem
 from .errors import BudgetError
 from .hitting import maximize_family, minimize_family, subsets_of
 from .model import (
+    Atom,
     BooleanQuery,
-    ConjunctiveQuery,
     DenialConstraint,
     Fact,
     Instance,
-    eval_bcq,
+    RelationSchema,
+    Variable,
+    check_query_schema,
+    dc_to_view,
     ground_atom,
-    satisfies_dc,
-    valuations,
 )
 from .datalog import DatalogProgram
 
@@ -37,13 +39,52 @@ def _guard(n: int, cap: int, what: str) -> None:
         raise BudgetError(f"{what} oracle is capped at {cap} facts, got {n}", budget=cap)
 
 
+def valuations_by_nested_loops(
+    facts: Iterable[Fact], atoms: tuple[Atom, ...]
+) -> Iterator[dict[Variable, str]]:
+    """Bindings mapping every atom onto a fact, by nested loops over all facts."""
+    pool = list(facts)
+
+    def extend(i: int, binding: dict[Variable, str]) -> Iterator[dict[Variable, str]]:
+        if i == len(atoms):
+            yield binding
+            return
+        a = atoms[i]
+        for f in pool:
+            if f.relation != a.relation or len(f.args) != len(a.terms):
+                continue
+            out = dict(binding)
+            for t, v in zip(a.terms, f.args):
+                if isinstance(t, Variable):
+                    t = out.setdefault(t, v)  # the value the variable is bound to
+                if t != v:
+                    break
+            else:
+                yield from extend(i + 1, out)
+
+    return extend(0, {})
+
+
+def _eval_bcq(
+    facts: Iterable[Fact], query: BooleanQuery, schemas: frozenset[RelationSchema] | None = None
+) -> bool:
+    check_query_schema(query, schemas)
+    return next(valuations_by_nested_loops(facts, query.atoms), None) is not None
+
+
+def _satisfies_dc(
+    facts: Iterable[Fact], constraint: DenialConstraint, schemas: frozenset[RelationSchema]
+) -> bool:
+    return not _eval_bcq(facts, dc_to_view(constraint), schemas)
+
+
 def witnesses_by_enumeration(
     facts: Iterable[Fact], query: BooleanQuery, cap: int = LATTICE_CAP
 ) -> frozenset[frozenset[Fact]]:
     """Minimal support sets found by walking the subset lattice."""
     pool = frozenset(facts)
     _guard(len(pool), cap, "witness")
-    return minimize_family(w for w in subsets_of(pool) if eval_bcq(w, query))
+    return minimize_family(w for w in subsets_of(pool) if _eval_bcq(w, query))
 
 
 def causes_by_enumeration(
@@ -57,7 +98,7 @@ def causes_by_enumeration(
     def holds(fs: frozenset[Fact]) -> bool:
         got = cache.get(fs)
         if got is None:
-            got = eval_bcq(fs, query, instance.schemas)
+            got = _eval_bcq(fs, query, instance.schemas)
             cache[fs] = got
         return got
 
@@ -92,7 +133,7 @@ def s_repair_removals_by_enumeration(
     consistent = [
         kept
         for kept in subsets_of(facts)
-        if all(satisfies_dc(kept, c, instance.schemas) for c in constraint_list)
+        if all(_satisfies_dc(kept, c, instance.schemas) for c in constraint_list)
     ]
     return frozenset(facts - kept for kept in maximize_family(consistent))
 
@@ -106,7 +147,7 @@ def diagnoses_by_enumeration(
     falsifying = [
         delta
         for delta in subsets_of(problem.abnormal_scope)
-        if not eval_bcq(instance.facts - delta, problem.query, instance.schemas)
+        if not _eval_bcq(instance.facts - delta, problem.query, instance.schemas)
     ]
     return minimize_family(falsifying)
 
@@ -128,8 +169,7 @@ def naive_datalog_model(program: DatalogProgram, facts: Iterable[Fact]) -> froze
     while True:
         fresh: set[Fact] = set()
         for r in program.rules:
-            body_query = ConjunctiveQuery(r.body)
-            for val in valuations(model, body_query):
+            for val in valuations_by_nested_loops(model, r.body):
                 head = ground_atom(r.head, val)
                 if head not in model:
                     fresh.add(head)

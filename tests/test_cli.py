@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +194,35 @@ def test_budget_env_var(in_data_dir, capsys, monkeypatch):
     assert run(capsys, "repairs", "-i", D0, "-c", K0)[0] == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_budget_flag_exits_1(in_data_dir, capsys, value):
+    code, _, err = run(capsys, "repairs", "-i", D0, "-c", K0, "--budget", value)
+    assert code == 1
+    assert "positive" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_budget_env_var_exits_1(in_data_dir, capsys, monkeypatch, value):
+    monkeypatch.setenv("CAUSELAB_BUDGET", value)
+    code, _, err = run(capsys, "repairs", "-i", D0, "-c", K0)
+    assert code == 1
+    assert "positive" in err
+
+
+def test_abduce_on_160_edge_chain_within_default_budget(tmp_path, capsys):
+    edges = [["E", f"v{i}", f"v{i + 1}"] for i in range(160)]
+    instance = tmp_path / "chain.json"
+    instance.write_text(
+        json.dumps({"schemas": [{"name": "E", "arity": 2}], "endogenous": edges, "exogenous": []})
+    )
+    program = tmp_path / "tc.dl"
+    program.write_text("T(X, Y) :- E(X, Y).\nT(X, Y) :- E(X, Z), T(Z, Y).\nans :- T(v0, v160).\n")
+    code, out, _ = run(capsys, "abduce", "-i", str(instance), "-p", str(program))
+    assert code == 0
+    (solution,) = json.loads(out)["solutions"]
+    assert sorted(solution) == sorted(edges)
+
+
 def test_domain_error_exits_4(in_data_dir, capsys):
     code, _, err = run(
         capsys, "responsibility", "-i", D0, "-q", Q0, "--tuple", "S(a9)"
@@ -212,10 +243,14 @@ def test_endogenous_only_requires_s_semantics(in_data_dir, capsys):
 
 
 def test_console_entry_point(in_data_dir):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "causelab.cli", "cqa", "-i", D0, "-c", K0, "--atom", "R(a1, a4)"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["consistently_true"] is True
