@@ -8,7 +8,8 @@ background alone.  Necessary hypothesis sets are the subset-minimal sets
 of abducibles whose removal destroys every solution; the smallest one
 containing a fact gives that fact's responsibility for the observation,
 which extends cause/responsibility from conjunctive queries to
-recursive Datalog queries.
+recursive Datalog queries.  The definition-level searches over subsets
+of abducibles and contingency sets live in :mod:`causelab.oracles`.
 """
 from __future__ import annotations
 
@@ -16,11 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, TypeAlias
 
-from .budget import Meter
-from .errors import BudgetError, DomainError
-from .hitting import minimal_hitting_sets, minimize_family, subsets_of
+from .errors import DomainError
+from .hitting import minimal_hitting_sets, minimize_family
 from .model import Fact, Instance
-from .datalog import DatalogProgram, entails, evaluate, minimal_supports
+from .datalog import DatalogProgram, entails, minimal_supports
 
 __all__ = [
     "AbductionProblem",
@@ -31,14 +31,11 @@ __all__ = [
     "necessary_sets",
     "datalog_actual_causes",
     "datalog_responsibility",
-    "DATALOG_BRUTEFORCE_CAP",
 ]
 
 #: A necessary hypothesis set: removing it from the abducibles leaves the
 #: observations unexplainable, and it is subset-minimal with that property.
 NecessarySet: TypeAlias = frozenset[Fact]
-
-DATALOG_BRUTEFORCE_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -132,54 +129,20 @@ def datalog_actual_causes(
     program: DatalogProgram,
     instance: Instance,
     *,
-    engine: str = "hitting",
     budget: int | None = None,
-    bruteforce_cap: int = DATALOG_BRUTEFORCE_CAP,
 ) -> frozenset[Fact]:
     """Actual causes for the answer atom, by the contingency definition
     generalized to Datalog entailment.
 
-    Empty when the program does not derive the answer from the full
-    instance.  The default engine reduces to minimal hitting sets of the
-    endogenous parts of the answer's minimal supports; the brute-force
-    engine searches contingency sets directly.  Agrees with the relevant
+    Reduces to minimal hitting sets of the endogenous parts of the
+    answer's minimal supports.  Empty when the program does not derive
+    the answer from the full instance: there are no supports, so the
+    only hitting set is the empty one.  Agrees with the relevant
     hypotheses of the matching abduction problem.
     """
-    goal = program.answer_atom()
-    facts = instance.facts
-    if not entails(program, facts, {goal}):
-        return frozenset()
-    if engine == "hitting":
-        supports = minimal_supports(program, facts, {goal}, budget=budget)
-        family = {s & instance.endogenous for s in supports}
-        hitting = minimal_hitting_sets(family, budget=budget)
-        return frozenset().union(*hitting) if hitting else frozenset()
-    if engine == "bruteforce":
-        endo = instance.endogenous
-        if len(endo) > bruteforce_cap:
-            raise BudgetError(
-                f"brute-force engine is capped at {bruteforce_cap} endogenous facts, got {len(endo)}",
-                budget=bruteforce_cap,
-            )
-        meter = Meter(budget, "contingency enumeration")
-        cache: dict[frozenset[Fact], bool] = {}
-
-        def derives(fs: frozenset[Fact]) -> bool:
-            got = cache.get(fs)
-            if got is None:
-                got = goal in evaluate(program, fs)
-                cache[fs] = got
-            return got
-
-        causes = set()
-        for t in sorted(endo):
-            for gamma in subsets_of(endo - {t}):
-                meter.charge()
-                if derives(facts - gamma) and not derives(facts - gamma - {t}):
-                    causes.add(t)
-                    break
-        return frozenset(causes)
-    raise ValueError(f"unknown engine {engine!r}")
+    supports = minimal_supports(program, instance.facts, {program.answer_atom()}, budget=budget)
+    hitting = minimal_hitting_sets({s & instance.endogenous for s in supports}, budget=budget)
+    return frozenset().union(*hitting)
 
 
 def datalog_responsibility(

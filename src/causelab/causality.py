@@ -6,22 +6,20 @@ counterfactual cause after deleting some contingency set of endogenous
 tuples.  Responsibility is the exact rational 1/(1 + k) where k is the
 size of the smallest contingency set; non-causes get responsibility 0.
 
-Two engines are provided.  The default reduces the problem to minimal
-hitting sets of the endogenous parts of the query's witnesses: the
-minimal contingency sets of t are exactly H minus {t} for the minimal
-hitting sets H that contain t.  The brute-force engine enumerates
-contingency candidates directly and is intended for small instances and
-as an oracle.
+Causes reduce to minimal hitting sets of the endogenous parts of the
+query's witnesses: the minimal contingency sets of t are exactly H minus
+{t} for the minimal hitting sets H that contain t.  The definition-level
+search over contingency candidates lives in :mod:`causelab.oracles`,
+which the cross-check harness compares against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, TypeAlias
+from typing import Iterable, Iterator, TypeAlias
 
-from .budget import Meter
-from .errors import BudgetError, DomainError
-from .hitting import minimal_hitting_sets, minimize_family, subsets_of
+from .errors import DomainError
+from .hitting import minimal_hitting_sets
 from .model import (
     BooleanQuery,
     Fact,
@@ -34,7 +32,7 @@ __all__ = [
     "ContingencySet",
     "CauseReport",
     "CauseSet",
-    "BRUTEFORCE_CAP",
+    "cause_set_from_hitting_sets",
     "is_counterfactual_cause",
     "minimal_contingency_sets",
     "actual_causes",
@@ -45,10 +43,6 @@ __all__ = [
 #: A contingency set: endogenous tuples whose removal makes its cause
 #: counterfactual.
 ContingencySet: TypeAlias = frozenset[Fact]
-
-#: Instances with more endogenous tuples than this refuse the
-#: brute-force engine (override per call).
-BRUTEFORCE_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -117,6 +111,34 @@ class CauseSet:
         return bool(self.reports)
 
 
+def cause_set_from_hitting_sets(
+    sets: Iterable[frozenset[Fact]], candidates: frozenset[Fact]
+) -> CauseSet:
+    """Cause reports read off a family of minimal hitting sets.
+
+    Only the sets drawn wholly from ``candidates`` count.  A candidate is
+    a cause iff one of them contains it; its minimal contingency sets are
+    those sets minus itself, and its responsibility is the reciprocal of
+    the smallest one.  The hitting sets of witness parts, the repair
+    removal sets and the minimal diagnoses all yield causes this way.
+    """
+    containing: dict[Fact, list[frozenset[Fact]]] = {}
+    for h in sets:
+        if h <= candidates:
+            for t in h:
+                containing.setdefault(t, []).append(h)
+    return CauseSet(
+        frozenset(
+            CauseReport(
+                cause=t,
+                minimal_contingencies=frozenset(h - {t} for h in hs),
+                responsibility=Fraction(1, min(len(h) for h in hs)),
+            )
+            for t, hs in containing.items()
+        )
+    )
+
+
 def _require_endogenous(instance: Instance, t: Fact) -> None:
     if t in instance.endogenous:
         return
@@ -144,98 +166,30 @@ def _endogenous_hitting_sets(
     return minimal_hitting_sets(family, budget=budget)
 
 
-def _bruteforce_contingency_table(
-    instance: Instance,
-    query: BooleanQuery,
-    budget: int | None,
-    cap: int,
-) -> dict[Fact, frozenset[ContingencySet]]:
-    endo = instance.endogenous
-    if len(endo) > cap:
-        raise BudgetError(
-            f"brute-force engine is capped at {cap} endogenous tuples, got {len(endo)}",
-            budget=cap,
-        )
-    meter = Meter(budget, "contingency enumeration")
-    cache: dict[frozenset[Fact], bool] = {}
-    full = instance.facts
-
-    def holds(fs: frozenset[Fact]) -> bool:
-        got = cache.get(fs)
-        if got is None:
-            got = eval_bcq(fs, query, instance.schemas)
-            cache[fs] = got
-        return got
-
-    table: dict[Fact, frozenset[ContingencySet]] = {}
-    for t in sorted(endo):
-        gammas = []
-        for gamma in subsets_of(endo - {t}):
-            meter.charge()
-            if holds(full - gamma) and not holds(full - gamma - {t}):
-                gammas.append(gamma)
-        if gammas:
-            table[t] = minimize_family(gammas)
-    return table
-
-
 def minimal_contingency_sets(
     instance: Instance,
     view: BooleanQuery,
     t: Fact,
     *,
-    engine: str = "hitting",
     budget: int | None = None,
-    bruteforce_cap: int = BRUTEFORCE_CAP,
 ) -> frozenset[ContingencySet]:
     """All subset-minimal contingency sets turning ``t`` into a counterfactual
     cause for the view; empty iff ``t`` is not an actual cause."""
     _require_endogenous(instance, t)
-    if engine == "hitting":
-        hs = _endogenous_hitting_sets(instance, view, budget)
-        return frozenset(h - {t} for h in hs if t in h)
-    if engine == "bruteforce":
-        table = _bruteforce_contingency_table(instance, view, budget, bruteforce_cap)
-        return table.get(t, frozenset())
-    raise ValueError(f"unknown engine {engine!r}")
+    hs = _endogenous_hitting_sets(instance, view, budget)
+    return frozenset(h - {t} for h in hs if t in h)
 
 
 def actual_causes(
     instance: Instance,
     query: BooleanQuery,
     *,
-    engine: str = "hitting",
     budget: int | None = None,
-    bruteforce_cap: int = BRUTEFORCE_CAP,
 ) -> CauseSet:
     """Every actual cause of the query, with contingency sets and exact
     responsibility.  Empty when the query is false on the instance."""
-    if engine == "hitting":
-        hs = _endogenous_hitting_sets(instance, query, budget)
-        reports = []
-        for t in sorted(instance.endogenous):
-            containing = [h for h in hs if t in h]
-            if containing:
-                reports.append(
-                    CauseReport(
-                        cause=t,
-                        minimal_contingencies=frozenset(h - {t} for h in containing),
-                        responsibility=Fraction(1, min(len(h) for h in containing)),
-                    )
-                )
-        return CauseSet(frozenset(reports))
-    if engine == "bruteforce":
-        table = _bruteforce_contingency_table(instance, query, budget, bruteforce_cap)
-        reports = [
-            CauseReport(
-                cause=t,
-                minimal_contingencies=gammas,
-                responsibility=Fraction(1, 1 + min(len(g) for g in gammas)),
-            )
-            for t, gammas in table.items()
-        ]
-        return CauseSet(frozenset(reports))
-    raise ValueError(f"unknown engine {engine!r}")
+    hs = _endogenous_hitting_sets(instance, query, budget)
+    return cause_set_from_hitting_sets(hs, instance.endogenous)
 
 
 def responsibility(
@@ -243,12 +197,11 @@ def responsibility(
     query: BooleanQuery,
     t: Fact,
     *,
-    engine: str = "hitting",
     budget: int | None = None,
 ) -> Fraction:
     """1/(1 + k) for the smallest contingency set of size k, or 0 when
     ``t`` is not an actual cause (also when the query does not hold)."""
-    gammas = minimal_contingency_sets(instance, query, t, engine=engine, budget=budget)
+    gammas = minimal_contingency_sets(instance, query, t, budget=budget)
     if not gammas:
         return Fraction(0)
     return Fraction(1, 1 + min(len(g) for g in gammas))
@@ -258,11 +211,10 @@ def most_responsible_causes(
     instance: Instance,
     view: BooleanQuery,
     *,
-    engine: str = "hitting",
     budget: int | None = None,
 ) -> frozenset[Fact]:
     """The actual causes with maximal responsibility; empty iff there are none."""
-    cause_set = actual_causes(instance, view, engine=engine, budget=budget)
+    cause_set = actual_causes(instance, view, budget=budget)
     if not cause_set:
         return frozenset()
     top = max(r.responsibility for r in cause_set.reports)

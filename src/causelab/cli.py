@@ -14,17 +14,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .abduction import (
-    abductive_solutions,
-    necessary_sets,
-    problem_for_instance,
-    relevant_hypotheses,
-)
+from .abduction import abductive_solutions, problem_for_instance
 from .budget import budget_from_env
 from .causality import actual_causes, responsibility
 from .checks import cross_check, fixture_checks
 from .diagnosis import build_problem, minimal_diagnoses
 from .errors import BudgetError, DomainError, ParseError, SchemaError
+from .hitting import minimal_hitting_sets
 from .model import Instance, eval_bcq
 from .parsing import (
     parse_denial_constraints,
@@ -232,10 +228,12 @@ def _cmd_abduce(args: argparse.Namespace, budget: int | None) -> dict[str, Any]:
     if args.obs:
         observations = [parse_ground_atom(o) for o in args.obs]
     problem = problem_for_instance(program, instance, observations)
+    # Necessary sets and relevant hypotheses are both read off the
+    # solutions, so the minimal supports are computed once.
     solutions = abductive_solutions(problem, budget=budget)
-    necessary = necessary_sets(problem, budget=budget)
+    necessary = minimal_hitting_sets(solutions, budget=budget)
     degrees = {}
-    for h in relevant_hypotheses(problem, budget=budget):
+    for h in frozenset().union(*solutions):
         sizes = [len(n) for n in necessary if h in n]
         degrees[h] = Fraction(1, min(sizes)) if sizes else Fraction(0)
     ranked = sorted(degrees.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -11,8 +11,8 @@ falsifies the query, so that is the test used here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from .causality import CauseReport, CauseSet
+
+from .causality import CauseSet, cause_set_from_hitting_sets
 from .errors import DomainError
 from .hitting import minimal_hitting_sets
 from .model import ConjunctiveQuery, Fact, Instance, eval_bcq, witnesses
@@ -114,15 +114,6 @@ def causes_via_diagnosis(
     if problem.vacuous:
         return CauseSet(frozenset())
     diagnoses = minimal_diagnoses(problem, budget=budget)
-    reports = []
-    for t in sorted(problem.abnormal_scope):
-        containing = [d for d in diagnoses if t in d.abnormal]
-        if containing:
-            reports.append(
-                CauseReport(
-                    cause=t,
-                    minimal_contingencies=frozenset(d.abnormal - {t} for d in containing),
-                    responsibility=Fraction(1, min(len(d) for d in containing)),
-                )
-            )
-    return CauseSet(frozenset(reports))
+    return cause_set_from_hitting_sets(
+        (d.abnormal for d in diagnoses), problem.abnormal_scope
+    )

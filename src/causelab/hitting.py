@@ -14,8 +14,6 @@ from .budget import Meter
 
 T = TypeVar("T", bound=Hashable)
 
-FrozenFamily = frozenset  # family of frozensets
-
 
 def minimize_family(sets: Iterable[Iterable[T]]) -> frozenset[frozenset[T]]:
     """Subset-minimal members of a family of sets."""

@@ -178,6 +178,34 @@ def naive_datalog_model(program: DatalogProgram, facts: Iterable[Fact]) -> froze
         model |= fresh
 
 
+def datalog_causes_by_enumeration(
+    program: DatalogProgram, instance: Instance, cap: int = LATTICE_CAP
+) -> frozenset[Fact]:
+    """Actual causes of the answer atom found by trying every contingency
+    candidate against the naive fixpoint."""
+    endo = instance.endogenous
+    _guard(len(endo), cap, "Datalog cause")
+    goal = program.answer_atom()
+    full = instance.facts
+    cache: dict[frozenset[Fact], bool] = {}
+
+    def derives(fs: frozenset[Fact]) -> bool:
+        got = cache.get(fs)
+        if got is None:
+            got = goal in naive_datalog_model(program, fs)
+            cache[fs] = got
+        return got
+
+    return frozenset(
+        t
+        for t in endo
+        if any(
+            derives(full - gamma) and not derives(full - gamma - {t})
+            for gamma in subsets_of(endo - {t})
+        )
+    )
+
+
 def _naive_entails(program: DatalogProgram, facts: frozenset[Fact], obs: frozenset[Fact]) -> bool:
     return obs <= naive_datalog_model(program, facts)
 

@@ -16,10 +16,9 @@ instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, TypeAlias
 
-from .causality import CauseReport, CauseSet, actual_causes, most_responsible_causes
+from .causality import CauseSet, actual_causes, cause_set_from_hitting_sets
 from .errors import DomainError
 from .hitting import minimal_hitting_sets
 from .model import (
@@ -142,23 +141,7 @@ def causes_from_repairs(
     reciprocal of the smallest such removal set.
     """
     removals = _removal_sets(instance, [query_to_dc(query)], budget)
-    eligible = [r for r in removals if r <= instance.endogenous]
-    reports = []
-    for t in sorted(instance.endogenous):
-        containing = [r for r in eligible if t in r]
-        if containing:
-            reports.append(
-                CauseReport(
-                    cause=t,
-                    minimal_contingencies=frozenset(r - {t} for r in containing),
-                    responsibility=Fraction(1, min(len(r) for r in containing)),
-                )
-            )
-    return CauseSet(frozenset(reports))
-
-
-def _contingency_table(cause_set: CauseSet) -> dict[Fact, frozenset[frozenset[Fact]]]:
-    return {r.cause: r.minimal_contingencies for r in cause_set.reports}
+    return cause_set_from_hitting_sets(removals, instance.endogenous)
 
 
 def s_repairs_from_causes(
@@ -180,7 +163,7 @@ def s_repairs_from_causes(
     facts = instance.facts
     if not cause_set:
         return frozenset({Repair(facts, frozenset(), "S")})
-    table = _contingency_table(cause_set)
+    table = {r.cause: r.minimal_contingencies for r in cause_set.reports}
     candidates = {
         gamma | {t} for t, gammas in table.items() for gamma in gammas
     }
@@ -199,23 +182,29 @@ def c_repairs_from_most_responsible(
     budget: int | None = None,
 ) -> frozenset[Repair]:
     """C-repairs rebuilt from the most responsible causes of the violation
-    view: every removed tuple must be maximally responsible and the rest
-    of the removal set must be one of its minimal contingency sets."""
+    view: every removed tuple must be maximally responsible, with
+    responsibility 1/(1 + k), and the rest of the removal set must be one
+    of its minimal contingency sets of size k.  Larger contingency sets of
+    a top cause belong to S-repairs that are not C-repairs."""
     base = instance.all_endogenous()
-    view = dc_to_view(constraint)
-    cause_set = actual_causes(base, view, budget=budget)
+    cause_set = actual_causes(base, dc_to_view(constraint), budget=budget)
     facts = instance.facts
     if not cause_set:
         return frozenset({Repair(facts, frozenset(), "C")})
-    top = most_responsible_causes(base, view, budget=budget)
-    table = _contingency_table(cause_set)
+    top = max(r.responsibility for r in cause_set.reports)
+    k = top.denominator - 1
+    table = {
+        r.cause: frozenset(g for g in r.minimal_contingencies if len(g) == k)
+        for r in cause_set.reports
+        if r.responsibility == top
+    }
     candidates = {
-        gamma | {t} for t in top for gamma in table[t]
+        gamma | {t} for t, gammas in table.items() for gamma in gammas
     }
     verified = [
         removed
         for removed in candidates
-        if all(t in top and removed - {t} in table[t] for t in removed)
+        if all(t in table and removed - {t} in table[t] for t in removed)
     ]
     return frozenset(Repair(facts - removed, removed, "C") for removed in verified)
 

@@ -6,6 +6,7 @@ import pytest
 
 from causelab import (
     AbductionProblem,
+    BudgetError,
     DomainError,
     Instance,
     abductive_solutions,
@@ -17,7 +18,11 @@ from causelab import (
     relevant_hypotheses,
     responsibility,
 )
-from causelab.oracles import necessary_sets_by_enumeration, solutions_by_enumeration
+from causelab.oracles import (
+    datalog_causes_by_enumeration,
+    necessary_sets_by_enumeration,
+    solutions_by_enumeration,
+)
 
 R21 = fact("R", "a2", "a1")
 R33 = fact("R", "a3", "a3")
@@ -129,9 +134,15 @@ def test_datalog_causes_when_answer_underivable(prog0):
 
 def test_datalog_causes_on_closure(t0, t0_prog):
     assert datalog_actual_causes(t0_prog, t0) == frozenset({EAB, EBC})
-    assert datalog_actual_causes(t0_prog, t0, engine="bruteforce") == frozenset(
-        {EAB, EBC}
-    )
+    assert datalog_causes_by_enumeration(t0_prog, t0) == frozenset({EAB, EBC})
+
+
+def test_datalog_cause_oracle(d0, prog0):
+    assert datalog_causes_by_enumeration(prog0, d0) == datalog_actual_causes(prog0, d0)
+    underivable = Instance.infer(endogenous=[S1, S2])
+    assert datalog_causes_by_enumeration(prog0, underivable) == frozenset()
+    with pytest.raises(BudgetError):
+        datalog_causes_by_enumeration(prog0, d0, cap=3)
 
 
 def test_datalog_responsibility_on_demo(d0, prog0):
@@ -168,8 +179,8 @@ def test_recursive_program_with_shortcut_edge(t0_prog):
     )
     assert datalog_responsibility(t0_prog, inst, fact("E", "a", "c")) == Fraction(1, 2)
     assert datalog_actual_causes(t0_prog, inst) == inst.endogenous
-    assert datalog_actual_causes(t0_prog, inst) == datalog_actual_causes(
-        t0_prog, inst, engine="bruteforce"
+    assert datalog_actual_causes(t0_prog, inst) == datalog_causes_by_enumeration(
+        t0_prog, inst
     )
 
 

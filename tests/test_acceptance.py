@@ -123,7 +123,11 @@ def test_criterion_6_abduction_route(corpus_reports):
 
 
 def test_criterion_7_monotonicity(corpus_reports):
-    with gate(7, "inserting endogenous never shrinks, exogenous never grows causes"):
+    with gate(
+        7,
+        "inserting an endogenous tuple never shrinks the causes, "
+        "relabelling a tuple exogenous never grows them",
+    ):
         require(
             corpus_reports,
             "causality.endogenous-insertion-monotone",

@@ -129,21 +129,20 @@ def test_most_responsible_prefers_unique_witness(v0):
 
 
 def test_engines_agree_on_demo(d0, q0):
-    assert actual_causes(d0, q0) == actual_causes(d0, q0, engine="bruteforce")
+    oracle = causes_by_enumeration(d0, q0)
+    for t in sorted(d0.endogenous):
+        report = oracle.report_for(t)
+        expected = frozenset() if report is None else report.minimal_contingencies
+        assert minimal_contingency_sets(d0, q0, t) == expected
 
 
-def test_bruteforce_engine_matches_oracle(d0, q0):
-    assert actual_causes(d0, q0, engine="bruteforce") == causes_by_enumeration(d0, q0)
+def test_actual_causes_match_oracle(d0, q0):
+    assert actual_causes(d0, q0) == causes_by_enumeration(d0, q0)
 
 
-def test_bruteforce_cap(d0, q0):
+def test_cause_oracle_cap(d0, q0):
     with pytest.raises(BudgetError):
-        actual_causes(d0, q0, engine="bruteforce", bruteforce_cap=3)
-
-
-def test_unknown_engine_rejected(d0, q0):
-    with pytest.raises(ValueError):
-        actual_causes(d0, q0, engine="magic")
+        causes_by_enumeration(d0, q0, cap=3)
 
 
 def test_monotonicity_when_endogenous_tuple_is_added(d0, q0):
@@ -162,6 +161,22 @@ def test_antimonotonicity_when_exogenous_tuple_is_added(q0):
     # R(a,b) is lost: the exogenous witness keeps the query true without it,
     # while S(b) stays counterfactual because it appears in every witness
     assert after == frozenset({fact("S", "b")})
+
+
+def test_exogenous_insertion_can_create_a_cause(q0):
+    inst = rs_instance(fact("R", "a", "b"))
+    assert not actual_causes(inst, q0)
+    grown = inst.with_exogenous(fact("S", "b"))
+    # the exogenous S(b) completes the only witness, whose one endogenous
+    # tuple then becomes a counterfactual cause
+    assert actual_causes(grown, q0).responsibility(fact("R", "a", "b")) == Fraction(1)
+
+
+def test_relabelling_a_tuple_exogenous_never_adds_causes(d0, q0):
+    before = frozenset(actual_causes(d0, q0).causes())
+    for t in sorted(d0.endogenous):
+        relabelled = Instance(d0.schemas, d0.endogenous - {t}, d0.exogenous | {t})
+        assert frozenset(actual_causes(relabelled, q0).causes()) <= before - {t}
 
 
 def test_cause_report_validates_responsibility():

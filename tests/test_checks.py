@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 
+from causelab import checks
 from causelab.checks import (
     PROPERTIES,
     build_corpus,
@@ -64,3 +67,17 @@ def test_failures_serialize_for_replay():
 def test_fixture_checks_pass():
     for report in fixture_checks():
         assert report.passed, (report.property_id, report.failures)
+
+
+def test_cross_check_releases_its_corpus(monkeypatch):
+    refs = []
+
+    def capture(*args):
+        corpus = build_corpus(*args)
+        refs.extend(weakref.ref(item.instance) for item in corpus)
+        return corpus
+
+    monkeypatch.setattr(checks, "build_corpus", capture)
+    cross_check(seed=3, trials=5, max_size=5)
+    gc.collect()
+    assert refs and all(r() is None for r in refs)

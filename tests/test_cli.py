@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from causelab import datalog
 from causelab.cli import main
 
 D0 = "d0.json"
@@ -99,6 +100,21 @@ def test_abduce_verb(in_data_dir, capsys):
     assert len(payload["relevant_hypotheses"]) == 4
     assert all(h["responsibility"] == "1/2" for h in payload["relevant_hypotheses"])
     assert len(payload["necessary_sets"]) == 4
+
+
+def test_abduce_runs_two_fixpoints(in_data_dir, capsys, monkeypatch):
+    # one to check the problem's observations, one for the minimal supports
+    calls = []
+    seminaive = datalog._seminaive
+
+    def counted(*args):
+        calls.append(args)
+        return seminaive(*args)
+
+    monkeypatch.setattr(datalog, "_seminaive", counted)
+    code, _, _ = run(capsys, "abduce", "-i", D0, "-p", PROG0)
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_abduce_recursive_program(in_data_dir, capsys):

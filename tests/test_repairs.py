@@ -14,6 +14,7 @@ from causelab import (
     consistently_true,
     endogenous_s_repairs,
     fact,
+    parse_denial_constraint,
     removal_sets_containing,
     s_repairs,
     s_repairs_from_causes,
@@ -169,6 +170,17 @@ def test_c_repairs_from_most_responsible_consistent(k0):
     assert removals(c_repairs_from_most_responsible(inst, k0)) == frozenset(
         {frozenset()}
     )
+
+
+def test_c_repairs_from_most_responsible_on_six_ring():
+    # Every edge of the ring is most responsible, and each also has
+    # minimal contingency sets of size 3 from the S-repairs that remove
+    # four edges; those must not rebuild into C-repairs.
+    ring = Instance.infer(endogenous=[fact("N", str(i), str((i + 1) % 6)) for i in range(6)])
+    constraint = parse_denial_constraint(":- N(X, Y), N(Y, Z).")
+    direct = removals(c_repairs(ring, [constraint]))
+    assert len(direct) == 2 and {len(r) for r in direct} == {3}
+    assert removals(c_repairs_from_most_responsible(ring, constraint)) == direct
 
 
 def test_consistently_true_on_demo(d0, k0):
