@@ -11,7 +11,7 @@ from .abduction import (
     problem_for_instance,
     relevant_hypotheses,
 )
-from .budget import DEFAULT_BUDGET
+from .budget import DEFAULT_BUDGET, Meter
 from .causality import (
     CauseReport,
     CauseSet,

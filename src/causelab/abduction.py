@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, TypeAlias
 
+from .causality import CauseSet, cause_set_from_hitting_sets
 from .errors import DomainError
 from .hitting import minimal_hitting_sets, minimize_family
 from .model import Fact, Instance
@@ -84,9 +85,7 @@ def problem_for_instance(
     return AbductionProblem(program, instance.exogenous, instance.endogenous, obs)
 
 
-def abductive_solutions(
-    problem: AbductionProblem, *, budget: int | None = None
-) -> frozenset[frozenset[Fact]]:
+def abductive_solutions(problem: AbductionProblem) -> frozenset[frozenset[Fact]]:
     """All subset-minimal sets of abducibles that, with the background,
     entail the observations.
 
@@ -95,25 +94,19 @@ def abductive_solutions(
     solutions are the minimized abducible parts.  Observations entailed
     by the background alone yield the single empty solution.
     """
-    supports = minimal_supports(
-        problem.program, problem.edb | problem.hyp, problem.obs, budget=budget
-    )
+    supports = minimal_supports(problem.program, problem.edb | problem.hyp, problem.obs)
     return minimize_family(s - problem.edb for s in supports)
 
 
-def relevant_hypotheses(
-    problem: AbductionProblem, *, budget: int | None = None
-) -> frozenset[Fact]:
+def relevant_hypotheses(problem: AbductionProblem) -> frozenset[Fact]:
     """The abducibles occurring in at least one solution."""
     out: frozenset[Fact] = frozenset()
-    for solution in abductive_solutions(problem, budget=budget):
+    for solution in abductive_solutions(problem):
         out |= solution
     return out
 
 
-def necessary_sets(
-    problem: AbductionProblem, *, budget: int | None = None
-) -> frozenset[NecessarySet]:
+def necessary_sets(problem: AbductionProblem) -> frozenset[NecessarySet]:
     """All subset-minimal sets of abducibles whose removal leaves no
     solution.
 
@@ -122,45 +115,38 @@ def necessary_sets(
     against the definition-level search.  Empty when the background alone
     entails the observations, since then nothing can be made necessary.
     """
-    return minimal_hitting_sets(abductive_solutions(problem, budget=budget), budget=budget)
+    return minimal_hitting_sets(abductive_solutions(problem))
 
 
-def datalog_actual_causes(
-    program: DatalogProgram,
-    instance: Instance,
-    *,
-    budget: int | None = None,
-) -> frozenset[Fact]:
+def _datalog_cause_set(program: DatalogProgram, instance: Instance) -> CauseSet:
+    """Causes of the answer atom read off the minimal hitting sets of the
+    endogenous parts of its minimal supports: one fixpoint in all.
+
+    With no supports (the answer is not derived) the only hitting set is
+    the empty one, so there are no causes.  These hitting sets are the
+    necessary sets of the instance's canonical abduction problem.
+    """
+    supports = minimal_supports(program, instance.facts, {program.answer_atom()})
+    hitting = minimal_hitting_sets({s & instance.endogenous for s in supports})
+    return cause_set_from_hitting_sets(hitting, instance.endogenous)
+
+
+def datalog_actual_causes(program: DatalogProgram, instance: Instance) -> frozenset[Fact]:
     """Actual causes for the answer atom, by the contingency definition
     generalized to Datalog entailment.
 
     Reduces to minimal hitting sets of the endogenous parts of the
-    answer's minimal supports.  Empty when the program does not derive
-    the answer from the full instance: there are no supports, so the
-    only hitting set is the empty one.  Agrees with the relevant
+    answer's minimal supports; empty when the program does not derive
+    the answer from the full instance.  Agrees with the relevant
     hypotheses of the matching abduction problem.
     """
-    supports = minimal_supports(program, instance.facts, {program.answer_atom()}, budget=budget)
-    hitting = minimal_hitting_sets({s & instance.endogenous for s in supports}, budget=budget)
-    return frozenset().union(*hitting)
+    return frozenset(_datalog_cause_set(program, instance).causes())
 
 
-def datalog_responsibility(
-    program: DatalogProgram,
-    instance: Instance,
-    t: Fact,
-    *,
-    budget: int | None = None,
-) -> Fraction:
+def datalog_responsibility(program: DatalogProgram, instance: Instance, t: Fact) -> Fraction:
     """1/|N| for the smallest necessary hypothesis set N containing ``t``
     in the instance's canonical abduction problem; 0 when ``t`` is in no
     necessary set or the answer is not derived at all."""
     if t not in instance.endogenous:
         raise DomainError(f"{t} is not an endogenous fact of the instance")
-    if not entails(program, instance.facts, {program.answer_atom()}):
-        return Fraction(0)
-    problem = problem_for_instance(program, instance)
-    sizes = [len(n) for n in necessary_sets(problem, budget=budget) if t in n]
-    if not sizes:
-        return Fraction(0)
-    return Fraction(1, min(sizes))
+    return _datalog_cause_set(program, instance).responsibility(t)

@@ -1,13 +1,26 @@
-"""Budgets for the exponential enumerations.
+"""One work budget per request.
 
-Every search that can blow up (witness enumeration, hitting sets, repair
-and solution searches) counts its work against a cap and raises
-:class:`~causelab.errors.BudgetError` when the cap is hit, never
+Every search that can blow up (the join, witness enumeration, the
+Datalog fixpoint, minimal supports, hitting sets) charges its work to
+the current :class:`Meter` and raises
+:class:`~causelab.errors.BudgetError` when the meter's cap is hit, never
 truncating output silently.
+
+A meter is made current by a ``with`` block, the way
+:func:`decimal.localcontext` scopes a precision::
+
+    with Meter(10_000):
+        causes = actual_causes(instance, query)  # join and hitting sets share 10^4 units
+
+Every phase run inside the block charges that one meter, so the cap
+bounds the whole computation.  Outside any block each metered call gets
+a fresh meter at :data:`DEFAULT_BUDGET`.  The current meter lives in a
+:class:`contextvars.ContextVar`, so it is per thread and per asyncio task.
 """
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar, Token
 
 from .errors import BudgetError
 
@@ -16,25 +29,44 @@ ENV_VAR = "CAUSELAB_BUDGET"
 
 
 class Meter:
-    """Tick counter that fails loudly once more than ``limit`` units are spent."""
+    """Tick counter that fails loudly once more than ``limit`` units are
+    spent; a context manager that makes itself the current meter."""
 
-    __slots__ = ("limit", "used", "label")
+    __slots__ = ("limit", "used", "_tokens")
 
-    def __init__(self, limit: int | None = None, label: str = "enumeration") -> None:
+    def __init__(self, limit: int | None = None) -> None:
         self.limit = DEFAULT_BUDGET if limit is None else int(limit)
         self.used = 0
-        self.label = label
+        self._tokens: list[Token[Meter | None]] = []
 
     def charge(self, amount: int = 1) -> None:
         self.used += amount
         if self.used > self.limit:
             raise BudgetError(
-                f"{self.label} exceeded its budget of {self.limit}", budget=self.limit
+                f"{self.used} work units spent against a budget of {self.limit}",
+                budget=self.limit,
             )
+
+    def __enter__(self) -> Meter:
+        self._tokens.append(_current.set(self))
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        _current.reset(self._tokens.pop())
+
+
+_current: ContextVar[Meter | None] = ContextVar("causelab_meter", default=None)
+
+
+def current_meter() -> Meter:
+    """The meter of the innermost enclosing ``with Meter(...)`` block, or
+    a fresh meter at the default cap outside any block."""
+    meter = _current.get()
+    return Meter() if meter is None else meter
 
 
 def budget_from_env(explicit: int | None = None) -> int | None:
-    """Resolve the enumeration cap for the CLI.
+    """Resolve the request's budget for the CLI.
 
     An explicit value wins; otherwise the CAUSELAB_BUDGET environment
     variable applies; otherwise None selects the library default.  The

@@ -157,64 +157,41 @@ def is_counterfactual_cause(instance: Instance, query: BooleanQuery, t: Fact) ->
 
 
 def _endogenous_hitting_sets(
-    instance: Instance, query: BooleanQuery, budget: int | None
+    instance: Instance, query: BooleanQuery
 ) -> frozenset[frozenset[Fact]]:
-    family = {
-        w & instance.endogenous
-        for w in witnesses(instance.facts, query, instance.schemas, budget=budget)
-    }
-    return minimal_hitting_sets(family, budget=budget)
+    family = {w & instance.endogenous for w in witnesses(instance.facts, query, instance.schemas)}
+    return minimal_hitting_sets(family)
 
 
 def minimal_contingency_sets(
-    instance: Instance,
-    view: BooleanQuery,
-    t: Fact,
-    *,
-    budget: int | None = None,
+    instance: Instance, view: BooleanQuery, t: Fact
 ) -> frozenset[ContingencySet]:
     """All subset-minimal contingency sets turning ``t`` into a counterfactual
     cause for the view; empty iff ``t`` is not an actual cause."""
     _require_endogenous(instance, t)
-    hs = _endogenous_hitting_sets(instance, view, budget)
+    hs = _endogenous_hitting_sets(instance, view)
     return frozenset(h - {t} for h in hs if t in h)
 
 
-def actual_causes(
-    instance: Instance,
-    query: BooleanQuery,
-    *,
-    budget: int | None = None,
-) -> CauseSet:
+def actual_causes(instance: Instance, query: BooleanQuery) -> CauseSet:
     """Every actual cause of the query, with contingency sets and exact
     responsibility.  Empty when the query is false on the instance."""
-    hs = _endogenous_hitting_sets(instance, query, budget)
+    hs = _endogenous_hitting_sets(instance, query)
     return cause_set_from_hitting_sets(hs, instance.endogenous)
 
 
-def responsibility(
-    instance: Instance,
-    query: BooleanQuery,
-    t: Fact,
-    *,
-    budget: int | None = None,
-) -> Fraction:
+def responsibility(instance: Instance, query: BooleanQuery, t: Fact) -> Fraction:
     """1/(1 + k) for the smallest contingency set of size k, or 0 when
     ``t`` is not an actual cause (also when the query does not hold)."""
-    gammas = minimal_contingency_sets(instance, query, t, budget=budget)
+    gammas = minimal_contingency_sets(instance, query, t)
     if not gammas:
         return Fraction(0)
     return Fraction(1, 1 + min(len(g) for g in gammas))
 
 
-def most_responsible_causes(
-    instance: Instance,
-    view: BooleanQuery,
-    *,
-    budget: int | None = None,
-) -> frozenset[Fact]:
+def most_responsible_causes(instance: Instance, view: BooleanQuery) -> frozenset[Fact]:
     """The actual causes with maximal responsibility; empty iff there are none."""
-    cause_set = actual_causes(instance, view, budget=budget)
+    cause_set = actual_causes(instance, view)
     if not cause_set:
         return frozenset()
     top = max(r.responsibility for r in cause_set.reports)

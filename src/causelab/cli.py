@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
 from .abduction import abductive_solutions, problem_for_instance
-from .budget import budget_from_env
-from .causality import actual_causes, responsibility
+from .budget import Meter, budget_from_env
+from .causality import actual_causes, cause_set_from_hitting_sets, responsibility
 from .checks import cross_check, fixture_checks
 from .diagnosis import build_problem, minimal_diagnoses
 from .errors import BudgetError, DomainError, ParseError, SchemaError
@@ -93,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         if instance:
             p.add_argument("-i", "--instance", required=True, help="instance JSON file")
         p.add_argument("--format", choices=["json", "table"], default="json")
-        p.add_argument("--budget", type=_positive_int, default=None, help="enumeration cap")
+        p.add_argument("--budget", type=_positive_int, default=None, help="work cap per request")
 
     p = sub.add_parser("causes", help="actual causes for a query answer")
     common(p)
@@ -155,38 +154,38 @@ def _family_str(family: list[list[list[str]]]) -> str:
     return "; ".join(rendered) if rendered else "{}"
 
 
-def _cmd_causes(args: argparse.Namespace, budget: int | None) -> dict[str, Any]:
+def _cmd_causes(args: argparse.Namespace) -> dict[str, Any]:
     instance = load_instance(args.instance)
     query = parse_query(_read(args.query))
     holds = eval_bcq(instance.facts, query, instance.schemas)
     payload: dict[str, Any] = {
         "query_holds": holds,
-        "causes": cause_set_to_list(actual_causes(instance, query, budget=budget)),
+        "causes": cause_set_to_list(actual_causes(instance, query)),
     }
     if not holds:
         payload["note"] = "the query is false in this instance; there is no answer to explain"
     return payload
 
 
-def _cmd_responsibility(args: argparse.Namespace, budget: int | None) -> dict[str, Any]:
+def _cmd_responsibility(args: argparse.Namespace) -> dict[str, Any]:
     instance = load_instance(args.instance)
     query = parse_query(_read(args.query))
     t = parse_ground_atom(args.tuple_)
-    rho = responsibility(instance, query, t, budget=budget)
+    rho = responsibility(instance, query, t)
     return {"tuple": fact_to_list(t), "responsibility": str(rho)}
 
 
-def _cmd_repairs(args: argparse.Namespace, budget: int | None) -> dict[str, Any]:
+def _cmd_repairs(args: argparse.Namespace) -> dict[str, Any]:
     instance = load_instance(args.instance)
     constraints = parse_denial_constraints(_read(args.constraints))
     if args.endogenous_only:
         if args.semantics != "s":
             raise ParseError("--endogenous-only applies to the s semantics only")
-        found = endogenous_s_repairs(instance, constraints, budget=budget)
+        found = endogenous_s_repairs(instance, constraints)
     elif args.semantics == "s":
-        found = s_repairs(instance, constraints, budget=budget)
+        found = s_repairs(instance, constraints)
     else:
-        found = c_repairs(instance, constraints, budget=budget)
+        found = c_repairs(instance, constraints)
     ordered = sorted(found, key=lambda r: [f"{f.relation}/{f.args}" for f in sort_facts(r.removed)])
     payload: dict[str, Any] = {
         "semantics": args.semantics.upper(),
@@ -197,22 +196,22 @@ def _cmd_repairs(args: argparse.Namespace, budget: int | None) -> dict[str, Any]
     return payload
 
 
-def _cmd_cqa(args: argparse.Namespace, budget: int | None) -> dict[str, Any]:
+def _cmd_cqa(args: argparse.Namespace) -> dict[str, Any]:
     instance = load_instance(args.instance)
     constraints = parse_denial_constraints(_read(args.constraints))
     if len(constraints) != 1:
         raise ParseError("cqa expects exactly one denial constraint")
     a = parse_ground_atom(args.atom)
-    value = consistently_true(instance, constraints[0], a, budget=budget)
+    value = consistently_true(instance, constraints[0], a)
     return {"atom": fact_to_list(a), "consistently_true": value}
 
 
-def _cmd_diagnose(args: argparse.Namespace, budget: int | None) -> dict[str, Any]:
+def _cmd_diagnose(args: argparse.Namespace) -> dict[str, Any]:
     instance = load_instance(args.instance)
     query = parse_query(_read(args.query))
     problem = build_problem(instance, query)
     ordered = sorted(
-        minimal_diagnoses(problem, budget=budget),
+        minimal_diagnoses(problem),
         key=lambda d: [(f.relation, f.args) for f in sort_facts(d.abnormal)],
     )
     return {
@@ -221,7 +220,7 @@ def _cmd_diagnose(args: argparse.Namespace, budget: int | None) -> dict[str, Any
     }
 
 
-def _cmd_abduce(args: argparse.Namespace, budget: int | None) -> dict[str, Any]:
+def _cmd_abduce(args: argparse.Namespace) -> dict[str, Any]:
     instance = load_instance(args.instance)
     program = parse_program(_read(args.program))
     observations = None
@@ -229,25 +228,26 @@ def _cmd_abduce(args: argparse.Namespace, budget: int | None) -> dict[str, Any]:
         observations = [parse_ground_atom(o) for o in args.obs]
     problem = problem_for_instance(program, instance, observations)
     # Necessary sets and relevant hypotheses are both read off the
-    # solutions, so the minimal supports are computed once.
-    solutions = abductive_solutions(problem, budget=budget)
-    necessary = minimal_hitting_sets(solutions, budget=budget)
-    degrees = {}
-    for h in frozenset().union(*solutions):
-        sizes = [len(n) for n in necessary if h in n]
-        degrees[h] = Fraction(1, min(sizes)) if sizes else Fraction(0)
-    ranked = sorted(degrees.items(), key=lambda kv: (-kv[1], kv[0]))
+    # solutions, so the minimal supports are computed once.  The solutions
+    # form an antichain, so every relevant hypothesis is in a necessary set.
+    solutions = abductive_solutions(problem)
+    necessary = minimal_hitting_sets(solutions)
+    ranked = sorted(
+        cause_set_from_hitting_sets(necessary, problem.hyp).reports,
+        key=lambda r: (-r.responsibility, r.cause),
+    )
     return {
         "observations": [fact_to_list(o) for o in sort_facts(problem.obs)],
         "solutions": family_to_list(solutions),
         "relevant_hypotheses": [
-            {"tuple": fact_to_list(h), "responsibility": str(d)} for h, d in ranked
+            {"tuple": fact_to_list(r.cause), "responsibility": str(r.responsibility)}
+            for r in ranked
         ],
         "necessary_sets": family_to_list(necessary),
     }
 
 
-def _cmd_check(args: argparse.Namespace, budget: int | None) -> dict[str, Any]:
+def _cmd_check(args: argparse.Namespace) -> dict[str, Any]:
     reports = list(fixture_checks())
     if not args.fixtures_only:
         reports.extend(cross_check(args.seed, args.trials, args.max_size))
@@ -352,7 +352,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"causelab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        payload = _HANDLERS[args.verb](args, budget)
+        with Meter(budget):
+            payload = _HANDLERS[args.verb](args)
     except ParseError as exc:
         print(f"causelab: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -10,8 +10,9 @@ The joins run on the engine of :mod:`causelab.model`: one
 each round's delta gets a small index of its own, and the "old" pool is
 the full index with the delta facts skipped.  A rule position is skipped
 when its delta has no facts for its atom or when an earlier atom has no
-old facts.  The budget is charged per candidate fact an index probe
-returns, not per fact scanned.  Derivations are recorded while
+old facts.  The current meter (:func:`causelab.budget.current_meter`)
+is charged per candidate fact an index probe returns, not per fact
+scanned, and per support combination.  Derivations are recorded while
 evaluating and feed the minimal-support computation, a fixpoint over
 antichains of base-fact sets restricted to the derived atoms the goals
 depend on.
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .budget import Meter
+from .budget import Meter, current_meter
 from .hitting import minimize_family
 from .model import Atom, Fact, FactIndex, Variable, matches, variable_positions
 
@@ -123,23 +124,19 @@ def _seminaive(
     return frozenset(model), derivations
 
 
-def evaluate(
-    program: DatalogProgram, facts: Iterable[Fact], *, budget: int | None = None
-) -> frozenset[Fact]:
+def evaluate(program: DatalogProgram, facts: Iterable[Fact]) -> frozenset[Fact]:
     """The least fixpoint of the program over the given facts: the facts
     themselves plus every derivable ground atom."""
-    meter = Meter(budget, "fixpoint evaluation")
-    model, _ = _seminaive(program, facts, meter)
+    model, _ = _seminaive(program, facts, current_meter())
     return model
 
 
 def ground_derivations(
-    program: DatalogProgram, facts: Iterable[Fact], *, budget: int | None = None
+    program: DatalogProgram, facts: Iterable[Fact]
 ) -> tuple[frozenset[Fact], dict[Fact, set[frozenset[Fact]]]]:
     """The model together with every ground rule instance that fires in it,
     keyed by derived head and valued by the set of instantiated bodies."""
-    meter = Meter(budget, "fixpoint evaluation")
-    return _seminaive(program, facts, meter)
+    return _seminaive(program, facts, current_meter())
 
 
 def entails(program: DatalogProgram, facts: Iterable[Fact], goals: Iterable[Fact]) -> bool:
@@ -176,11 +173,7 @@ def _antichain_add(antichain: set[frozenset[Fact]], candidate: frozenset[Fact]) 
 
 
 def minimal_supports(
-    program: DatalogProgram,
-    facts: Iterable[Fact],
-    goals: Iterable[Fact],
-    *,
-    budget: int | None = None,
+    program: DatalogProgram, facts: Iterable[Fact], goals: Iterable[Fact]
 ) -> frozenset[frozenset[Fact]]:
     """All subset-minimal sets of base facts from which the program derives
     every goal atom.
@@ -193,7 +186,7 @@ def minimal_supports(
     """
     base = frozenset(facts)
     goal_set = frozenset(goals)
-    meter = Meter(budget, "support enumeration")
+    meter = current_meter()
     model, derivations = _seminaive(program, base, meter)
     if not goal_set <= model:
         return frozenset()

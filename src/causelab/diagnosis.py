@@ -63,9 +63,7 @@ def build_problem(instance: Instance, query: ConjunctiveQuery) -> DiagnosisProbl
     return DiagnosisProblem(instance, query, instance.endogenous, vacuous=not holds)
 
 
-def minimal_diagnoses(
-    problem: DiagnosisProblem, *, budget: int | None = None
-) -> frozenset[Diagnosis]:
+def minimal_diagnoses(problem: DiagnosisProblem) -> frozenset[Diagnosis]:
     """All subset-minimal sets of endogenous tuples whose removal falsifies
     the query.
 
@@ -76,9 +74,9 @@ def minimal_diagnoses(
     instance = problem.instance
     family = {
         w & problem.abnormal_scope
-        for w in witnesses(instance.facts, problem.query, instance.schemas, budget=budget)
+        for w in witnesses(instance.facts, problem.query, instance.schemas)
     }
-    return frozenset(Diagnosis(h) for h in minimal_hitting_sets(family, budget=budget))
+    return frozenset(Diagnosis(h) for h in minimal_hitting_sets(family))
 
 
 def _require_in_scope(problem: DiagnosisProblem, t: Fact) -> None:
@@ -86,34 +84,28 @@ def _require_in_scope(problem: DiagnosisProblem, t: Fact) -> None:
         raise DomainError(f"{t} is not an endogenous fact of the diagnosis problem")
 
 
-def diagnoses_containing(
-    problem: DiagnosisProblem, t: Fact, *, budget: int | None = None
-) -> frozenset[Diagnosis]:
+def diagnoses_containing(problem: DiagnosisProblem, t: Fact) -> frozenset[Diagnosis]:
     """The subset-minimal diagnoses that contain ``t``."""
     _require_in_scope(problem, t)
-    return frozenset(d for d in minimal_diagnoses(problem, budget=budget) if t in d.abnormal)
+    return frozenset(d for d in minimal_diagnoses(problem) if t in d.abnormal)
 
 
-def smallest_diagnoses_containing(
-    problem: DiagnosisProblem, t: Fact, *, budget: int | None = None
-) -> frozenset[Diagnosis]:
+def smallest_diagnoses_containing(problem: DiagnosisProblem, t: Fact) -> frozenset[Diagnosis]:
     """Among the diagnoses containing ``t``, those of minimum cardinality."""
-    containing = diagnoses_containing(problem, t, budget=budget)
+    containing = diagnoses_containing(problem, t)
     if not containing:
         return frozenset()
     best = min(len(d) for d in containing)
     return frozenset(d for d in containing if len(d) == best)
 
 
-def causes_via_diagnosis(
-    problem: DiagnosisProblem, *, budget: int | None = None
-) -> CauseSet:
+def causes_via_diagnosis(problem: DiagnosisProblem) -> CauseSet:
     """Actual causes computed solely from the diagnosis classes: a tuple is
     a cause iff some minimal diagnosis contains it, and its responsibility
     is the reciprocal of the smallest such diagnosis."""
     if problem.vacuous:
         return CauseSet(frozenset())
-    diagnoses = minimal_diagnoses(problem, budget=budget)
+    diagnoses = minimal_diagnoses(problem)
     return cause_set_from_hitting_sets(
         (d.abnormal for d in diagnoses), problem.abnormal_scope
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Hashable, Iterable, Iterator, TypeVar
 
-from .budget import Meter
+from .budget import current_meter
 
 T = TypeVar("T", bound=Hashable)
 
@@ -44,9 +44,7 @@ def subsets_of(items: Iterable[T], max_size: int | None = None) -> Iterator[froz
             yield frozenset(combo)
 
 
-def minimal_hitting_sets(
-    family: Iterable[Iterable[T]], *, budget: int | None = None
-) -> frozenset[frozenset[T]]:
+def minimal_hitting_sets(family: Iterable[Iterable[T]]) -> frozenset[frozenset[T]]:
     """All subset-minimal sets that intersect every member of ``family``.
 
     The empty family is hit by the empty set alone, so the result is
@@ -56,8 +54,9 @@ def minimal_hitting_sets(
     Enumeration branches on the elements of a smallest still-unhit
     member, prunes supersets of hitting sets already found, and finishes
     with an antichain filter, which together make the result exact.
+    Each search node is charged to the current meter.
     """
-    meter = Meter(budget, "minimal hitting set enumeration")
+    meter = current_meter()
     base = sorted(minimize_family(family), key=lambda s: (len(s), sorted(s)))
     if not base:
         return frozenset({frozenset()})

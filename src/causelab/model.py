@@ -14,8 +14,10 @@ probe needs it.  Each atom tuple gets a static plan, cached with a bound:
 atoms with the most bound terms go first, and each step probes the index
 on its bound positions, binds the free ones and checks repeated
 variables.  The engine yields the matched facts, so witnesses and
-derivation bodies reuse them instead of grounding new ones.  A budget
-meter is charged per candidate fact a probe returns.
+derivation bodies reuse them instead of grounding new ones.  The
+request's meter (:func:`causelab.budget.current_meter`) is charged per
+candidate fact a probe returns, by evaluation and witness enumeration
+alike.
 
 Conventions
 -----------
@@ -24,7 +26,8 @@ form variables start with an uppercase letter and constants start with a
 lowercase letter or are double-quoted; the :func:`atom` helper applies
 the same convention to bare strings.  Every value here except a
 :class:`FactIndex`, which each caller builds for itself, is immutable and
-every operation is a pure function, so concurrent use is safe.
+every operation is a pure function apart from charging the current
+meter, which is per thread and per task, so concurrent use is safe.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Mapping, TypeAlias, Union
 
-from .budget import Meter
+from .budget import Meter, current_meter
 from .errors import SchemaError
 from .hitting import minimize_family
 
@@ -467,7 +470,7 @@ def _plan(atoms: tuple[Atom, ...], first: int | None) -> tuple[tuple, tuple]:
 def matches(
     index: FactIndex,
     atoms: tuple[Atom, ...],
-    meter: Meter | None = None,
+    meter: Meter,
     delta: tuple[int, FactIndex, AbstractSet[Fact]] | None = None,
 ) -> Iterator[tuple[Fact, ...]]:
     """The join engine: every tuple of facts from ``index``, one per atom
@@ -495,7 +498,7 @@ def matches(
     def extend(i: int) -> Iterator[tuple[Fact, ...]]:
         k, rows, key_of, binds, checks, old = resolved[i]
         candidates = rows if key_of is None else rows.get(key_of(vals), ())
-        if meter is not None and candidates:
+        if candidates:
             meter.charge(len(candidates))
         for f in candidates:
             if old and f in skip:
@@ -516,10 +519,10 @@ def matches(
 
 def valuations(facts: Iterable[Fact], query: BooleanQuery) -> Iterator[dict[Variable, str]]:
     """All total valuations of the query's variables that map every atom
-    onto a fact of the given set."""
+    onto a fact of the given set, charged to the meter current at the call."""
     sources = variable_positions(query.atoms)
-    for m in matches(FactIndex(facts), query.atoms):
-        yield {v: m[k].args[p] for v, (k, p) in sources.items()}
+    found = matches(FactIndex(facts), query.atoms, current_meter())
+    return ({v: m[k].args[p] for v, (k, p) in sources.items()} for m in found)
 
 
 def eval_bcq(
@@ -527,27 +530,26 @@ def eval_bcq(
     query: BooleanQuery,
     schemas: frozenset[RelationSchema] | None = None,
 ) -> bool:
-    """True iff some valuation maps every atom of the query into ``facts``."""
+    """True iff some valuation maps every atom of the query into ``facts``.
+    The probes are charged to the current meter."""
     check_query_schema(query, schemas)
-    return next(matches(FactIndex(facts), query.atoms), None) is not None
+    return next(matches(FactIndex(facts), query.atoms, current_meter()), None) is not None
 
 
 def witnesses(
     facts: Iterable[Fact],
     query: BooleanQuery,
     schemas: frozenset[RelationSchema] | None = None,
-    *,
-    budget: int | None = None,
 ) -> frozenset[Witness]:
     """Exactly the minimal support sets of the query within ``facts``.
 
     Each witness is the set of facts one match of the join engine maps
     the atoms onto; enumeration keeps the subset-minimal ones, so it does
-    not walk the subset lattice.  The budget counts join candidates.
+    not walk the subset lattice.  The join candidates are charged to the
+    current meter.
     """
     check_query_schema(query, schemas)
-    meter = Meter(budget, "witness enumeration")
-    return minimize_family(matches(FactIndex(facts), query.atoms, meter))
+    return minimize_family(matches(FactIndex(facts), query.atoms, current_meter()))
 
 
 def satisfies_dc(

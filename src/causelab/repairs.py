@@ -16,9 +16,10 @@ instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, TypeAlias
 
-from .causality import CauseSet, actual_causes, cause_set_from_hitting_sets
+from .causality import CauseSet, ContingencySet, actual_causes, cause_set_from_hitting_sets
 from .errors import DomainError
 from .hitting import minimal_hitting_sets
 from .model import (
@@ -66,45 +67,30 @@ class Repair:
             raise ValueError("kept and removed facts must be disjoint")
 
 
-def _pooled_witnesses(
-    instance: Instance, constraints: Iterable[DenialConstraint], budget: int | None
+def _removal_sets(
+    instance: Instance, constraints: Iterable[DenialConstraint]
 ) -> frozenset[frozenset[Fact]]:
     pooled: set[frozenset[Fact]] = set()
     for constraint in constraints:
-        pooled |= witnesses(
-            instance.facts, dc_to_view(constraint), instance.schemas, budget=budget
-        )
-    return frozenset(pooled)
-
-
-def _removal_sets(
-    instance: Instance, constraints: Iterable[DenialConstraint], budget: int | None
-) -> frozenset[frozenset[Fact]]:
-    return minimal_hitting_sets(_pooled_witnesses(instance, constraints, budget), budget=budget)
+        pooled |= witnesses(instance.facts, dc_to_view(constraint), instance.schemas)
+    return minimal_hitting_sets(pooled)
 
 
 def s_repairs(
-    instance: Instance,
-    constraints: Iterable[DenialConstraint],
-    *,
-    budget: int | None = None,
+    instance: Instance, constraints: Iterable[DenialConstraint]
 ) -> frozenset[Repair]:
     """All subset-maximal consistent sub-instances (deletions only)."""
     facts = instance.facts
     return frozenset(
-        Repair(facts - removed, removed, "S")
-        for removed in _removal_sets(instance, constraints, budget)
+        Repair(facts - removed, removed, "S") for removed in _removal_sets(instance, constraints)
     )
 
 
 def c_repairs(
-    instance: Instance,
-    constraints: Iterable[DenialConstraint],
-    *,
-    budget: int | None = None,
+    instance: Instance, constraints: Iterable[DenialConstraint]
 ) -> frozenset[Repair]:
     """The S-repairs keeping the maximum number of facts."""
-    removals = _removal_sets(instance, constraints, budget)
+    removals = _removal_sets(instance, constraints)
     best = min(len(r) for r in removals)
     facts = instance.facts
     return frozenset(
@@ -113,42 +99,46 @@ def c_repairs(
 
 
 def removal_sets_containing(
-    instance: Instance,
-    constraint: DenialConstraint,
-    t: Fact,
-    *,
-    budget: int | None = None,
+    instance: Instance, constraint: DenialConstraint, t: Fact
 ) -> RemovalSetClass:
     """S-repair removal sets that contain ``t`` and consist of endogenous
     facts only; nonempty exactly when ``t`` is an actual cause of the
     constraint's violation view."""
     if t not in instance.endogenous:
         raise DomainError(f"{t} is not an endogenous fact of the instance")
-    removals = _removal_sets(instance, [constraint], budget)
+    removals = _removal_sets(instance, [constraint])
     return frozenset(r for r in removals if t in r and r <= instance.endogenous)
 
 
-def causes_from_repairs(
-    instance: Instance,
-    query: ConjunctiveQuery,
-    *,
-    budget: int | None = None,
-) -> CauseSet:
+def causes_from_repairs(instance: Instance, query: ConjunctiveQuery) -> CauseSet:
     """Actual causes computed purely from repair removal sets.
 
     A tuple is a cause iff some S-repair of the query's denial constraint
     removes it using endogenous facts only, and its responsibility is the
     reciprocal of the smallest such removal set.
     """
-    removals = _removal_sets(instance, [query_to_dc(query)], budget)
+    removals = _removal_sets(instance, [query_to_dc(query)])
     return cause_set_from_hitting_sets(removals, instance.endogenous)
 
 
+def _repairs_from_table(
+    facts: frozenset[Fact], table: dict[Fact, frozenset[ContingencySet]], kind: str
+) -> frozenset[Repair]:
+    """Repairs of ``facts`` removing each set X such that every t in X is
+    in ``table`` with X minus {t} among its contingency sets; with no
+    causes at all, the instance repairs to itself."""
+    if not table:
+        return frozenset({Repair(facts, frozenset(), kind)})
+    candidates = {gamma | {t} for t, gammas in table.items() for gamma in gammas}
+    return frozenset(
+        Repair(facts - removed, removed, kind)
+        for removed in candidates
+        if all(t in table and removed - {t} in table[t] for t in removed)
+    )
+
+
 def s_repairs_from_causes(
-    instance: Instance,
-    constraint: DenialConstraint,
-    *,
-    budget: int | None = None,
+    instance: Instance, constraint: DenialConstraint
 ) -> frozenset[Repair]:
     """S-repairs rebuilt from the cause and contingency classes of the
     violation view, with the whole instance treated as endogenous.
@@ -157,79 +147,42 @@ def s_repairs_from_causes(
     cause whose contingency class contains X minus {t}.  A consistent
     instance has no causes and repairs to itself.
     """
-    base = instance.all_endogenous()
-    view = dc_to_view(constraint)
-    cause_set = actual_causes(base, view, budget=budget)
-    facts = instance.facts
-    if not cause_set:
-        return frozenset({Repair(facts, frozenset(), "S")})
+    cause_set = actual_causes(instance.all_endogenous(), dc_to_view(constraint))
     table = {r.cause: r.minimal_contingencies for r in cause_set.reports}
-    candidates = {
-        gamma | {t} for t, gammas in table.items() for gamma in gammas
-    }
-    verified = [
-        removed
-        for removed in candidates
-        if all(t in table and removed - {t} in table[t] for t in removed)
-    ]
-    return frozenset(Repair(facts - removed, removed, "S") for removed in verified)
+    return _repairs_from_table(instance.facts, table, "S")
 
 
 def c_repairs_from_most_responsible(
-    instance: Instance,
-    constraint: DenialConstraint,
-    *,
-    budget: int | None = None,
+    instance: Instance, constraint: DenialConstraint
 ) -> frozenset[Repair]:
     """C-repairs rebuilt from the most responsible causes of the violation
     view: every removed tuple must be maximally responsible, with
     responsibility 1/(1 + k), and the rest of the removal set must be one
     of its minimal contingency sets of size k.  Larger contingency sets of
     a top cause belong to S-repairs that are not C-repairs."""
-    base = instance.all_endogenous()
-    cause_set = actual_causes(base, dc_to_view(constraint), budget=budget)
-    facts = instance.facts
-    if not cause_set:
-        return frozenset({Repair(facts, frozenset(), "C")})
-    top = max(r.responsibility for r in cause_set.reports)
+    reports = actual_causes(instance.all_endogenous(), dc_to_view(constraint)).reports
+    top = max((r.responsibility for r in reports), default=Fraction(0))
     k = top.denominator - 1
     table = {
         r.cause: frozenset(g for g in r.minimal_contingencies if len(g) == k)
-        for r in cause_set.reports
+        for r in reports
         if r.responsibility == top
     }
-    candidates = {
-        gamma | {t} for t, gammas in table.items() for gamma in gammas
-    }
-    verified = [
-        removed
-        for removed in candidates
-        if all(t in table and removed - {t} in table[t] for t in removed)
-    ]
-    return frozenset(Repair(facts - removed, removed, "C") for removed in verified)
+    return _repairs_from_table(instance.facts, table, "C")
 
 
-def consistently_true(
-    instance: Instance,
-    constraint: DenialConstraint,
-    a: Fact,
-    *,
-    budget: int | None = None,
-) -> bool:
+def consistently_true(instance: Instance, constraint: DenialConstraint, a: Fact) -> bool:
     """Consistent query answering for a ground atom of the instance: true
     iff ``a`` is not an actual cause of the violation view when the whole
     instance counts as endogenous, equivalently iff every S-repair keeps it."""
     if a not in instance.facts:
         raise DomainError(f"{a} is not a fact of the instance")
-    cause_set = actual_causes(instance.all_endogenous(), dc_to_view(constraint), budget=budget)
+    cause_set = actual_causes(instance.all_endogenous(), dc_to_view(constraint))
     return a not in cause_set
 
 
 def endogenous_s_repairs(
-    instance: Instance,
-    constraints: Iterable[DenialConstraint],
-    *,
-    budget: int | None = None,
+    instance: Instance, constraints: Iterable[DenialConstraint]
 ) -> frozenset[Repair]:
     """S-repairs obtained by deleting endogenous facts only.
 
@@ -237,6 +190,5 @@ def endogenous_s_repairs(
     an error.
     """
     return frozenset(
-        r for r in s_repairs(instance, constraints, budget=budget)
-        if r.removed <= instance.endogenous
+        r for r in s_repairs(instance, constraints) if r.removed <= instance.endogenous
     )

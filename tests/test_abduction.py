@@ -9,6 +9,7 @@ from causelab import (
     BudgetError,
     DomainError,
     Instance,
+    Meter,
     abductive_solutions,
     datalog_actual_causes,
     datalog_responsibility,
@@ -18,6 +19,7 @@ from causelab import (
     relevant_hypotheses,
     responsibility,
 )
+from causelab import datalog
 from causelab.oracles import (
     datalog_causes_by_enumeration,
     necessary_sets_by_enumeration,
@@ -157,6 +159,33 @@ def test_datalog_responsibility_on_closure(t0, t0_prog):
 def test_datalog_responsibility_rejects_foreign_tuple(d0, prog0):
     with pytest.raises(DomainError):
         datalog_responsibility(prog0, d0, fact("S", "a9"))
+
+
+def test_datalog_responsibility_runs_one_fixpoint(d0, prog0, monkeypatch):
+    calls = []
+    seminaive = datalog._seminaive
+
+    def counted(*args):
+        calls.append(args)
+        return seminaive(*args)
+
+    monkeypatch.setattr(datalog, "_seminaive", counted)
+    assert datalog_responsibility(prog0, d0, S1) == Fraction(1, 2)
+    assert len(calls) == 1
+
+
+def test_datalog_responsibility_with_head_predicate_among_facts(t0_prog):
+    # T is a rule head; the canonical abduction problem would reject it.
+    t_bc = fact("T", "b", "c")
+    inst = Instance.infer(endogenous=[EAB, t_bc])
+    assert datalog_actual_causes(t0_prog, inst) == frozenset({EAB, t_bc})
+    assert datalog_responsibility(t0_prog, inst, t_bc) == Fraction(1)
+
+
+def test_problem_construction_is_metered(prog0, d0):
+    with Meter() as m:
+        problem_for_instance(prog0, d0)
+    assert m.used > 0
 
 
 def test_datalog_responsibility_matches_query_route(d0, prog0, q0):

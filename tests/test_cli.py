@@ -225,18 +225,38 @@ def test_nonpositive_budget_env_var_exits_1(in_data_dir, capsys, monkeypatch, va
     assert "positive" in err
 
 
-def test_abduce_on_160_edge_chain_within_default_budget(tmp_path, capsys):
-    edges = [["E", f"v{i}", f"v{i + 1}"] for i in range(160)]
+def _chain(tmp_path, n: int) -> tuple[list[list[str]], str, str]:
+    edges = [["E", f"v{i}", f"v{i + 1}"] for i in range(n)]
     instance = tmp_path / "chain.json"
     instance.write_text(
         json.dumps({"schemas": [{"name": "E", "arity": 2}], "endogenous": edges, "exogenous": []})
     )
     program = tmp_path / "tc.dl"
-    program.write_text("T(X, Y) :- E(X, Y).\nT(X, Y) :- E(X, Z), T(Z, Y).\nans :- T(v0, v160).\n")
-    code, out, _ = run(capsys, "abduce", "-i", str(instance), "-p", str(program))
+    program.write_text(f"T(X, Y) :- E(X, Y).\nT(X, Y) :- E(X, Z), T(Z, Y).\nans :- T(v0, v{n}).\n")
+    return edges, str(instance), str(program)
+
+
+def test_abduce_on_160_edge_chain_within_default_budget(tmp_path, capsys):
+    edges, instance, program = _chain(tmp_path, 160)
+    code, out, _ = run(capsys, "abduce", "-i", instance, "-p", program)
     assert code == 0
     (solution,) = json.loads(out)["solutions"]
     assert sorted(solution) == sorted(edges)
+
+
+def test_budget_caps_the_whole_request(tmp_path, capsys):
+    # Problem construction, the fixpoint, the supports and the hitting
+    # sets spend over 900 units together; no phase alone spends 600.
+    _, instance, program = _chain(tmp_path, 20)
+    code, _, err = run(capsys, "abduce", "-i", instance, "-p", program, "--budget", "600")
+    assert code == 3
+    assert "budget of 600" in err
+
+
+def test_check_honours_the_budget(capsys):
+    code, _, err = run(capsys, "check", "--trials", "5", "--budget", "2")
+    assert code == 3
+    assert "budget" in err
 
 
 def test_domain_error_exits_4(in_data_dir, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from causelab.budget import Meter
 from causelab.errors import BudgetError
 from causelab.hitting import (
     maximize_family,
@@ -48,8 +49,8 @@ def test_hitting_disjoint_sets():
 
 def test_hitting_budget_is_enforced():
     family = [{i, i + 10} for i in range(8)]
-    with pytest.raises(BudgetError):
-        minimal_hitting_sets(family, budget=5)
+    with pytest.raises(BudgetError), Meter(5):
+        minimal_hitting_sets(family)
 
 
 def _oracle(family):

@@ -134,4 +134,5 @@ def test_non_matching_facts_cost_nothing():
     meter = Meter(1)
     assert list(matches(FactIndex(fs), q.atoms, meter)) == []
     assert meter.used == 0
-    assert witnesses(fs, q, budget=1) == frozenset()
+    with Meter(1):
+        assert witnesses(fs, q) == frozenset()
