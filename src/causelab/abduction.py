@@ -13,7 +13,7 @@ of abducibles and contingency sets live in :mod:`causelab.oracles`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, TypeAlias
 
@@ -21,7 +21,7 @@ from .causality import CauseSet, cause_set_from_hitting_sets
 from .errors import DomainError
 from .hitting import minimal_hitting_sets, minimize_family
 from .model import Fact, Instance
-from .datalog import DatalogProgram, entails, minimal_supports
+from .datalog import DatalogProgram, minimal_supports
 
 __all__ = [
     "AbductionProblem",
@@ -52,6 +52,9 @@ class AbductionProblem:
     edb: frozenset[Fact]
     hyp: frozenset[Fact]
     obs: frozenset[Fact]
+    #: Minimal supports of the observations over background plus
+    #: abducibles, computed once, at construction.
+    supports: frozenset[frozenset[Fact]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edb", frozenset(self.edb))
@@ -63,10 +66,12 @@ class AbductionProblem:
             raise ValueError(
                 "rule head predicates may not occur among the facts: " + ", ".join(clashing)
             )
-        if not entails(self.program, self.edb | self.hyp, self.obs):
+        supports = minimal_supports(self.program, self.edb | self.hyp, self.obs)
+        if not supports:
             raise DomainError(
                 "the observations are not entailed even with every hypothesis included"
             )
+        object.__setattr__(self, "supports", supports)
 
 
 def problem_for_instance(
@@ -89,13 +94,12 @@ def abductive_solutions(problem: AbductionProblem) -> frozenset[frozenset[Fact]]
     """All subset-minimal sets of abducibles that, with the background,
     entail the observations.
 
-    Derived from the minimal supports of the observations over background
-    plus abducibles: the background part of a support is free, so the
-    solutions are the minimized abducible parts.  Observations entailed
-    by the background alone yield the single empty solution.
+    Derived from the problem's minimal supports of the observations over
+    background plus abducibles: the background part of a support is free,
+    so the solutions are the minimized abducible parts.  Observations
+    entailed by the background alone yield the single empty solution.
     """
-    supports = minimal_supports(problem.program, problem.edb | problem.hyp, problem.obs)
-    return minimize_family(s - problem.edb for s in supports)
+    return minimize_family(s - problem.edb for s in problem.supports)
 
 
 def relevant_hypotheses(problem: AbductionProblem) -> frozenset[Fact]:

@@ -65,22 +65,21 @@ def current_meter() -> Meter:
     return Meter() if meter is None else meter
 
 
-def budget_from_env(explicit: int | None = None) -> int | None:
+def budget_from_env(explicit: int | str | None = None) -> int | None:
     """Resolve the request's budget for the CLI.
 
-    An explicit value wins; otherwise the CAUSELAB_BUDGET environment
-    variable applies; otherwise None selects the library default.  The
-    variable must hold a positive integer.
+    An explicit value (the ``--budget`` flag) wins; otherwise the
+    CAUSELAB_BUDGET environment variable applies; otherwise None selects
+    the library default.  Either source must hold a positive integer.
     """
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(ENV_VAR)
+    source = ENV_VAR if explicit is None else "--budget"
+    raw = os.environ.get(ENV_VAR) if explicit is None else explicit
     if raw is None:
         return None
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{source} must be an integer, got {raw!r}") from None
     if value <= 0:
-        raise ValueError(f"{ENV_VAR} must be positive, got {value}")
+        raise ValueError(f"{source} must be positive, got {value}")
     return value

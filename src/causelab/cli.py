@@ -32,7 +32,9 @@ from .serialize import (
     cause_set_to_list,
     diagnosis_to_dict,
     dumps,
+    fact_from_list,
     fact_to_list,
+    family_key,
     family_to_list,
     instance_from_dict,
     repair_to_dict,
@@ -46,27 +48,6 @@ EXIT_BUDGET = 3
 EXIT_DOMAIN = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    # exit code 1 on usage errors (argparse defaults to 2)
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    def exit_with(self, message: str) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
-
-
-def load_instance(path: str) -> Instance:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
-    return instance_from_dict(raw)
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -74,25 +55,23 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _positive_int(text: str) -> int:
+def load_instance(path: str) -> Instance:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+        raw = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    return instance_from_dict(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="causelab", description=__doc__)
+    parser = argparse.ArgumentParser(prog="causelab", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p: argparse.ArgumentParser, instance: bool = True) -> None:
         if instance:
             p.add_argument("-i", "--instance", required=True, help="instance JSON file")
         p.add_argument("--format", choices=["json", "table"], default="json")
-        p.add_argument("--budget", type=_positive_int, default=None, help="work cap per request")
+        p.add_argument("--budget", help="work cap per request")
 
     p = sub.add_parser("causes", help="actual causes for a query answer")
     common(p)
@@ -139,19 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _facts_table(rows: list[list[str]]) -> str:
-    if not rows:
-        return "(none)\n"
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _family_str(family: list[list[list[str]]]) -> str:
-    rendered = []
-    for group in family:
-        inner = ", ".join("(".join([f[0], ", ".join(f[1:]) + ")"]) if len(f) > 1 else f[0] for f in group)
-        rendered.append("{" + inner + "}")
-    return "; ".join(rendered) if rendered else "{}"
+def _fact_sets(family: list[list[list[str]]]) -> str:
+    """Set notation for a family of fact sets, each fact in input syntax."""
+    sets = ("{" + ", ".join(str(fact_from_list(f)) for f in fs) + "}" for fs in family)
+    return "; ".join(sets) or "{}"
 
 
 def _cmd_causes(args: argparse.Namespace) -> dict[str, Any]:
@@ -186,7 +161,7 @@ def _cmd_repairs(args: argparse.Namespace) -> dict[str, Any]:
         found = s_repairs(instance, constraints)
     else:
         found = c_repairs(instance, constraints)
-    ordered = sorted(found, key=lambda r: [f"{f.relation}/{f.args}" for f in sort_facts(r.removed)])
+    ordered = sorted(found, key=lambda r: family_key(r.removed))
     payload: dict[str, Any] = {
         "semantics": args.semantics.upper(),
         "repairs": [repair_to_dict(r) for r in ordered],
@@ -210,10 +185,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> dict[str, Any]:
     instance = load_instance(args.instance)
     query = parse_query(_read(args.query))
     problem = build_problem(instance, query)
-    ordered = sorted(
-        minimal_diagnoses(problem),
-        key=lambda d: [(f.relation, f.args) for f in sort_facts(d.abnormal)],
-    )
+    ordered = sorted(minimal_diagnoses(problem), key=lambda d: family_key(d.abnormal))
     return {
         "vacuous": problem.vacuous,
         "diagnoses": [diagnosis_to_dict(d) for d in ordered],
@@ -273,9 +245,9 @@ def _render_table(verb: str, payload: dict[str, Any]) -> str:
         for entry in payload["causes"]:
             rows.append(
                 [
-                    _fact_str(entry["tuple"]),
+                    str(fact_from_list(entry["tuple"])),
                     entry["responsibility"],
-                    _family_str(entry["min_contingencies"]),
+                    _fact_sets(entry["min_contingencies"]),
                 ]
             )
         out = _facts_table(rows)
@@ -283,18 +255,18 @@ def _render_table(verb: str, payload: dict[str, Any]) -> str:
             out += "note: " + payload["note"] + "\n"
         return out
     if verb == "responsibility":
-        return f"{_fact_str(payload['tuple'])}: {payload['responsibility']}\n"
+        return f"{fact_from_list(payload['tuple'])}: {payload['responsibility']}\n"
     if verb == "repairs":
         rows = [["kind", "removed"]]
         for entry in payload["repairs"]:
-            rows.append([entry["kind"], _family_str([entry["removed"]])])
+            rows.append([entry["kind"], _fact_sets([entry["removed"]])])
         return _facts_table(rows)
     if verb == "cqa":
-        return f"{_fact_str(payload['atom'])}: {str(payload['consistently_true']).lower()}\n"
+        return f"{fact_from_list(payload['atom'])}: {str(payload['consistently_true']).lower()}\n"
     if verb == "diagnose":
         rows = [["diagnosis"]]
         for entry in payload["diagnoses"]:
-            rows.append([_family_str([entry["abnormal"]])])
+            rows.append([_fact_sets([entry["abnormal"]])])
         out = _facts_table(rows)
         if payload["vacuous"]:
             out += "note: the observation does not hold; the empty diagnosis suffices\n"
@@ -302,10 +274,10 @@ def _render_table(verb: str, payload: dict[str, Any]) -> str:
     if verb == "abduce":
         rows = [["hypothesis", "responsibility"]]
         for entry in payload["relevant_hypotheses"]:
-            rows.append([_fact_str(entry["tuple"]), entry["responsibility"]])
+            rows.append([str(fact_from_list(entry["tuple"])), entry["responsibility"]])
         return (
-            "solutions: " + _family_str(payload["solutions"]) + "\n"
-            "necessary sets: " + _family_str(payload["necessary_sets"]) + "\n"
+            "solutions: " + _fact_sets(payload["solutions"]) + "\n"
+            "necessary sets: " + _fact_sets(payload["necessary_sets"]) + "\n"
             + _facts_table(rows)
         )
     if verb == "check":
@@ -320,12 +292,6 @@ def _render_table(verb: str, payload: dict[str, Any]) -> str:
             )
         return _facts_table(rows)
     raise AssertionError(verb)
-
-
-def _fact_str(parts: list[str]) -> str:
-    if len(parts) == 1:
-        return parts[0]
-    return f"{parts[0]}({', '.join(parts[1:])})"
 
 
 _HANDLERS = {
@@ -343,11 +309,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if code is not None else EXIT_OK
-    try:
+        if args.verb == "check" and min(args.trials, args.max_size) < 0:
+            raise ValueError("--trials and --max-size must not be negative")
         budget = budget_from_env(args.budget)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error and 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     except ValueError as exc:
         print(f"causelab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -103,8 +103,6 @@ def causes_via_diagnosis(problem: DiagnosisProblem) -> CauseSet:
     """Actual causes computed solely from the diagnosis classes: a tuple is
     a cause iff some minimal diagnosis contains it, and its responsibility
     is the reciprocal of the smallest such diagnosis."""
-    if problem.vacuous:
-        return CauseSet(frozenset())
     diagnoses = minimal_diagnoses(problem)
     return cause_set_from_hitting_sets(
         (d.abnormal for d in diagnoses), problem.abnormal_scope

@@ -70,12 +70,18 @@ __all__ = [
     "satisfies_dc",
 ]
 
-_PLAIN_CONSTANT = re.compile(r"[a-z0-9][A-Za-z0-9_]*\Z")
+#: A name written without quotes: a relation, a variable or a constant.
+BARE_NAME = re.compile(r"[A-Za-z0-9_]+")
+
+
+def is_variable_name(name: str) -> bool:
+    """Names starting with an uppercase letter or an underscore are variables."""
+    return name[:1].isupper() or name[:1] == "_"
 
 
 def format_constant(value: str) -> str:
     """Render a constant, quoting it when it does not look like one."""
-    if _PLAIN_CONSTANT.match(value):
+    if BARE_NAME.fullmatch(value) and not is_variable_name(value):
         return value
     escaped = value.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
@@ -114,9 +120,7 @@ class Fact:
         return len(self.args)
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.relation
-        return f"{self.relation}({', '.join(format_constant(a) for a in self.args)})"
+        return _atom_text(self.relation, self.args)
 
 
 def fact(relation: str, *args: str) -> Fact:
@@ -163,83 +167,66 @@ class Atom:
         return not any(isinstance(t, Variable) for t in self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return self.relation
-        rendered = ", ".join(
-            t.name if isinstance(t, Variable) else format_constant(t) for t in self.terms
-        )
-        return f"{self.relation}({rendered})"
+        return _atom_text(self.relation, self.terms)
+
+
+def _atom_text(relation: str, terms: tuple[Term, ...]) -> str:
+    """The input syntax of an atom or fact: constants quoted where needed."""
+    if not terms:
+        return relation
+    rendered = ", ".join(t.name if isinstance(t, Variable) else format_constant(t) for t in terms)
+    return f"{relation}({rendered})"
 
 
 def atom(relation: str, *terms: Term) -> Atom:
     """Build an atom applying the textual convention to bare strings:
     strings starting with an uppercase letter or underscore become
     variables, everything else is a constant."""
-
-    def coerce(t: Term) -> Term:
-        if isinstance(t, Variable):
-            return t
-        if t[:1].isupper() or t[:1] == "_":
-            return Variable(t)
-        return t
-
-    return Atom(relation, tuple(coerce(t) for t in terms))
-
-
-def _validated_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    out = tuple(atoms)
-    if not out:
-        raise ValueError("the atom list must be nonempty")
-    for a in out:
-        if not isinstance(a, Atom):
-            raise ValueError(f"expected an Atom, got {a!r}")
-    return out
+    return Atom(
+        relation,
+        tuple(Variable(t) if isinstance(t, str) and is_variable_name(t) else t for t in terms),
+    )
 
 
 @dataclass(frozen=True)
-class ConjunctiveQuery:
+class _Conjunction:
+    """A nonempty tuple of atoms, written as a comma-separated body."""
+
+    atoms: tuple[Atom, ...]
+
+    def __post_init__(self) -> None:
+        out = tuple(self.atoms)
+        if not out:
+            raise ValueError("the atom list must be nonempty")
+        for a in out:
+            if not isinstance(a, Atom):
+                raise ValueError(f"expected an Atom, got {a!r}")
+        object.__setattr__(self, "atoms", out)
+
+    def __str__(self) -> str:
+        return ", ".join(str(a) for a in self.atoms)
+
+
+@dataclass(frozen=True)
+class ConjunctiveQuery(_Conjunction):
     """A boolean conjunctive query: the existential closure of its atoms.
 
     There are no free head variables; self-joins and duplicate atoms are
     permitted (duplicates are harmless for the semantics).
     """
 
-    atoms: tuple[Atom, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _validated_atoms(self.atoms))
-
     def variables(self) -> frozenset[Variable]:
         return frozenset(v for a in self.atoms for v in a.variables())
 
-    def __str__(self) -> str:
-        return ", ".join(str(a) for a in self.atoms)
-
 
 @dataclass(frozen=True)
-class DenialConstraint:
+class DenialConstraint(_Conjunction):
     """Forbids its conjunctive pattern; the negation of the matching query."""
 
-    atoms: tuple[Atom, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _validated_atoms(self.atoms))
-
-    def __str__(self) -> str:
-        return ", ".join(str(a) for a in self.atoms)
-
 
 @dataclass(frozen=True)
-class ViolationView:
+class ViolationView(_Conjunction):
     """Boolean query that holds exactly when the matching constraint is violated."""
-
-    atoms: tuple[Atom, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _validated_atoms(self.atoms))
-
-    def __str__(self) -> str:
-        return ", ".join(str(a) for a in self.atoms)
 
 
 BooleanQuery: TypeAlias = Union[ConjunctiveQuery, ViolationView]

@@ -8,11 +8,28 @@ Variables start with an uppercase letter; constants start with a
 lowercase letter or digit, or are double-quoted.  A bare underscore is
 an anonymous variable, fresh at each occurrence.  `%` starts a comment
 running to the end of the line.
+
+One regular expression splits the text into tokens and a recursive
+descent parser reads them.  A character no token admits becomes a
+``bad`` token, so it is reported only when the parser reaches it; line
+and column are computed from a token's offset when an error is raised.
 """
 from __future__ import annotations
 
+import re
+from typing import Callable, TypeVar
+
 from .errors import ParseError
-from .model import Atom, ConjunctiveQuery, DenialConstraint, Fact, Term, Variable
+from .model import (
+    BARE_NAME,
+    Atom,
+    ConjunctiveQuery,
+    DenialConstraint,
+    Fact,
+    Term,
+    Variable,
+    is_variable_name,
+)
 from .datalog import DatalogProgram, DatalogRule
 
 __all__ = [
@@ -23,171 +40,148 @@ __all__ = [
     "parse_ground_atom",
 ]
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789")
-_IDENT_BODY = _IDENT_START
+_TOKEN = re.compile(
+    rf"""(?P<space>(?:[ \t\r\n]|%[^\n]*)+)
+    |(?P<name>{BARE_NAME.pattern})
+    |(?P<quoted>"(?:[^"\\]|\\.)*")
+    |(?P<open_escape>"(?:[^"\\]|\\.)*\\\Z)
+    |(?P<open>".*)
+    |(?P<punct>:-|[(),.])
+    |(?P<bad>.)
+    |(?P<end>\Z)""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+# An unterminated quote runs to the end of the text, where it is reported.
+_UNTERMINATED = {
+    "open": "unterminated quoted constant",
+    "open_escape": "unterminated escape in quoted constant",
+}
+
+_T = TypeVar("_T")
 
 
-class _Scanner:
+class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+        # the last token is the empty ``end`` match
+        self.tokens = [m for m in _TOKEN.finditer(text) if m.lastgroup != "space"]
+        self.i = 0
         self.fresh = 0
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, line=self.line, column=self.column)
+    def error(self, message: str, offset: int) -> ParseError:
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line=line, column=offset - self.text.rfind("\n", 0, offset))
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
+    def consumed(self) -> int:
+        """Offset just past the last token read."""
+        return self.tokens[self.i - 1].end()
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_space(self) -> None:
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c in " \t\r\n":
-                self._advance()
-            elif c == "%":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            else:
-                return
+    def unexpected(self, wanted: str) -> ParseError:
+        tok = self.tokens[self.i]
+        found = tok.group()[:1] or "end of input"
+        return self.error(f"expected {wanted}, found {found!r}", tok.start())
 
     def at_end(self) -> bool:
-        self.skip_space()
-        return self.pos >= len(self.text)
+        return self.tokens[self.i].lastgroup == "end"
+
+    def finish(self, what: str) -> None:
+        if not self.at_end():
+            raise self.error(f"unexpected input after the {what}", self.tokens[self.i].start())
 
     def take(self, literal: str) -> bool:
-        self.skip_space()
-        if self.text.startswith(literal, self.pos):
-            self._advance(len(literal))
+        if self.tokens[self.i].group() == literal:
+            self.i += 1
             return True
         return False
 
     def expect(self, literal: str) -> None:
         if not self.take(literal):
-            got = self.peek() or "end of input"
-            raise self.error(f"expected {literal!r}, found {got!r}")
+            raise self.unexpected(repr(literal))
 
-    def ident(self) -> str:
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_BODY:
-            self._advance()
-        if self.pos == start:
-            got = self.peek() or "end of input"
-            raise self.error(f"expected a name, found {got!r}")
-        return self.text[start : self.pos]
-
-    def quoted(self) -> str:
-        # opening quote already consumed
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated quoted constant")
-            c = self.text[self.pos]
-            self._advance()
-            if c == '"':
-                return "".join(out)
-            if c == "\\":
-                if self.pos >= len(self.text):
-                    raise self.error("unterminated escape in quoted constant")
-                out.append(self.text[self.pos])
-                self._advance()
-            else:
-                out.append(c)
+    def name(self) -> str:
+        tok = self.tokens[self.i]
+        if tok.lastgroup != "name":
+            raise self.unexpected("a name")
+        self.i += 1
+        return tok.group()
 
     def term(self) -> Term:
-        self.skip_space()
-        if self.take('"'):
-            return self.quoted()
-        name = self.ident()
+        tok = self.tokens[self.i]
+        if tok.lastgroup == "quoted":
+            self.i += 1
+            return _ESCAPE.sub(r"\1", tok.group()[1:-1])
+        if tok.lastgroup in _UNTERMINATED:
+            raise self.error(_UNTERMINATED[tok.lastgroup], tok.end())
+        name = self.name()
         if name == "_":
             self.fresh += 1
             return Variable(f"_{self.fresh}")
-        if name[0].isupper() or name[0] == "_":
-            return Variable(name)
-        return name
+        return Variable(name) if is_variable_name(name) else name
+
+    def sequence(self, item: Callable[[], _T]) -> tuple[_T, ...]:
+        items = [item()]
+        while self.take(","):
+            items.append(item())
+        return tuple(items)
 
     def atom(self) -> Atom:
-        name = self.ident()
-        terms: list[Term] = []
-        if self.take("("):
-            self.skip_space()
-            if not self.take(")"):
-                terms.append(self.term())
-                while self.take(","):
-                    terms.append(self.term())
-                self.expect(")")
-        return Atom(name, tuple(terms))
+        relation = self.name()
+        terms: tuple[Term, ...] = ()
+        if self.take("(") and not self.take(")"):
+            terms = self.sequence(self.term)
+            self.expect(")")
+        return Atom(relation, terms)
 
-    def atom_list(self) -> tuple[Atom, ...]:
-        atoms = [self.atom()]
-        while self.take(","):
-            atoms.append(self.atom())
-        return tuple(atoms)
+    def body(self) -> tuple[Atom, ...]:
+        """``:- atom, ..., atom.``"""
+        self.expect(":-")
+        atoms = self.sequence(self.atom)
+        self.expect(".")
+        return atoms
 
 
 def parse_query(text: str) -> ConjunctiveQuery:
     """Parse a boolean query of the form ``q() :- body.``; the head name is
     arbitrary but must carry no arguments."""
-    sc = _Scanner(text)
-    head = sc.atom()
+    p = _Parser(text)
+    head = p.atom()
     if head.terms:
-        raise sc.error(f"a boolean query head must have no arguments, got {head}")
-    sc.expect(":-")
-    atoms = sc.atom_list()
-    sc.expect(".")
-    if not sc.at_end():
-        raise sc.error("unexpected input after the query")
+        raise p.error(f"a boolean query head must have no arguments, got {head}", p.consumed())
+    atoms = p.body()
+    p.finish("query")
     return ConjunctiveQuery(atoms)
-
-
-def parse_denial_constraint(text: str) -> DenialConstraint:
-    """Parse a single denial constraint of the form ``:- body.``"""
-    sc = _Scanner(text)
-    sc.expect(":-")
-    atoms = sc.atom_list()
-    sc.expect(".")
-    if not sc.at_end():
-        raise sc.error("unexpected input after the constraint")
-    return DenialConstraint(atoms)
 
 
 def parse_denial_constraints(text: str) -> tuple[DenialConstraint, ...]:
     """Parse a file of denial constraints, one ``:- body.`` per statement."""
-    sc = _Scanner(text)
+    p = _Parser(text)
     out: list[DenialConstraint] = []
-    while not sc.at_end():
-        sc.expect(":-")
-        atoms = sc.atom_list()
-        sc.expect(".")
-        out.append(DenialConstraint(atoms))
+    while not p.at_end():
+        out.append(DenialConstraint(p.body()))
     return tuple(out)
+
+
+def parse_denial_constraint(text: str) -> DenialConstraint:
+    """Parse a single denial constraint of the form ``:- body.``: the
+    one-statement case of :func:`parse_denial_constraints`."""
+    p = _Parser(text)
+    atoms = p.body()
+    p.finish("constraint")
+    return DenialConstraint(atoms)
 
 
 def parse_program(text: str, answer_predicate: str = "ans") -> DatalogProgram:
     """Parse a Datalog program: statements of the form ``head :- body.``"""
-    sc = _Scanner(text)
+    p = _Parser(text)
     rules: list[DatalogRule] = []
-    while not sc.at_end():
-        head = sc.atom()
-        sc.expect(":-")
-        body = sc.atom_list()
-        sc.expect(".")
+    while not p.at_end():
+        head = p.atom()
+        body = p.body()
         try:
             rules.append(DatalogRule(head, body))
         except ValueError as exc:
-            raise sc.error(str(exc)) from None
+            raise p.error(str(exc), p.consumed()) from None
     try:
         return DatalogProgram(tuple(rules), answer_predicate)
     except ValueError as exc:
@@ -196,10 +190,9 @@ def parse_program(text: str, answer_predicate: str = "ans") -> DatalogProgram:
 
 def parse_ground_atom(text: str) -> Fact:
     """Parse a ground atom such as ``R(a1, a4)`` into a fact."""
-    sc = _Scanner(text)
-    a = sc.atom()
-    if not sc.at_end():
-        raise sc.error("unexpected input after the atom")
+    p = _Parser(text)
+    a = p.atom()
+    p.finish("atom")
     if not a.is_ground():
         raise ParseError(f"expected a ground atom, got variables in {a}")
-    return Fact(a.relation, tuple(t for t in a.terms))  # type: ignore[misc]
+    return Fact(a.relation, a.terms)  # type: ignore[arg-type]

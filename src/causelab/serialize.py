@@ -21,6 +21,7 @@ from .repairs import Repair
 __all__ = [
     "fact_key",
     "sort_facts",
+    "family_key",
     "sort_families",
     "fact_to_list",
     "fact_from_list",
@@ -46,9 +47,19 @@ def sort_facts(facts: Iterable[Fact]) -> list[Fact]:
     return sorted(facts, key=fact_key)
 
 
+def _keys(facts: list[Fact]) -> list[tuple[str, tuple[str, ...]]]:
+    return [fact_key(f) for f in facts]
+
+
+def family_key(facts: Iterable[Fact]) -> list[tuple[str, tuple[str, ...]]]:
+    """A fact set's place in canonical family order: the keys of its
+    sorted facts, compared lexicographically."""
+    return _keys(sort_facts(facts))
+
+
 def sort_families(families: Iterable[Iterable[Fact]]) -> list[list[Fact]]:
-    inner = [sort_facts(fs) for fs in families]
-    return sorted(inner, key=lambda fs: [fact_key(f) for f in fs])
+    # each set is sorted once and ordered by the keys of its sorted facts
+    return sorted(map(sort_facts, families), key=_keys)
 
 
 def fact_to_list(f: Fact) -> list[str]:
@@ -84,19 +95,19 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
 def instance_from_dict(data: Any) -> Instance:
     if not isinstance(data, dict):
         raise ParseError("an instance must be a JSON object")
-    try:
-        raw_schemas = data["schemas"]
-        raw_endo = data.get("endogenous", [])
-        raw_exo = data.get("exogenous", [])
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"missing instance field: {exc}") from None
+    if "schemas" not in data:
+        raise ParseError("missing instance field: 'schemas'")
+    fields = {key: data.get(key, []) for key in ("schemas", "endogenous", "exogenous")}
+    for key, value in fields.items():
+        if not isinstance(value, list):
+            raise ParseError(f"instance field {key!r} must be a list, got {value!r}")
     schemas = set()
-    for s in raw_schemas:
-        if not isinstance(s, dict) or "name" not in s or "arity" not in s:
-            raise ParseError(f"a schema needs 'name' and 'arity', got {s!r}")
-        schemas.add(RelationSchema(str(s["name"]), int(s["arity"])))
-    endo = frozenset(fact_from_list(f) for f in raw_endo)
-    exo = frozenset(fact_from_list(f) for f in raw_exo)
+    for s in fields["schemas"]:
+        if not isinstance(s, dict) or "name" not in s or not isinstance(s.get("arity"), int):
+            raise ParseError(f"a schema needs a 'name' and an integer 'arity', got {s!r}")
+        schemas.add(RelationSchema(str(s["name"]), s["arity"]))
+    endo = frozenset(fact_from_list(f) for f in fields["endogenous"])
+    exo = frozenset(fact_from_list(f) for f in fields["exogenous"])
     return Instance(frozenset(schemas), endo, exo)
 
 

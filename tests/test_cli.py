@@ -102,8 +102,9 @@ def test_abduce_verb(in_data_dir, capsys):
     assert len(payload["necessary_sets"]) == 4
 
 
-def test_abduce_runs_two_fixpoints(in_data_dir, capsys, monkeypatch):
-    # one to check the problem's observations, one for the minimal supports
+def test_abduce_runs_one_fixpoint(in_data_dir, capsys, monkeypatch):
+    # the problem's minimal supports both check the observations and give
+    # the solutions
     calls = []
     seminaive = datalog._seminaive
 
@@ -114,7 +115,7 @@ def test_abduce_runs_two_fixpoints(in_data_dir, capsys, monkeypatch):
     monkeypatch.setattr(datalog, "_seminaive", counted)
     code, _, _ = run(capsys, "abduce", "-i", D0, "-p", PROG0)
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_abduce_recursive_program(in_data_dir, capsys):
@@ -153,10 +154,62 @@ def test_check_small_corpus(in_data_dir, capsys):
     assert all(not r["failures"] for r in payload["reports"])
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--max-size"])
+def test_negative_check_arguments_exit_1(capsys, flag):
+    code, out, err = run(capsys, "check", flag, "-1")
+    assert code == 1
+    assert out == ""
+    assert "must not be negative" in err
+
+
 def test_table_format(in_data_dir, capsys):
     code, out, _ = run(capsys, "causes", "-i", D0, "-q", Q0, "--format", "table")
     assert code == 0
     assert "responsibility" in out and "R(a2, a1)" in out
+
+
+def _write_instance(tmp_path, schemas: dict[str, int], endogenous: list[list[str]]) -> str:
+    path = tmp_path / "instance.json"
+    path.write_text(
+        json.dumps(
+            {
+                "schemas": [{"name": n, "arity": a} for n, a in schemas.items()],
+                "endogenous": endogenous,
+                "exogenous": [],
+            }
+        )
+    )
+    return str(path)
+
+
+def test_table_facts_read_back_as_tuples(tmp_path, capsys):
+    instance = _write_instance(tmp_path, {"S": 1}, [["S", "Upper case"]])
+    query = tmp_path / "q.dl"
+    query.write_text("q() :- S(X).\n")
+    code, out, _ = run(capsys, "causes", "-i", instance, "-q", str(query), "--format", "table")
+    assert code == 0
+    cause = out.splitlines()[1].split("  ")[0]
+    assert cause == 'S("Upper case")'
+    code, out, _ = run(capsys, "responsibility", "-i", instance, "-q", str(query), "--tuple", cause)
+    assert code == 0
+    assert json.loads(out)["responsibility"] == "1"
+
+
+def test_repairs_and_diagnoses_share_the_canonical_order(tmp_path, capsys):
+    instance = _write_instance(
+        tmp_path, {"R": 1, "S": 2}, [["R", "a"], ["R", "it's"], ["S", "a", "it's"]]
+    )
+    constraints = tmp_path / "k.dl"
+    constraints.write_text(":- R(X), R(Y), S(X, Y).\n")
+    query = tmp_path / "q.dl"
+    query.write_text("q() :- R(X), R(Y), S(X, Y).\n")
+    expected = [[["R", "a"]], [["R", "it's"]], [["S", "a", "it's"]]]
+    code, out, _ = run(capsys, "repairs", "-i", instance, "-c", str(constraints))
+    assert code == 0
+    assert [r["removed"] for r in json.loads(out)["repairs"]] == expected
+    code, out, _ = run(capsys, "diagnose", "-i", instance, "-q", str(query))
+    assert code == 0
+    assert [d["abnormal"] for d in json.loads(out)["diagnoses"]] == expected
 
 
 def test_usage_error_exits_1(in_data_dir, capsys):
@@ -170,6 +223,22 @@ def test_parse_error_exits_2(in_data_dir, tmp_path, capsys):
     code, _, err = run(capsys, "causes", "-i", D0, "-q", str(bad))
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"schemas": 5}',
+        '{"schemas": [], "endogenous": null}',
+        '{"schemas": [], "exogenous": "R"}',
+    ],
+)
+def test_malformed_instance_json_exits_2(in_data_dir, tmp_path, capsys, text):
+    broken = tmp_path / "broken.json"
+    broken.write_text(text)
+    code, _, err = run(capsys, "causes", "-i", str(broken), "-q", Q0)
+    assert code == 2
+    assert "must be a list" in err
 
 
 def test_arity_mismatch_exits_2(in_data_dir, tmp_path, capsys):
@@ -217,6 +286,12 @@ def test_nonpositive_budget_flag_exits_1(in_data_dir, capsys, value):
     assert "positive" in err
 
 
+def test_non_integer_budget_flag_exits_1(in_data_dir, capsys):
+    code, _, err = run(capsys, "repairs", "-i", D0, "-c", K0, "--budget", "lots")
+    assert code == 1
+    assert "--budget must be an integer" in err
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_nonpositive_budget_env_var_exits_1(in_data_dir, capsys, monkeypatch, value):
     monkeypatch.setenv("CAUSELAB_BUDGET", value)
@@ -245,12 +320,12 @@ def test_abduce_on_160_edge_chain_within_default_budget(tmp_path, capsys):
 
 
 def test_budget_caps_the_whole_request(tmp_path, capsys):
-    # Problem construction, the fixpoint, the supports and the hitting
-    # sets spend over 900 units together; no phase alone spends 600.
+    # Problem construction (the fixpoint and the minimal supports) spends
+    # 484 units and the hitting sets 21: each fits in 500, the request not.
     _, instance, program = _chain(tmp_path, 20)
-    code, _, err = run(capsys, "abduce", "-i", instance, "-p", program, "--budget", "600")
+    code, _, err = run(capsys, "abduce", "-i", instance, "-p", program, "--budget", "500")
     assert code == 3
-    assert "budget of 600" in err
+    assert "budget of 500" in err
 
 
 def test_check_honours_the_budget(capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from causelab.budget import Meter
 from causelab.errors import BudgetError
+from causelab.oracles import minimal_hitting_sets_by_enumeration
 from causelab.hitting import (
     maximize_family,
     minimal_hitting_sets,
@@ -53,14 +54,6 @@ def test_hitting_budget_is_enforced():
         minimal_hitting_sets(family)
 
 
-def _oracle(family):
-    sets = [frozenset(s) for s in family]
-    universe = frozenset().union(*sets) if sets else frozenset()
-    return minimize_family(
-        h for h in subsets_of(universe) if all(h & s for s in sets)
-    )
-
-
 @given(
     st.lists(
         st.sets(st.integers(0, 6), min_size=0, max_size=4),
@@ -68,7 +61,7 @@ def _oracle(family):
     )
 )
 def test_hitting_matches_lattice_enumeration(family):
-    assert minimal_hitting_sets(family) == _oracle(family)
+    assert minimal_hitting_sets(family) == minimal_hitting_sets_by_enumeration(family)
 
 
 @given(

@@ -111,5 +111,36 @@ def test_parse_ground_atom_rejects_trailing():
         parse_ground_atom("R(a, b) S(c)")
 
 
+@pytest.mark.parametrize(
+    "parse, text, line, column",
+    [
+        (parse_query, "q() :- R(X,, Y).", 1, 12),
+        (parse_query, "q() :- R(X, Y)", 1, 15),
+        (parse_query, "q(X) :- R(X, Y).", 1, 5),
+        (parse_query, 'q() :- R("abc, Y).', 1, 19),
+        (parse_query, 'q() :- R("abc\\', 1, 15),
+        (parse_query, "q() :- R(X, Y). extra", 1, 17),
+        (parse_program, "T(X, Y) :- E(X, Y).\n% two\nT(X, Y) :- E(X Z).\n", 3, 16),
+        (parse_program, "T(X, Y) :- E(X, Y).\nT(X, W) :- E(X, Y).\n", 2, 20),
+        (parse_query, "q() :- R(X Y), S(Y). @", 1, 12),
+        (parse_denial_constraints, ":- R(X, X).\n:- S(X) S(Y).\n", 2, 9),
+        (parse_denial_constraint, ":- R(X). :- S(X).", 1, 10),
+        (parse_ground_atom, "R(a, b) S(c)", 1, 9),
+        (parse_query, "q() : R(X).", 1, 5),
+        (parse_query, "q() :- R(X, \u00e9).", 1, 13),
+        (parse_ground_atom, "", 1, 1),
+    ],
+)
+def test_malformed_input_error_position(parse, text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_quoted_constant_escapes():
+    q = parse_query(r'q() :- R("a\"b", "c\\d", "%e").')
+    assert q.atoms[0].terms == ('a"b', "c\\d", "%e")
+
+
 def test_query_round_trips_through_text(q0):
     assert parse_query(f"q() :- {q0}.") == q0

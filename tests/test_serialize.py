@@ -23,11 +23,13 @@ from causelab.serialize import (
     fact_from_list,
     fact_to_list,
     family_from_list,
+    family_key,
     family_to_list,
     instance_from_dict,
     instance_to_dict,
     repair_from_dict,
     repair_to_dict,
+    sort_families,
 )
 
 
@@ -68,6 +70,28 @@ def test_instance_from_dict_validates():
         instance_from_dict({"endogenous": []})
     with pytest.raises(ParseError):
         instance_from_dict({"schemas": [{"name": "R"}]})
+
+
+@pytest.mark.parametrize("arity", [None, "2", 2.5])
+def test_schema_arity_must_be_an_integer(arity):
+    with pytest.raises(ParseError, match="integer 'arity'"):
+        instance_from_dict({"schemas": [{"name": "R", "arity": arity}]})
+
+
+@pytest.mark.parametrize("field", ["schemas", "endogenous", "exogenous"])
+@pytest.mark.parametrize("value", [5, None, "R", {"R": 1}])
+def test_instance_fields_must_be_lists(field, value):
+    data = {"schemas": [{"name": "R", "arity": 1}], "endogenous": [], "exogenous": []}
+    data[field] = value
+    with pytest.raises(ParseError, match=field):
+        instance_from_dict(data)
+
+
+def test_family_key_orders_quoted_constants_canonically():
+    # a key on the facts' repr would put "it's" (repr starts with ") first
+    sets = [{fact("R", "it's")}, {fact("R", "a")}]
+    assert sorted(sets, key=family_key) == [{fact("R", "a")}, {fact("R", "it's")}]
+    assert sort_families(sets) == [[fact("R", "a")], [fact("R", "it's")]]
 
 
 def test_cause_set_round_trip(d0, q0):
