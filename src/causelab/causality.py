@@ -47,11 +47,10 @@ ContingencySet: TypeAlias = frozenset[Fact]
 
 @dataclass(frozen=True)
 class CauseReport:
-    """One actual cause, all its minimal contingency sets, and its responsibility."""
+    """One actual cause and all its minimal contingency sets."""
 
     cause: Fact
     minimal_contingencies: frozenset[ContingencySet]
-    responsibility: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -61,12 +60,11 @@ class CauseReport:
         )
         if not self.minimal_contingencies:
             raise ValueError("a cause must carry at least one contingency set")
-        expected = Fraction(1, 1 + min(len(c) for c in self.minimal_contingencies))
-        if self.responsibility != expected:
-            raise ValueError(
-                f"responsibility {self.responsibility} does not match the "
-                f"smallest contingency set (expected {expected})"
-            )
+
+    @property
+    def responsibility(self) -> Fraction:
+        """1/(1 + k) for the smallest contingency set, of size k."""
+        return Fraction(1, 1 + min(map(len, self.minimal_contingencies)))
 
     @property
     def is_counterfactual(self) -> bool:
@@ -129,12 +127,7 @@ def cause_set_from_hitting_sets(
                 containing.setdefault(t, []).append(h)
     return CauseSet(
         frozenset(
-            CauseReport(
-                cause=t,
-                minimal_contingencies=frozenset(h - {t} for h in hs),
-                responsibility=Fraction(1, min(len(h) for h in hs)),
-            )
-            for t, hs in containing.items()
+            CauseReport(t, frozenset(h - {t} for h in hs)) for t, hs in containing.items()
         )
     )
 
@@ -184,9 +177,7 @@ def responsibility(instance: Instance, query: BooleanQuery, t: Fact) -> Fraction
     """1/(1 + k) for the smallest contingency set of size k, or 0 when
     ``t`` is not an actual cause (also when the query does not hold)."""
     gammas = minimal_contingency_sets(instance, query, t)
-    if not gammas:
-        return Fraction(0)
-    return Fraction(1, 1 + min(len(g) for g in gammas))
+    return CauseReport(t, gammas).responsibility if gammas else Fraction(0)
 
 
 def most_responsible_causes(instance: Instance, view: BooleanQuery) -> frozenset[Fact]:

@@ -246,9 +246,7 @@ def _fast_s_removals(instance: Instance, query: ConjunctiveQuery):
 
 @_per_item
 def _fast_diagnoses(instance: Instance, query: ConjunctiveQuery):
-    return frozenset(
-        d.abnormal for d in minimal_diagnoses(build_problem(instance, query))
-    )
+    return minimal_diagnoses(build_problem(instance, query))
 
 
 def _single_rule_program(query: ConjunctiveQuery) -> DatalogProgram:
@@ -630,22 +628,15 @@ def _describe_failure(item: CorpusItem, detail: str) -> str:
     )
 
 
-def cross_check(
-    seed: int = 1,
-    trials: int = 200,
-    max_size: int = 7,
-    properties: Iterable[str] | None = None,
-) -> list[CheckReport]:
-    """Run the selected properties (all by default) over a seeded random
-    corpus; returns one report per property, failures serialized for
-    replay.  Zero trials produce an empty report list."""
+def cross_check(seed: int = 1, trials: int = 200, max_size: int = 7) -> list[CheckReport]:
+    """Run every property over a seeded random corpus; returns one report
+    per property, failures serialized for replay.  Zero trials produce an
+    empty report list."""
     if trials <= 0:
         return []
     corpus = build_corpus(seed, trials, max_size)
-    selected = sorted(PROPERTIES) if properties is None else list(properties)
     reports = []
-    for property_id in selected:
-        check = PROPERTIES[property_id]
+    for property_id, check in sorted(PROPERTIES.items()):
         rng = random.Random(f"{seed}/{property_id}")
         failures = []
         for item in corpus:

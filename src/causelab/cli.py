@@ -154,8 +154,6 @@ def _cmd_repairs(args: argparse.Namespace) -> dict[str, Any]:
     instance = load_instance(args.instance)
     constraints = parse_denial_constraints(_read(args.constraints))
     if args.endogenous_only:
-        if args.semantics != "s":
-            raise ParseError("--endogenous-only applies to the s semantics only")
         found = endogenous_s_repairs(instance, constraints)
     elif args.semantics == "s":
         found = s_repairs(instance, constraints)
@@ -185,7 +183,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> dict[str, Any]:
     instance = load_instance(args.instance)
     query = parse_query(_read(args.query))
     problem = build_problem(instance, query)
-    ordered = sorted(minimal_diagnoses(problem), key=lambda d: family_key(d.abnormal))
+    ordered = sorted(minimal_diagnoses(problem), key=family_key)
     return {
         "vacuous": problem.vacuous,
         "diagnoses": [diagnosis_to_dict(d) for d in ordered],
@@ -311,6 +309,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.verb == "check" and min(args.trials, args.max_size) < 0:
             raise ValueError("--trials and --max-size must not be negative")
+        if args.verb == "repairs" and args.endogenous_only and args.semantics != "s":
+            raise ValueError("--endogenous-only applies to the s semantics only")
         budget = budget_from_env(args.budget)
     except SystemExit as exc:
         # argparse exits 2 on a usage error and 0 after --help

@@ -20,6 +20,7 @@ depend on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator
 
 from .budget import Meter, current_meter
@@ -35,6 +36,9 @@ __all__ = [
     "entails",
     "minimal_supports",
 ]
+
+#: The zero-ary predicate whose atom is a program's default observation.
+ANSWER_PREDICATE = "ans"
 
 
 @dataclass(frozen=True)
@@ -64,24 +68,21 @@ def rule(head: Atom, *body: Atom) -> DatalogRule:
 
 @dataclass(frozen=True)
 class DatalogProgram:
-    """A list of rules with a designated zero-ary answer predicate."""
+    """A list of rules; the answer predicate, if defined, is zero-ary."""
 
     rules: tuple[DatalogRule, ...]
-    answer_predicate: str = "ans"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
         for r in self.rules:
-            if r.head.relation == self.answer_predicate and r.head.terms:
-                raise ValueError(
-                    f"the answer predicate {self.answer_predicate!r} must be zero-ary"
-                )
+            if r.head.relation == ANSWER_PREDICATE and r.head.terms:
+                raise ValueError(f"the answer predicate {ANSWER_PREDICATE!r} must be zero-ary")
 
     def head_predicates(self) -> frozenset[str]:
         return frozenset(r.head.relation for r in self.rules)
 
     def answer_atom(self) -> Fact:
-        return Fact(self.answer_predicate, ())
+        return Fact(ANSWER_PREDICATE, ())
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rules)
@@ -148,18 +149,9 @@ def _combine(
     antichains: list[frozenset[frozenset[Fact]] | set[frozenset[Fact]]], meter: Meter
 ) -> Iterator[frozenset[Fact]]:
     """Unions of one support per factor; nothing when a factor is empty."""
-    if any(not a for a in antichains):
-        return
-
-    def rec(i: int, acc: frozenset[Fact]) -> Iterator[frozenset[Fact]]:
-        if i == len(antichains):
-            meter.charge()
-            yield acc
-            return
-        for s in antichains[i]:
-            yield from rec(i + 1, acc | s)
-
-    yield from rec(0, frozenset())
+    for combo in product(*antichains):
+        meter.charge()
+        yield frozenset().union(*combo)
 
 
 def _antichain_add(antichain: set[frozenset[Fact]], candidate: frozenset[Fact]) -> bool:

@@ -11,6 +11,7 @@ falsifies the query, so that is the test used here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TypeAlias
 
 from .causality import CauseSet, cause_set_from_hitting_sets
 from .errors import DomainError
@@ -28,17 +29,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Diagnosis:
-    """Endogenous tuples flagged abnormal; deleting them falsifies the query."""
-
-    abnormal: frozenset[Fact]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "abnormal", frozenset(self.abnormal))
-
-    def __len__(self) -> int:
-        return len(self.abnormal)
+#: Endogenous tuples flagged abnormal; deleting them falsifies the query.
+Diagnosis: TypeAlias = frozenset[Fact]
 
 
 @dataclass(frozen=True)
@@ -76,7 +68,7 @@ def minimal_diagnoses(problem: DiagnosisProblem) -> frozenset[Diagnosis]:
         w & problem.abnormal_scope
         for w in witnesses(instance.facts, problem.query, instance.schemas)
     }
-    return frozenset(Diagnosis(h) for h in minimal_hitting_sets(family))
+    return minimal_hitting_sets(family)
 
 
 def _require_in_scope(problem: DiagnosisProblem, t: Fact) -> None:
@@ -87,7 +79,7 @@ def _require_in_scope(problem: DiagnosisProblem, t: Fact) -> None:
 def diagnoses_containing(problem: DiagnosisProblem, t: Fact) -> frozenset[Diagnosis]:
     """The subset-minimal diagnoses that contain ``t``."""
     _require_in_scope(problem, t)
-    return frozenset(d for d in minimal_diagnoses(problem) if t in d.abnormal)
+    return frozenset(d for d in minimal_diagnoses(problem) if t in d)
 
 
 def smallest_diagnoses_containing(problem: DiagnosisProblem, t: Fact) -> frozenset[Diagnosis]:
@@ -103,7 +95,4 @@ def causes_via_diagnosis(problem: DiagnosisProblem) -> CauseSet:
     """Actual causes computed solely from the diagnosis classes: a tuple is
     a cause iff some minimal diagnosis contains it, and its responsibility
     is the reciprocal of the smallest such diagnosis."""
-    diagnoses = minimal_diagnoses(problem)
-    return cause_set_from_hitting_sets(
-        (d.abnormal for d in diagnoses), problem.abnormal_scope
-    )
+    return cause_set_from_hitting_sets(minimal_diagnoses(problem), problem.abnormal_scope)

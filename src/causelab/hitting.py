@@ -35,11 +35,10 @@ def maximize_family(sets: Iterable[Iterable[T]]) -> frozenset[frozenset[T]]:
     return frozenset(keep)
 
 
-def subsets_of(items: Iterable[T], max_size: int | None = None) -> Iterator[frozenset[T]]:
+def subsets_of(items: Iterable[T]) -> Iterator[frozenset[T]]:
     """All subsets of ``items``, smallest first, deterministic within a size."""
     pool = sorted(set(items))
-    top = len(pool) if max_size is None else min(max_size, len(pool))
-    for size in range(top + 1):
+    for size in range(len(pool) + 1):
         for combo in combinations(pool, size):
             yield frozenset(combo)
 

@@ -293,18 +293,6 @@ class Instance:
         """The full instance: endogenous and exogenous facts together."""
         return self.endogenous | self.exogenous
 
-    def arity(self, relation: str) -> int:
-        for s in self.schemas:
-            if s.name == relation:
-                return s.arity
-        raise SchemaError(f"relation {relation!r} is not declared")
-
-    def is_endogenous(self, f: Fact) -> bool:
-        return f in self.endogenous
-
-    def is_exogenous(self, f: Fact) -> bool:
-        return f in self.exogenous
-
     def all_endogenous(self) -> "Instance":
         """The same facts with the whole instance treated as endogenous."""
         return Instance(self.schemas, self.endogenous | self.exogenous, frozenset())

@@ -9,7 +9,6 @@ nested-loop join below.  They only make sense at small sizes.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .abduction import AbductionProblem
@@ -110,14 +109,7 @@ def causes_by_enumeration(
             if holds(full - gamma) and not holds(full - gamma - {t})
         ]
         if gammas:
-            minimal = minimize_family(gammas)
-            reports.append(
-                CauseReport(
-                    cause=t,
-                    minimal_contingencies=minimal,
-                    responsibility=Fraction(1, 1 + min(len(g) for g in minimal)),
-                )
-            )
+            reports.append(CauseReport(t, minimize_family(gammas)))
     return CauseSet(frozenset(reports))
 
 

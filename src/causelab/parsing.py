@@ -171,7 +171,7 @@ def parse_denial_constraint(text: str) -> DenialConstraint:
     return DenialConstraint(atoms)
 
 
-def parse_program(text: str, answer_predicate: str = "ans") -> DatalogProgram:
+def parse_program(text: str) -> DatalogProgram:
     """Parse a Datalog program: statements of the form ``head :- body.``"""
     p = _Parser(text)
     rules: list[DatalogRule] = []
@@ -183,7 +183,7 @@ def parse_program(text: str, answer_predicate: str = "ans") -> DatalogProgram:
         except ValueError as exc:
             raise p.error(str(exc), p.consumed()) from None
     try:
-        return DatalogProgram(tuple(rules), answer_predicate)
+        return DatalogProgram(tuple(rules))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -16,7 +16,6 @@ instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, TypeAlias
 
 from .causality import CauseSet, ContingencySet, actual_causes, cause_set_from_hitting_sets
@@ -156,17 +155,16 @@ def c_repairs_from_most_responsible(
     instance: Instance, constraint: DenialConstraint
 ) -> frozenset[Repair]:
     """C-repairs rebuilt from the most responsible causes of the violation
-    view: every removed tuple must be maximally responsible, with
-    responsibility 1/(1 + k), and the rest of the removal set must be one
-    of its minimal contingency sets of size k.  Larger contingency sets of
-    a top cause belong to S-repairs that are not C-repairs."""
+    view.  With k the size of the smallest contingency set of any cause,
+    every removed tuple must have a contingency set of size k, and the
+    rest of the removal set must be one of those.  Larger contingency sets
+    of a top cause belong to S-repairs that are not C-repairs."""
     reports = actual_causes(instance.all_endogenous(), dc_to_view(constraint)).reports
-    top = max((r.responsibility for r in reports), default=Fraction(0))
-    k = top.denominator - 1
+    k = min((len(g) for r in reports for g in r.minimal_contingencies), default=0)
     table = {
-        r.cause: frozenset(g for g in r.minimal_contingencies if len(g) == k)
+        r.cause: top
         for r in reports
-        if r.responsibility == top
+        if (top := frozenset(g for g in r.minimal_contingencies if len(g) == k))
     }
     return _repairs_from_table(instance.facts, table, "C")
 

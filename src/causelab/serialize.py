@@ -9,10 +9,9 @@ and responsibilities as exact rational strings such as ``"1/2"``.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Iterable
 
-from .causality import CauseReport, CauseSet
+from .causality import CauseSet
 from .diagnosis import Diagnosis
 from .errors import ParseError
 from .model import Fact, Instance, RelationSchema
@@ -26,15 +25,11 @@ __all__ = [
     "fact_to_list",
     "fact_from_list",
     "family_to_list",
-    "family_from_list",
     "instance_to_dict",
     "instance_from_dict",
     "cause_set_to_list",
-    "cause_set_from_list",
     "repair_to_dict",
-    "repair_from_dict",
     "diagnosis_to_dict",
-    "diagnosis_from_dict",
     "dumps",
 ]
 
@@ -76,12 +71,6 @@ def family_to_list(families: Iterable[Iterable[Fact]]) -> list[list[list[str]]]:
     return [[fact_to_list(f) for f in fs] for fs in sort_families(families)]
 
 
-def family_from_list(data: Any) -> frozenset[frozenset[Fact]]:
-    if not isinstance(data, list):
-        raise ParseError(f"expected a list of fact sets, got {data!r}")
-    return frozenset(frozenset(fact_from_list(f) for f in fs) for fs in data)
-
-
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
     return {
         "schemas": [
@@ -103,9 +92,14 @@ def instance_from_dict(data: Any) -> Instance:
             raise ParseError(f"instance field {key!r} must be a list, got {value!r}")
     schemas = set()
     for s in fields["schemas"]:
-        if not isinstance(s, dict) or "name" not in s or not isinstance(s.get("arity"), int):
-            raise ParseError(f"a schema needs a 'name' and an integer 'arity', got {s!r}")
-        schemas.add(RelationSchema(str(s["name"]), s["arity"]))
+        # JSON true is a Python bool, which isinstance(..., int) accepts as 1
+        if (
+            not isinstance(s, dict)
+            or not isinstance(s.get("name"), str)
+            or type(s.get("arity")) is not int
+        ):
+            raise ParseError(f"a schema needs a string 'name' and an integer 'arity', got {s!r}")
+        schemas.add(RelationSchema(s["name"], s["arity"]))
     endo = frozenset(fact_from_list(f) for f in fields["endogenous"])
     exo = frozenset(fact_from_list(f) for f in fields["exogenous"])
     return Instance(frozenset(schemas), endo, exo)
@@ -122,21 +116,6 @@ def cause_set_to_list(cause_set: CauseSet) -> list[dict[str, Any]]:
     ]
 
 
-def cause_set_from_list(data: Any) -> CauseSet:
-    if not isinstance(data, list):
-        raise ParseError("a cause set must be a JSON list")
-    reports = []
-    for entry in data:
-        reports.append(
-            CauseReport(
-                cause=fact_from_list(entry["tuple"]),
-                minimal_contingencies=family_from_list(entry["min_contingencies"]),
-                responsibility=Fraction(entry["responsibility"]),
-            )
-        )
-    return CauseSet(frozenset(reports))
-
-
 def repair_to_dict(repair: Repair) -> dict[str, Any]:
     return {
         "kind": repair.kind,
@@ -144,17 +123,8 @@ def repair_to_dict(repair: Repair) -> dict[str, Any]:
     }
 
 
-def repair_from_dict(data: Any, universe: Iterable[Fact]) -> Repair:
-    removed = frozenset(fact_from_list(f) for f in data["removed"])
-    return Repair(frozenset(universe) - removed, removed, str(data["kind"]))
-
-
 def diagnosis_to_dict(diagnosis: Diagnosis) -> dict[str, Any]:
-    return {"abnormal": [fact_to_list(f) for f in sort_facts(diagnosis.abnormal)]}
-
-
-def diagnosis_from_dict(data: Any) -> Diagnosis:
-    return Diagnosis(frozenset(fact_from_list(f) for f in data["abnormal"]))
+    return {"abnormal": [fact_to_list(f) for f in sort_facts(diagnosis)]}
 
 
 def dumps(payload: Any) -> str:

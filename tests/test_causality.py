@@ -181,14 +181,19 @@ def test_relabelling_a_tuple_exogenous_never_adds_causes(d0, q0):
 
 def test_cause_report_validates_responsibility():
     with pytest.raises(ValueError):
-        CauseReport(S1, frozenset({frozenset()}), Fraction(1, 2))
-    with pytest.raises(ValueError):
-        CauseReport(S1, frozenset(), Fraction(1))
+        CauseReport(S1, frozenset())
+
+
+def test_cause_report_derives_responsibility_from_smallest_contingency():
+    assert CauseReport(S1, frozenset({frozenset()})).responsibility == Fraction(1)
+    report = CauseReport(S1, frozenset({frozenset({R33, R21}), frozenset({S3})}))
+    assert report.responsibility == Fraction(1, 2)
+    assert not report.is_counterfactual
 
 
 def test_cause_set_rejects_duplicate_tuples():
-    a = CauseReport(S1, frozenset({frozenset()}), Fraction(1))
-    b = CauseReport(S1, frozenset({frozenset({S3})}), Fraction(1, 2))
+    a = CauseReport(S1, frozenset({frozenset()}))
+    b = CauseReport(S1, frozenset({frozenset({S3})}))
     with pytest.raises(ValueError):
         CauseSet(frozenset({a, b}))
 

@@ -347,10 +347,11 @@ def test_cqa_foreign_atom_exits_4(in_data_dir, capsys):
 
 
 def test_endogenous_only_requires_s_semantics(in_data_dir, capsys):
-    code, _, _ = run(
+    code, _, err = run(
         capsys, "repairs", "-i", D0, "-c", K0, "--semantics", "c", "--endogenous-only"
     )
-    assert code == 2
+    assert code == 1
+    assert err.startswith("causelab: error: --endogenous-only")
 
 
 def test_console_entry_point(in_data_dir):

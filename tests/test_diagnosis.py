@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from causelab import (
-    Diagnosis,
     DomainError,
     Instance,
     actual_causes,
@@ -36,10 +35,6 @@ S2 = fact("S", "a2")
 S3 = fact("S", "a3")
 
 
-def abnormal_sets(diagnoses) -> frozenset[frozenset]:
-    return frozenset(d.abnormal for d in diagnoses)
-
-
 def test_build_problem_scope(d0, q0):
     problem = build_problem(d0, q0)
     assert problem.abnormal_scope == d0.endogenous
@@ -63,7 +58,7 @@ def test_scope_excludes_exogenous(d0, q0):
 
 
 def test_minimal_diagnoses_on_demo(d0, q0):
-    got = abnormal_sets(minimal_diagnoses(build_problem(d0, q0)))
+    got = minimal_diagnoses(build_problem(d0, q0))
     assert got == frozenset(
         {
             frozenset({R21, R33}),
@@ -77,7 +72,7 @@ def test_minimal_diagnoses_on_demo(d0, q0):
 def test_vacuous_problem_has_the_empty_diagnosis(q0):
     inst = rs_instance(fact("R", "a", "b"))
     got = minimal_diagnoses(build_problem(inst, q0))
-    assert got == frozenset({Diagnosis(frozenset())})
+    assert got == frozenset({frozenset()})
 
 
 def test_no_diagnosis_when_a_witness_is_exogenous(d0, q0):
@@ -91,7 +86,7 @@ def test_no_diagnosis_when_a_witness_is_exogenous(d0, q0):
 
 def test_diagnoses_match_enumeration(d0, q0):
     problem = build_problem(d0, q0)
-    assert abnormal_sets(minimal_diagnoses(problem)) == diagnoses_by_enumeration(problem)
+    assert minimal_diagnoses(problem) == diagnoses_by_enumeration(problem)
 
 
 def test_diagnoses_containing_on_demo(d0, q0):
@@ -111,7 +106,7 @@ def test_smallest_diagnoses_containing(d0, q0):
     problem = build_problem(d0, q0)
     smallest = smallest_diagnoses_containing(problem, S1)
     assert len(smallest) == 2
-    assert all(len(d) == 2 and S1 in d.abnormal for d in smallest)
+    assert all(len(d) == 2 and S1 in d for d in smallest)
     assert smallest_diagnoses_containing(problem, S2) == frozenset()
 
 
@@ -119,7 +114,7 @@ def test_smallest_diagnosis_of_counterfactual_cause(q0):
     inst = Instance.infer(endogenous=[fact("R", "a", "b"), fact("S", "b")])
     problem = build_problem(inst, q0)
     got = smallest_diagnoses_containing(problem, fact("R", "a", "b"))
-    assert got == frozenset({Diagnosis(frozenset({fact("R", "a", "b")}))})
+    assert got == frozenset({frozenset({fact("R", "a", "b")})})
 
 
 def test_causes_via_diagnosis_on_demo(d0, q0):
@@ -143,7 +138,7 @@ def test_causes_via_diagnosis_for_chain_query():
 
 
 def test_diagnoses_are_endogenous_repair_removals(d0, q0, k0):
-    diagnoses = abnormal_sets(minimal_diagnoses(build_problem(d0, q0)))
+    diagnoses = minimal_diagnoses(build_problem(d0, q0))
     removals = frozenset(
         r.removed for r in s_repairs(d0, [k0]) if r.removed <= d0.endogenous
     )

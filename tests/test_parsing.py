@@ -73,7 +73,7 @@ def test_parse_program():
         "T(X, Y) :- E(X, Y).\nT(X, Y) :- E(X, Z), T(Z, Y).\nans :- T(a, c).\n"
     )
     assert len(program.rules) == 3
-    assert program.answer_predicate == "ans"
+    assert program.answer_atom() == fact("ans")
     assert str(program.rules[1]) == "T(X, Y) :- E(X, Z), T(Z, Y)."
 
 

@@ -4,30 +4,17 @@ import json
 
 import pytest
 
-from causelab import (
-    Instance,
-    ParseError,
-    actual_causes,
-    build_problem,
-    fact,
-    minimal_diagnoses,
-    s_repairs,
-)
+from causelab import Instance, ParseError, actual_causes, fact, s_repairs
 from causelab.abduction import abductive_solutions, problem_for_instance
 from causelab.serialize import (
-    cause_set_from_list,
     cause_set_to_list,
-    diagnosis_from_dict,
-    diagnosis_to_dict,
     dumps,
     fact_from_list,
     fact_to_list,
-    family_from_list,
     family_key,
     family_to_list,
     instance_from_dict,
     instance_to_dict,
-    repair_from_dict,
     repair_to_dict,
     sort_families,
 )
@@ -72,10 +59,16 @@ def test_instance_from_dict_validates():
         instance_from_dict({"schemas": [{"name": "R"}]})
 
 
-@pytest.mark.parametrize("arity", [None, "2", 2.5])
+@pytest.mark.parametrize("arity", [None, "2", 2.5, True])
 def test_schema_arity_must_be_an_integer(arity):
     with pytest.raises(ParseError, match="integer 'arity'"):
         instance_from_dict({"schemas": [{"name": "R", "arity": arity}]})
+
+
+@pytest.mark.parametrize("name", [7, None])
+def test_schema_name_must_be_a_string(name):
+    with pytest.raises(ParseError, match="string 'name'"):
+        instance_from_dict({"schemas": [{"name": name, "arity": 1}]})
 
 
 @pytest.mark.parametrize("field", ["schemas", "endogenous", "exogenous"])
@@ -94,11 +87,6 @@ def test_family_key_orders_quoted_constants_canonically():
     assert sort_families(sets) == [[fact("R", "a")], [fact("R", "it's")]]
 
 
-def test_cause_set_round_trip(d0, q0):
-    causes = actual_causes(d0, q0)
-    assert cause_set_from_list(cause_set_to_list(causes)) == causes
-
-
 def test_cause_set_serialization_shape(d0, q0):
     entries = cause_set_to_list(actual_causes(d0, q0))
     assert entries[0] == {
@@ -108,21 +96,9 @@ def test_cause_set_serialization_shape(d0, q0):
     }
 
 
-def test_repair_round_trip(d0, k0):
+def test_repair_serialization_shape(d0, k0):
     for repair in s_repairs(d0, [k0]):
-        data = repair_to_dict(repair)
-        assert set(data) == {"kind", "removed"}
-        assert repair_from_dict(data, d0.facts) == repair
-
-
-def test_diagnosis_round_trip(d0, q0):
-    for diagnosis in minimal_diagnoses(build_problem(d0, q0)):
-        assert diagnosis_from_dict(diagnosis_to_dict(diagnosis)) == diagnosis
-
-
-def test_solution_family_round_trip(d0, prog0):
-    solutions = abductive_solutions(problem_for_instance(prog0, d0))
-    assert family_from_list(family_to_list(solutions)) == solutions
+        assert set(repair_to_dict(repair)) == {"kind", "removed"}
 
 
 def test_families_are_canonically_ordered(d0, prog0):
