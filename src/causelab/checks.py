@@ -241,7 +241,7 @@ def _fast_witnesses(instance: Instance, query: ConjunctiveQuery):
 
 @_per_item
 def _fast_s_removals(instance: Instance, query: ConjunctiveQuery):
-    return frozenset(r.removed for r in s_repairs(instance, [query_to_dc(query)]))
+    return s_repairs(instance, [query_to_dc(query)])
 
 
 @_per_item
@@ -381,8 +381,8 @@ def _prop_causes_from_repairs_agree(item: CorpusItem, rng: random.Random) -> str
 
 def _prop_s_repairs_rebuilt(item: CorpusItem, rng: random.Random) -> str | None:
     constraint = query_to_dc(item.query)
-    direct = frozenset(r.removed for r in s_repairs(item.instance, [constraint]))
-    rebuilt = frozenset(r.removed for r in s_repairs_from_causes(item.instance, constraint))
+    direct = _fast_s_removals(item)
+    rebuilt = s_repairs_from_causes(item.instance, constraint)
     if direct != rebuilt:
         return f"rebuilt s-repairs differ: direct={_sorted_strs(map(set, direct))} rebuilt={_sorted_strs(map(set, rebuilt))}"
     consistent = direct == frozenset({frozenset()})
@@ -394,10 +394,8 @@ def _prop_s_repairs_rebuilt(item: CorpusItem, rng: random.Random) -> str | None:
 
 def _prop_c_repairs_rebuilt(item: CorpusItem, rng: random.Random) -> str | None:
     constraint = query_to_dc(item.query)
-    direct = frozenset(r.removed for r in c_repairs(item.instance, [constraint]))
-    rebuilt = frozenset(
-        r.removed for r in c_repairs_from_most_responsible(item.instance, constraint)
-    )
+    direct = c_repairs(item.instance, [constraint])
+    rebuilt = c_repairs_from_most_responsible(item.instance, constraint)
     if direct != rebuilt:
         return f"rebuilt c-repairs differ: direct={_sorted_strs(map(set, direct))} rebuilt={_sorted_strs(map(set, rebuilt))}"
     return None
@@ -405,10 +403,10 @@ def _prop_c_repairs_rebuilt(item: CorpusItem, rng: random.Random) -> str | None:
 
 def _prop_cqa_matches_repair_intersection(item: CorpusItem, rng: random.Random) -> str | None:
     constraint = query_to_dc(item.query)
-    repairs = s_repairs(item.instance, [constraint])
+    removals = _fast_s_removals(item)
     for a in sorted(item.instance.facts):
         via_causes = consistently_true(item.instance, constraint, a)
-        in_all = all(a in r.kept for r in repairs)
+        in_all = all(a not in r for r in removals)
         if via_causes != in_all:
             return f"consistent answer for {a}: via causes {via_causes}, via repairs {in_all}"
     return None
@@ -417,7 +415,7 @@ def _prop_cqa_matches_repair_intersection(item: CorpusItem, rng: random.Random) 
 def _prop_c_repairs_within_s(item: CorpusItem, rng: random.Random) -> str | None:
     constraint = query_to_dc(item.query)
     s_removals = _fast_s_removals(item)
-    c_removals = frozenset(r.removed for r in c_repairs(item.instance, [constraint]))
+    c_removals = c_repairs(item.instance, [constraint])
     if not c_removals <= s_removals:
         return "a cardinality repair is not a subset repair"
     if len({len(r) for r in c_removals}) != 1:
@@ -429,7 +427,7 @@ def _prop_endogenous_repairs_filter(item: CorpusItem, rng: random.Random) -> str
     constraint = query_to_dc(item.query)
     endo_only = endogenous_s_repairs(item.instance, [constraint])
     expected = {r for r in _fast_s_removals(item) if r <= item.instance.endogenous}
-    if frozenset(r.removed for r in endo_only) != frozenset(expected):
+    if endo_only != expected:
         return "endogenous-only repairs are not the endogenous-removal subset"
     return None
 
@@ -681,7 +679,7 @@ def _fixture_demo_values() -> list[str]:
     expected_removals = frozenset(
         {_fset(r21, r33), _fset(r21, s3), _fset(s1, r33), _fset(s1, s3)}
     )
-    removals = frozenset(r.removed for r in s_repairs(instance, [demo_constraint()]))
+    removals = s_repairs(instance, [demo_constraint()])
     if removals != expected_removals:
         failures.append(f"repair removals: {_sorted_strs(map(set, removals))}")
     return failures

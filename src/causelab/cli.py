@@ -159,10 +159,10 @@ def _cmd_repairs(args: argparse.Namespace) -> dict[str, Any]:
         found = s_repairs(instance, constraints)
     else:
         found = c_repairs(instance, constraints)
-    ordered = sorted(found, key=lambda r: family_key(r.removed))
+    kind = args.semantics.upper()
     payload: dict[str, Any] = {
-        "semantics": args.semantics.upper(),
-        "repairs": [repair_to_dict(r) for r in ordered],
+        "semantics": kind,
+        "repairs": [repair_to_dict(r, kind) for r in sorted(found, key=family_key)],
     }
     if args.endogenous_only:
         payload["endogenous_only"] = True

@@ -45,14 +45,18 @@ class DiagnosisProblem:
 
     instance: Instance
     query: ConjunctiveQuery
-    abnormal_scope: frozenset[Fact]
     vacuous: bool
+
+    @property
+    def abnormal_scope(self) -> frozenset[Fact]:
+        """The tuples that may be flagged abnormal: the endogenous ones."""
+        return self.instance.endogenous
 
 
 def build_problem(instance: Instance, query: ConjunctiveQuery) -> DiagnosisProblem:
     """Set up the diagnosis problem for a query over an instance."""
     holds = eval_bcq(instance.facts, query, instance.schemas)
-    return DiagnosisProblem(instance, query, instance.endogenous, vacuous=not holds)
+    return DiagnosisProblem(instance, query, vacuous=not holds)
 
 
 def minimal_diagnoses(problem: DiagnosisProblem) -> frozenset[Diagnosis]:
@@ -64,10 +68,8 @@ def minimal_diagnoses(problem: DiagnosisProblem) -> frozenset[Diagnosis]:
     endogenous tuple; the vacuous problem yields the empty diagnosis.
     """
     instance = problem.instance
-    family = {
-        w & problem.abnormal_scope
-        for w in witnesses(instance.facts, problem.query, instance.schemas)
-    }
+    scope = problem.abnormal_scope
+    family = {w & scope for w in witnesses(instance.facts, problem.query, instance.schemas)}
     return minimal_hitting_sets(family)
 
 

@@ -71,7 +71,9 @@ def minimal_hitting_sets(family: Iterable[Iterable[T]]) -> frozenset[frozenset[T
         if not remaining:
             found.append(chosen)
             return
-        pivot = min(remaining, key=lambda s: (len(s), sorted(s)))
+        # remaining keeps base's (len, sorted) order, so the first shortest
+        # set is the pivot that order would pick
+        pivot = min(remaining, key=len)
         for element in sorted(pivot):
             rest = tuple(s for s in remaining if element not in s)
             walk(rest, chosen | {element})

@@ -7,6 +7,8 @@ consistent sub-instances.  S-repairs keep a subset-maximal consistent
 set of facts; C-repairs additionally keep as many facts as possible.
 Removal sets of S-repairs are exactly the minimal hitting sets of the
 violation-view witnesses; multiple constraints pool their witnesses.
+A repair is represented by its removal set: the repaired instance is
+the original minus those facts.
 
 The *_from_causes constructions rebuild repairs out of the cause and
 contingency classes of the violation view and must coincide with the
@@ -15,7 +17,6 @@ instances.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, TypeAlias
 
 from .causality import CauseSet, ContingencySet, actual_causes, cause_set_from_hitting_sets
@@ -44,31 +45,17 @@ __all__ = [
     "endogenous_s_repairs",
 ]
 
+#: The facts a repair deletes; the repair keeps the rest of the instance.
+Repair: TypeAlias = frozenset[Fact]
+
 #: Removal sets of S-repairs that contain a given tuple and stay inside
 #: the endogenous part.
-RemovalSetClass: TypeAlias = frozenset[frozenset[Fact]]
-
-
-@dataclass(frozen=True)
-class Repair:
-    """A consistent sub-instance together with what was deleted."""
-
-    kept: frozenset[Fact]
-    removed: frozenset[Fact]
-    kind: str  # "S" for subset-maximal, "C" for cardinality-maximal
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kept", frozenset(self.kept))
-        object.__setattr__(self, "removed", frozenset(self.removed))
-        if self.kind not in ("S", "C"):
-            raise ValueError(f"repair kind must be 'S' or 'C', got {self.kind!r}")
-        if self.kept & self.removed:
-            raise ValueError("kept and removed facts must be disjoint")
+RemovalSetClass: TypeAlias = frozenset[Repair]
 
 
 def _removal_sets(
     instance: Instance, constraints: Iterable[DenialConstraint]
-) -> frozenset[frozenset[Fact]]:
+) -> frozenset[Repair]:
     pooled: set[frozenset[Fact]] = set()
     for constraint in constraints:
         pooled |= witnesses(instance.facts, dc_to_view(constraint), instance.schemas)
@@ -78,23 +65,17 @@ def _removal_sets(
 def s_repairs(
     instance: Instance, constraints: Iterable[DenialConstraint]
 ) -> frozenset[Repair]:
-    """All subset-maximal consistent sub-instances (deletions only)."""
-    facts = instance.facts
-    return frozenset(
-        Repair(facts - removed, removed, "S") for removed in _removal_sets(instance, constraints)
-    )
+    """The removal sets of all subset-maximal consistent sub-instances."""
+    return _removal_sets(instance, constraints)
 
 
 def c_repairs(
     instance: Instance, constraints: Iterable[DenialConstraint]
 ) -> frozenset[Repair]:
-    """The S-repairs keeping the maximum number of facts."""
+    """The S-repairs removing the fewest facts."""
     removals = _removal_sets(instance, constraints)
     best = min(len(r) for r in removals)
-    facts = instance.facts
-    return frozenset(
-        Repair(facts - removed, removed, "C") for removed in removals if len(removed) == best
-    )
+    return frozenset(r for r in removals if len(r) == best)
 
 
 def removal_sets_containing(
@@ -120,17 +101,15 @@ def causes_from_repairs(instance: Instance, query: ConjunctiveQuery) -> CauseSet
     return cause_set_from_hitting_sets(removals, instance.endogenous)
 
 
-def _repairs_from_table(
-    facts: frozenset[Fact], table: dict[Fact, frozenset[ContingencySet]], kind: str
-) -> frozenset[Repair]:
-    """Repairs of ``facts`` removing each set X such that every t in X is
-    in ``table`` with X minus {t} among its contingency sets; with no
-    causes at all, the instance repairs to itself."""
+def _repairs_from_table(table: dict[Fact, frozenset[ContingencySet]]) -> frozenset[Repair]:
+    """The removal sets X such that every t in X is in ``table`` with X
+    minus {t} among its contingency sets; with no causes at all, the
+    instance repairs to itself."""
     if not table:
-        return frozenset({Repair(facts, frozenset(), kind)})
+        return frozenset({frozenset()})
     candidates = {gamma | {t} for t, gammas in table.items() for gamma in gammas}
     return frozenset(
-        Repair(facts - removed, removed, kind)
+        removed
         for removed in candidates
         if all(t in table and removed - {t} in table[t] for t in removed)
     )
@@ -148,7 +127,7 @@ def s_repairs_from_causes(
     """
     cause_set = actual_causes(instance.all_endogenous(), dc_to_view(constraint))
     table = {r.cause: r.minimal_contingencies for r in cause_set.reports}
-    return _repairs_from_table(instance.facts, table, "S")
+    return _repairs_from_table(table)
 
 
 def c_repairs_from_most_responsible(
@@ -166,7 +145,7 @@ def c_repairs_from_most_responsible(
         for r in reports
         if (top := frozenset(g for g in r.minimal_contingencies if len(g) == k))
     }
-    return _repairs_from_table(instance.facts, table, "C")
+    return _repairs_from_table(table)
 
 
 def consistently_true(instance: Instance, constraint: DenialConstraint, a: Fact) -> bool:
@@ -187,6 +166,4 @@ def endogenous_s_repairs(
     May be empty; emptiness means no endogenous repair exists, it is not
     an error.
     """
-    return frozenset(
-        r for r in s_repairs(instance, constraints) if r.removed <= instance.endogenous
-    )
+    return frozenset(r for r in _removal_sets(instance, constraints) if r <= instance.endogenous)

@@ -116,11 +116,9 @@ def cause_set_to_list(cause_set: CauseSet) -> list[dict[str, Any]]:
     ]
 
 
-def repair_to_dict(repair: Repair) -> dict[str, Any]:
-    return {
-        "kind": repair.kind,
-        "removed": [fact_to_list(f) for f in sort_facts(repair.removed)],
-    }
+def repair_to_dict(repair: Repair, kind: str) -> dict[str, Any]:
+    """A repair as its kind ("S" or "C") and the facts it removes."""
+    return {"kind": kind, "removed": [fact_to_list(f) for f in sort_facts(repair)]}
 
 
 def diagnosis_to_dict(diagnosis: Diagnosis) -> dict[str, Any]:

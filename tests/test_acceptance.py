@@ -161,6 +161,14 @@ def test_criterion_8_oracle_equivalences(corpus_reports):
         ("cqa.json", ["cqa", "-i", "d0.json", "-c", "k0.dl", "--atom", "R(a1, a4)"]),
         ("diagnose.json", ["diagnose", "-i", "d0.json", "-q", "q0.dl"]),
         ("abduce.json", ["abduce", "-i", "d0.json", "-p", "prog0.dl"]),
+        (
+            "repairs_s_endo.json",
+            ["repairs", "-i", "d0.json", "-c", "k0.dl", "--endogenous-only"],
+        ),
+        (
+            "repairs_s.txt",
+            ["repairs", "-i", "d0.json", "-c", "k0.dl", "--endogenous-only", "--format", "table"],
+        ),
     ],
 )
 def test_criterion_9_determinism(golden, argv, data_dir, monkeypatch, capsys):

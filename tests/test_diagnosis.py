@@ -139,7 +139,5 @@ def test_causes_via_diagnosis_for_chain_query():
 
 def test_diagnoses_are_endogenous_repair_removals(d0, q0, k0):
     diagnoses = minimal_diagnoses(build_problem(d0, q0))
-    removals = frozenset(
-        r.removed for r in s_repairs(d0, [k0]) if r.removed <= d0.endogenous
-    )
+    removals = frozenset(r for r in s_repairs(d0, [k0]) if r <= d0.endogenous)
     assert diagnoses == removals

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from causelab.budget import Meter
+from causelab.checks import demo_instance, demo_query
 from causelab.errors import BudgetError
 from causelab.oracles import minimal_hitting_sets_by_enumeration
 from causelab.hitting import (
@@ -13,6 +14,7 @@ from causelab.hitting import (
     minimize_family,
     subsets_of,
 )
+from causelab.model import witnesses
 
 
 def fsets(*groups):
@@ -77,3 +79,21 @@ def test_hitting_sets_hit_and_are_minimal(family):
         assert all(h & s for s in sets)
         for e in h:
             assert not all((h - {e}) & s for s in sets)
+
+
+def _charged(family) -> int:
+    with Meter() as meter:
+        minimal_hitting_sets(family)
+    return meter.used
+
+
+def test_hitting_search_charges_are_pinned():
+    # the node counts pin the search order: a different pivot or branch
+    # order would in general visit a different number of nodes
+    assert _charged([{2 * i, 2 * i + 1} for i in range(10)]) == 2047
+    instance = demo_instance()
+    parts = [
+        w & instance.endogenous
+        for w in witnesses(instance.facts, demo_query(), instance.schemas)
+    ]
+    assert _charged(parts) == 7

@@ -21,7 +21,6 @@ from causelab import (
 )
 from causelab.checks import demo_instance
 from causelab.oracles import causes_by_enumeration, s_repair_removals_by_enumeration
-from causelab.repairs import Repair
 
 R21 = fact("R", "a2", "a1")
 R33 = fact("R", "a3", "a3")
@@ -47,50 +46,39 @@ DEMO_REMOVALS = frozenset(
 )
 
 
-def removals(repair_set) -> frozenset[frozenset]:
-    return frozenset(r.removed for r in repair_set)
-
-
-def test_repair_kind_is_validated():
-    with pytest.raises(ValueError):
-        Repair(frozenset(), frozenset(), "X")
-
-
 def test_s_repairs_on_demo(d0, k0):
-    found = s_repairs(d0, [k0])
-    assert removals(found) == DEMO_REMOVALS
-    assert all(r.kind == "S" and r.kept == d0.facts - r.removed for r in found)
+    assert s_repairs(d0, [k0]) == DEMO_REMOVALS
 
 
 def test_s_repairs_of_consistent_instance(k0):
     inst = rs_instance(fact("R", "a", "b"))
-    assert removals(s_repairs(inst, [k0])) == frozenset({frozenset()})
+    assert s_repairs(inst, [k0]) == frozenset({frozenset()})
 
 
 def test_s_repairs_without_constraints(d0):
-    assert removals(s_repairs(d0, [])) == frozenset({frozenset()})
+    assert s_repairs(d0, []) == frozenset({frozenset()})
 
 
 def test_s_repairs_match_lattice_enumeration(d0, k0):
-    assert removals(s_repairs(d0, [k0])) == s_repair_removals_by_enumeration(d0, [k0])
+    assert s_repairs(d0, [k0]) == s_repair_removals_by_enumeration(d0, [k0])
 
 
 def test_c_repairs_on_demo(d0, k0):
-    assert removals(c_repairs(d0, [k0])) == DEMO_REMOVALS
+    assert c_repairs(d0, [k0]) == DEMO_REMOVALS
 
 
 def test_c_repairs_pick_the_smallest_removal(k0):
     inst = Instance.infer(
         endogenous=[fact("R", "a", "b"), fact("R", "c", "b"), fact("S", "b")]
     )
-    assert removals(c_repairs(inst, [k0])) == frozenset({frozenset({fact("S", "b")})})
+    assert c_repairs(inst, [k0]) == frozenset({frozenset({fact("S", "b")})})
 
 
 def test_pooled_constraints_use_joint_hitting_sets(d0, k0):
     from causelab.parsing import parse_denial_constraint
 
     extra = parse_denial_constraint(":- R(X, X).")
-    found = removals(s_repairs(d0, [k0, extra]))
+    found = s_repairs(d0, [k0, extra])
     # every removal now also kills the loop R(a3, a3)
     assert all(R33 in r for r in found)
     assert found == s_repair_removals_by_enumeration(d0, [k0, extra])
@@ -135,41 +123,37 @@ def test_causes_from_repairs_with_unremovable_witness(d0, q0):
 
 
 def test_s_repairs_from_causes_on_demo(d0, k0):
-    assert removals(s_repairs_from_causes(d0, k0)) == DEMO_REMOVALS
+    assert s_repairs_from_causes(d0, k0) == DEMO_REMOVALS
 
 
 def test_s_repairs_from_causes_consistent(k0):
     inst = rs_instance(fact("R", "a", "b"))
-    rebuilt = s_repairs_from_causes(inst, k0)
-    assert removals(rebuilt) == frozenset({frozenset()})
-    assert next(iter(rebuilt)).kept == inst.facts
+    assert s_repairs_from_causes(inst, k0) == frozenset({frozenset()})
 
 
 def test_s_repairs_from_causes_single_witness(k0):
     inst = Instance.infer(endogenous=[fact("R", "a", "b"), fact("S", "b")])
-    assert removals(s_repairs_from_causes(inst, k0)) == frozenset(
+    assert s_repairs_from_causes(inst, k0) == frozenset(
         {frozenset({fact("R", "a", "b")}), frozenset({fact("S", "b")})}
     )
 
 
 def test_c_repairs_from_most_responsible_on_demo(d0, k0):
-    assert removals(c_repairs_from_most_responsible(d0, k0)) == DEMO_REMOVALS
+    assert c_repairs_from_most_responsible(d0, k0) == DEMO_REMOVALS
 
 
 def test_c_repairs_from_most_responsible_unique(k0):
     inst = Instance.infer(
         endogenous=[fact("R", "a", "b"), fact("R", "c", "b"), fact("S", "b")]
     )
-    assert removals(c_repairs_from_most_responsible(inst, k0)) == frozenset(
+    assert c_repairs_from_most_responsible(inst, k0) == frozenset(
         {frozenset({fact("S", "b")})}
     )
 
 
 def test_c_repairs_from_most_responsible_consistent(k0):
     inst = rs_instance(fact("R", "a", "b"))
-    assert removals(c_repairs_from_most_responsible(inst, k0)) == frozenset(
-        {frozenset()}
-    )
+    assert c_repairs_from_most_responsible(inst, k0) == frozenset({frozenset()})
 
 
 def test_c_repairs_from_most_responsible_on_six_ring():
@@ -178,9 +162,9 @@ def test_c_repairs_from_most_responsible_on_six_ring():
     # four edges; those must not rebuild into C-repairs.
     ring = Instance.infer(endogenous=[fact("N", str(i), str((i + 1) % 6)) for i in range(6)])
     constraint = parse_denial_constraint(":- N(X, Y), N(Y, Z).")
-    direct = removals(c_repairs(ring, [constraint]))
+    direct = c_repairs(ring, [constraint])
     assert len(direct) == 2 and {len(r) for r in direct} == {3}
-    assert removals(c_repairs_from_most_responsible(ring, constraint)) == direct
+    assert c_repairs_from_most_responsible(ring, constraint) == direct
 
 
 def test_consistently_true_on_demo(d0, k0):
@@ -201,11 +185,11 @@ def test_consistently_true_rejects_foreign_atom(d0, k0):
 def test_consistently_true_matches_repair_intersection(d0, k0):
     repairs = s_repairs(d0, [k0])
     for a in sorted(d0.facts):
-        assert consistently_true(d0, k0, a) == all(a in r.kept for r in repairs)
+        assert consistently_true(d0, k0, a) == all(a not in r for r in repairs)
 
 
 def test_endogenous_repairs_when_everything_is_endogenous(d0, k0):
-    assert removals(endogenous_s_repairs(d0, [k0])) == DEMO_REMOVALS
+    assert endogenous_s_repairs(d0, [k0]) == DEMO_REMOVALS
 
 
 def test_endogenous_repairs_with_nothing_removable(d0, k0):
@@ -219,7 +203,7 @@ def test_endogenous_repairs_with_unhittable_witness(d0, k0):
 
 
 def test_every_c_repair_is_an_s_repair(d0, k0):
-    s_found = removals(s_repairs(d0, [k0]))
-    c_found = removals(c_repairs(d0, [k0]))
+    s_found = s_repairs(d0, [k0])
+    c_found = c_repairs(d0, [k0])
     assert c_found <= s_found
     assert len({len(r) for r in c_found}) == 1

@@ -98,7 +98,7 @@ def test_cause_set_serialization_shape(d0, q0):
 
 def test_repair_serialization_shape(d0, k0):
     for repair in s_repairs(d0, [k0]):
-        assert set(repair_to_dict(repair)) == {"kind", "removed"}
+        assert set(repair_to_dict(repair, "S")) == {"kind", "removed"}
 
 
 def test_families_are_canonically_ordered(d0, prog0):
