@@ -13,7 +13,6 @@ from .abduction import (
 )
 from .budget import DEFAULT_BUDGET, Meter
 from .causality import (
-    CauseReport,
     CauseSet,
     ContingencySet,
     actual_causes,
@@ -21,6 +20,7 @@ from .causality import (
     minimal_contingency_sets,
     most_responsible_causes,
     responsibility,
+    responsibility_of,
 )
 from .checks import CheckReport, cross_check, fixture_checks
 from .datalog import (

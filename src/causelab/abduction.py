@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, TypeAlias
 
-from .causality import CauseSet, cause_set_from_hitting_sets
+from .causality import CauseSet, cause_set_from_hitting_sets, responsibility_of
 from .errors import DomainError
 from .hitting import minimal_hitting_sets, minimize_family
 from .model import Fact, Instance
@@ -144,7 +144,7 @@ def datalog_actual_causes(program: DatalogProgram, instance: Instance) -> frozen
     the answer from the full instance.  Agrees with the relevant
     hypotheses of the matching abduction problem.
     """
-    return frozenset(_datalog_cause_set(program, instance).causes())
+    return frozenset(_datalog_cause_set(program, instance))
 
 
 def datalog_responsibility(program: DatalogProgram, instance: Instance, t: Fact) -> Fraction:
@@ -153,4 +153,4 @@ def datalog_responsibility(program: DatalogProgram, instance: Instance, t: Fact)
     necessary set or the answer is not derived at all."""
     if t not in instance.endogenous:
         raise DomainError(f"{t} is not an endogenous fact of the instance")
-    return _datalog_cause_set(program, instance).responsibility(t)
+    return responsibility_of(_datalog_cause_set(program, instance).get(t, ()))

@@ -3,8 +3,10 @@
 A tuple t of the endogenous part is a counterfactual cause when deleting
 it alone falsifies the query, and an actual cause when it becomes a
 counterfactual cause after deleting some contingency set of endogenous
-tuples.  Responsibility is the exact rational 1/(1 + k) where k is the
-size of the smallest contingency set; non-causes get responsibility 0.
+tuples.  A :data:`CauseSet` maps each actual cause to its minimal
+contingency sets.  Responsibility is the exact rational 1/(1 + k) where
+k is the size of the smallest contingency set, computed by
+:func:`responsibility_of`; non-causes get responsibility 0.
 
 Causes reduce to minimal hitting sets of the endogenous parts of the
 query's witnesses: the minimal contingency sets of t are exactly H minus
@@ -14,25 +16,19 @@ which the cross-check harness compares against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, TypeAlias
+from types import MappingProxyType
+from typing import Iterable, Mapping, TypeAlias
 
 from .errors import DomainError
 from .hitting import minimal_hitting_sets
-from .model import (
-    BooleanQuery,
-    Fact,
-    Instance,
-    eval_bcq,
-    witnesses,
-)
+from .model import BooleanQuery, Fact, Instance, eval_bcq, witnesses
 
 __all__ = [
     "ContingencySet",
-    "CauseReport",
     "CauseSet",
     "cause_set_from_hitting_sets",
+    "responsibility_of",
     "is_counterfactual_cause",
     "minimal_contingency_sets",
     "actual_causes",
@@ -44,91 +40,35 @@ __all__ = [
 #: counterfactual.
 ContingencySet: TypeAlias = frozenset[Fact]
 
-
-@dataclass(frozen=True)
-class CauseReport:
-    """One actual cause and all its minimal contingency sets."""
-
-    cause: Fact
-    minimal_contingencies: frozenset[ContingencySet]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "minimal_contingencies",
-            frozenset(frozenset(c) for c in self.minimal_contingencies),
-        )
-        if not self.minimal_contingencies:
-            raise ValueError("a cause must carry at least one contingency set")
-
-    @property
-    def responsibility(self) -> Fraction:
-        """1/(1 + k) for the smallest contingency set, of size k."""
-        return Fraction(1, 1 + min(map(len, self.minimal_contingencies)))
-
-    @property
-    def is_counterfactual(self) -> bool:
-        return frozenset() in self.minimal_contingencies
+#: The actual causes of one query over one instance, each mapped to its
+#: minimal contingency sets; a cause always has at least one.
+CauseSet: TypeAlias = Mapping[Fact, frozenset[ContingencySet]]
 
 
-@dataclass(frozen=True)
-class CauseSet:
-    """All actual causes of one query over one instance."""
-
-    reports: frozenset[CauseReport]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "reports", frozenset(self.reports))
-        seen = [r.cause for r in self.reports]
-        if len(seen) != len(set(seen)):
-            raise ValueError("a tuple may appear in at most one cause report")
-
-    def causes(self) -> tuple[Fact, ...]:
-        return tuple(sorted(r.cause for r in self.reports))
-
-    def report_for(self, t: Fact) -> CauseReport | None:
-        for r in self.reports:
-            if r.cause == t:
-                return r
-        return None
-
-    def responsibility(self, t: Fact) -> Fraction:
-        report = self.report_for(t)
-        return report.responsibility if report is not None else Fraction(0)
-
-    def __contains__(self, t: Fact) -> bool:
-        return any(r.cause == t for r in self.reports)
-
-    def __iter__(self) -> Iterator[CauseReport]:
-        return iter(sorted(self.reports, key=lambda r: r.cause))
-
-    def __len__(self) -> int:
-        return len(self.reports)
-
-    def __bool__(self) -> bool:
-        return bool(self.reports)
+def responsibility_of(contingencies: Iterable[ContingencySet]) -> Fraction:
+    """1/(1 + k) for the smallest contingency set, of size k; 0 with none."""
+    k = min(map(len, contingencies), default=None)
+    return Fraction(0) if k is None else Fraction(1, 1 + k)
 
 
 def cause_set_from_hitting_sets(
     sets: Iterable[frozenset[Fact]], candidates: frozenset[Fact]
 ) -> CauseSet:
-    """Cause reports read off a family of minimal hitting sets.
+    """Causes read off a family of minimal hitting sets.
 
     Only the sets drawn wholly from ``candidates`` count.  A candidate is
-    a cause iff one of them contains it; its minimal contingency sets are
-    those sets minus itself, and its responsibility is the reciprocal of
-    the smallest one.  The hitting sets of witness parts, the repair
-    removal sets and the minimal diagnoses all yield causes this way.
+    a cause iff one of them contains it, and its minimal contingency sets
+    are those sets minus itself.  The hitting sets of witness parts, the
+    repair removal sets and the minimal diagnoses all yield causes this
+    way.
     """
     containing: dict[Fact, list[frozenset[Fact]]] = {}
     for h in sets:
         if h <= candidates:
             for t in h:
                 containing.setdefault(t, []).append(h)
-    return CauseSet(
-        frozenset(
-            CauseReport(t, frozenset(h - {t} for h in hs)) for t, hs in containing.items()
-        )
+    return MappingProxyType(
+        {t: frozenset(h - {t} for h in hs) for t, hs in containing.items()}
     )
 
 
@@ -167,23 +107,20 @@ def minimal_contingency_sets(
 
 
 def actual_causes(instance: Instance, query: BooleanQuery) -> CauseSet:
-    """Every actual cause of the query, with contingency sets and exact
-    responsibility.  Empty when the query is false on the instance."""
+    """Every actual cause of the query, mapped to its minimal contingency
+    sets.  Empty when the query is false on the instance."""
     hs = _endogenous_hitting_sets(instance, query)
     return cause_set_from_hitting_sets(hs, instance.endogenous)
 
 
 def responsibility(instance: Instance, query: BooleanQuery, t: Fact) -> Fraction:
-    """1/(1 + k) for the smallest contingency set of size k, or 0 when
+    """The responsibility of ``t`` from its minimal contingency sets; 0 when
     ``t`` is not an actual cause (also when the query does not hold)."""
-    gammas = minimal_contingency_sets(instance, query, t)
-    return CauseReport(t, gammas).responsibility if gammas else Fraction(0)
+    return responsibility_of(minimal_contingency_sets(instance, query, t))
 
 
 def most_responsible_causes(instance: Instance, view: BooleanQuery) -> frozenset[Fact]:
     """The actual causes with maximal responsibility; empty iff there are none."""
-    cause_set = actual_causes(instance, view)
-    if not cause_set:
-        return frozenset()
-    top = max(r.responsibility for r in cause_set.reports)
-    return frozenset(r.cause for r in cause_set.reports if r.responsibility == top)
+    rho = {t: responsibility_of(gammas) for t, gammas in actual_causes(instance, view).items()}
+    top = max(rho.values(), default=None)
+    return frozenset(t for t, r in rho.items() if r == top)

@@ -28,6 +28,7 @@ from .causality import (
     is_counterfactual_cause,
     minimal_contingency_sets,
     responsibility,
+    responsibility_of,
 )
 from .datalog import DatalogProgram, DatalogRule, entails, evaluate
 from .diagnosis import build_problem, causes_via_diagnosis, minimal_diagnoses
@@ -303,16 +304,14 @@ def _prop_causes_match_enumeration(item: CorpusItem, rng: random.Random) -> str 
     fast = _fast_causes(item)
     slow = _oracle_causes(item)
     if fast != slow:
-        return f"cause sets differ: fast={_sorted_strs(fast.causes())} slow={_sorted_strs(slow.causes())}"
+        return f"cause sets differ: fast={_sorted_strs(fast)} slow={_sorted_strs(slow)}"
     return None
 
 
 def _prop_engines_agree(item: CorpusItem, rng: random.Random) -> str | None:
     oracle = _oracle_causes(item)
     for t in sorted(item.instance.endogenous):
-        report = oracle.report_for(t)
-        expected = frozenset() if report is None else report.minimal_contingencies
-        if minimal_contingency_sets(item.instance, item.query, t) != expected:
+        if minimal_contingency_sets(item.instance, item.query, t) != oracle.get(t, frozenset()):
             return f"minimal contingency sets of {t} differ from the enumeration oracle's"
     return None
 
@@ -321,9 +320,9 @@ def _prop_endogenous_insertion_monotone(item: CorpusItem, rng: random.Random) ->
     extra = _fresh_fact(item.instance, rng)
     if extra is None:
         return None
-    before = frozenset(_fast_causes(item).causes())
+    before = _fast_causes(item).keys()
     grown = item.instance.with_endogenous(extra)
-    after = frozenset(actual_causes(grown, item.query).causes())
+    after = actual_causes(grown, item.query).keys()
     if not before <= after:
         lost = _sorted_strs(before - after)
         return f"adding endogenous {extra} removed causes {lost}"
@@ -337,13 +336,13 @@ def _prop_exogenous_relabel_antimonotone(item: CorpusItem, rng: random.Random) -
     if not item.instance.endogenous:
         return None
     moved = rng.choice(sorted(item.instance.endogenous))
-    before = frozenset(_fast_causes(item).causes())
+    before = _fast_causes(item).keys()
     relabelled = Instance(
         item.instance.schemas,
         item.instance.endogenous - {moved},
         item.instance.exogenous | {moved},
     )
-    after = frozenset(actual_causes(relabelled, item.query).causes())
+    after = actual_causes(relabelled, item.query).keys()
     if not after <= before:
         gained = _sorted_strs(after - before)
         return f"relabelling {moved} as exogenous introduced causes {gained}"
@@ -358,8 +357,8 @@ def _prop_responsibility_boundaries(item: CorpusItem, rng: random.Random) -> str
             return f"rho({t})={rho} disagrees with cause membership"
         if (rho == 1) != is_counterfactual_cause(item.instance, item.query, t):
             return f"rho({t})={rho} disagrees with the counterfactual test"
-        if rho != cause_set.responsibility(t):
-            return f"standalone and report responsibilities differ for {t}"
+        if rho != responsibility_of(cause_set.get(t, ())):
+            return f"standalone and cause-set responsibilities differ for {t}"
     return None
 
 
@@ -450,7 +449,7 @@ def _prop_diagnosis_causes_agree(item: CorpusItem, rng: random.Random) -> str | 
     from .diagnosis import smallest_diagnoses_containing
 
     for t in sorted(item.instance.endogenous):
-        rho = direct.responsibility(t)
+        rho = responsibility_of(direct.get(t, ()))
         smallest = smallest_diagnoses_containing(problem, t)
         if (rho == 0) != (not smallest):
             return f"rho({t})={rho} disagrees with smallest-diagnosis emptiness"
@@ -667,9 +666,9 @@ def _fixture_demo_values() -> list[str]:
         failures.append(f"solutions: {_sorted_strs(map(set, solutions))}")
 
     cause_set = actual_causes(instance, query)
-    if frozenset(cause_set.causes()) != _fset(r21, r33, s1, s3):
-        failures.append(f"causes: {_sorted_strs(cause_set.causes())}")
-    if any(r.responsibility != Fraction(1, 2) for r in cause_set.reports):
+    if cause_set.keys() != _fset(r21, r33, s1, s3):
+        failures.append(f"causes: {_sorted_strs(cause_set)}")
+    if any(responsibility_of(g) != Fraction(1, 2) for g in cause_set.values()):
         failures.append("responsibilities are not uniformly 1/2")
 
     necessary = necessary_sets(problem)

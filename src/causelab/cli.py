@@ -15,7 +15,7 @@ from typing import Any
 
 from .abduction import abductive_solutions, problem_for_instance
 from .budget import Meter, budget_from_env
-from .causality import actual_causes, cause_set_from_hitting_sets, responsibility
+from .causality import actual_causes, cause_set_from_hitting_sets, responsibility, responsibility_of
 from .checks import cross_check, fixture_checks
 from .diagnosis import build_problem, minimal_diagnoses
 from .errors import BudgetError, DomainError, ParseError, SchemaError
@@ -202,16 +202,16 @@ def _cmd_abduce(args: argparse.Namespace) -> dict[str, Any]:
     # form an antichain, so every relevant hypothesis is in a necessary set.
     solutions = abductive_solutions(problem)
     necessary = minimal_hitting_sets(solutions)
-    ranked = sorted(
-        cause_set_from_hitting_sets(necessary, problem.hyp).reports,
-        key=lambda r: (-r.responsibility, r.cause),
-    )
+    rho = {
+        t: responsibility_of(gammas)
+        for t, gammas in cause_set_from_hitting_sets(necessary, problem.hyp).items()
+    }
     return {
         "observations": [fact_to_list(o) for o in sort_facts(problem.obs)],
         "solutions": family_to_list(solutions),
         "relevant_hypotheses": [
-            {"tuple": fact_to_list(r.cause), "responsibility": str(r.responsibility)}
-            for r in ranked
+            {"tuple": fact_to_list(t), "responsibility": str(rho[t])}
+            for t in sorted(rho, key=lambda t: (-rho[t], t))
         ],
         "necessary_sets": family_to_list(necessary),
     }

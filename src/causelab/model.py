@@ -32,7 +32,7 @@ meter, which is per thread and per task, so concurrent use is safe.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Mapping, TypeAlias, Union
@@ -101,12 +101,14 @@ class RelationSchema:
             raise ValueError(f"arity of {self.name!r} must be at least 1, got {self.arity}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Fact:
     """A ground tuple: a relation name plus constant arguments."""
 
     relation: str
     args: tuple[str, ...] = ()
+    # computed once: facts are hashed on every set test and dict lookup
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
@@ -114,6 +116,10 @@ class Fact:
             raise ValueError("a fact needs a relation name")
         if not all(isinstance(a, str) for a in self.args):
             raise ValueError("fact arguments must be strings")
+        object.__setattr__(self, "_hash", hash((self.relation, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def arity(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .abduction import AbductionProblem
-from .causality import CauseReport, CauseSet
+from .causality import ContingencySet
 from .diagnosis import DiagnosisProblem
 from .errors import BudgetError
 from .hitting import maximize_family, minimize_family, subsets_of
@@ -30,7 +30,12 @@ from .model import (
 )
 from .datalog import DatalogProgram
 
+#: The most facts a subset-lattice walk accepts: LATTICE_CAP for the
+#: instance-level oracles, HITTING_CAP for a hitting-set family's union
+#: and ABDUCIBLE_CAP for the abducibles of an abduction problem.
 LATTICE_CAP = 12
+HITTING_CAP = 20
+ABDUCIBLE_CAP = 16
 
 
 def _guard(n: int, cap: int, what: str) -> None:
@@ -78,19 +83,20 @@ def _satisfies_dc(
 
 
 def witnesses_by_enumeration(
-    facts: Iterable[Fact], query: BooleanQuery, cap: int = LATTICE_CAP
+    facts: Iterable[Fact], query: BooleanQuery
 ) -> frozenset[frozenset[Fact]]:
     """Minimal support sets found by walking the subset lattice."""
     pool = frozenset(facts)
-    _guard(len(pool), cap, "witness")
+    _guard(len(pool), LATTICE_CAP, "witness")
     return minimize_family(w for w in subsets_of(pool) if _eval_bcq(w, query))
 
 
 def causes_by_enumeration(
-    instance: Instance, query: BooleanQuery, cap: int = LATTICE_CAP
-) -> CauseSet:
-    """Actual causes found by trying every contingency candidate."""
-    _guard(len(instance.endogenous), cap, "cause")
+    instance: Instance, query: BooleanQuery
+) -> dict[Fact, frozenset[ContingencySet]]:
+    """Actual causes, each mapped to its minimal contingency sets, found by
+    trying every contingency candidate."""
+    _guard(len(instance.endogenous), LATTICE_CAP, "cause")
     cache: dict[frozenset[Fact], bool] = {}
     full = instance.facts
 
@@ -101,7 +107,7 @@ def causes_by_enumeration(
             cache[fs] = got
         return got
 
-    reports = []
+    causes = {}
     for t in sorted(instance.endogenous):
         gammas = [
             gamma
@@ -109,18 +115,16 @@ def causes_by_enumeration(
             if holds(full - gamma) and not holds(full - gamma - {t})
         ]
         if gammas:
-            reports.append(CauseReport(t, minimize_family(gammas)))
-    return CauseSet(frozenset(reports))
+            causes[t] = minimize_family(gammas)
+    return causes
 
 
 def s_repair_removals_by_enumeration(
-    instance: Instance,
-    constraints: Iterable[DenialConstraint],
-    cap: int = LATTICE_CAP,
+    instance: Instance, constraints: Iterable[DenialConstraint]
 ) -> frozenset[frozenset[Fact]]:
     """Removal sets of subset-maximal consistent sub-instances, by lattice walk."""
     facts = instance.facts
-    _guard(len(facts), cap, "repair")
+    _guard(len(facts), LATTICE_CAP, "repair")
     constraint_list = list(constraints)
     consistent = [
         kept
@@ -130,12 +134,10 @@ def s_repair_removals_by_enumeration(
     return frozenset(facts - kept for kept in maximize_family(consistent))
 
 
-def diagnoses_by_enumeration(
-    problem: DiagnosisProblem, cap: int = LATTICE_CAP
-) -> frozenset[frozenset[Fact]]:
+def diagnoses_by_enumeration(problem: DiagnosisProblem) -> frozenset[frozenset[Fact]]:
     """Minimal falsifying deletion sets, by trying every endogenous subset."""
     instance = problem.instance
-    _guard(len(problem.abnormal_scope), cap, "diagnosis")
+    _guard(len(problem.abnormal_scope), LATTICE_CAP, "diagnosis")
     falsifying = [
         delta
         for delta in subsets_of(problem.abnormal_scope)
@@ -144,13 +146,11 @@ def diagnoses_by_enumeration(
     return minimize_family(falsifying)
 
 
-def minimal_hitting_sets_by_enumeration(
-    family: Iterable[Iterable[Fact]], cap: int = 20
-) -> frozenset[frozenset]:
+def minimal_hitting_sets_by_enumeration(family: Iterable[Iterable[Fact]]) -> frozenset[frozenset]:
     """Minimal hitting sets by trying every subset of the family's union."""
     sets = [frozenset(s) for s in family]
     universe = frozenset().union(*sets) if sets else frozenset()
-    _guard(len(universe), cap, "hitting set")
+    _guard(len(universe), HITTING_CAP, "hitting set")
     hitting = [h for h in subsets_of(universe) if all(h & s for s in sets)]
     return minimize_family(hitting)
 
@@ -170,13 +170,11 @@ def naive_datalog_model(program: DatalogProgram, facts: Iterable[Fact]) -> froze
         model |= fresh
 
 
-def datalog_causes_by_enumeration(
-    program: DatalogProgram, instance: Instance, cap: int = LATTICE_CAP
-) -> frozenset[Fact]:
+def datalog_causes_by_enumeration(program: DatalogProgram, instance: Instance) -> frozenset[Fact]:
     """Actual causes of the answer atom found by trying every contingency
     candidate against the naive fixpoint."""
     endo = instance.endogenous
-    _guard(len(endo), cap, "Datalog cause")
+    _guard(len(endo), LATTICE_CAP, "Datalog cause")
     goal = program.answer_atom()
     full = instance.facts
     cache: dict[frozenset[Fact], bool] = {}
@@ -202,11 +200,9 @@ def _naive_entails(program: DatalogProgram, facts: frozenset[Fact], obs: frozens
     return obs <= naive_datalog_model(program, facts)
 
 
-def solutions_by_enumeration(
-    problem: AbductionProblem, cap: int = 16
-) -> frozenset[frozenset[Fact]]:
+def solutions_by_enumeration(problem: AbductionProblem) -> frozenset[frozenset[Fact]]:
     """Abductive solutions by trying every subset of the abducibles."""
-    _guard(len(problem.hyp), cap, "solution")
+    _guard(len(problem.hyp), ABDUCIBLE_CAP, "solution")
     cache: dict[frozenset[Fact], bool] = {}
 
     def explains(delta: frozenset[Fact]) -> bool:
@@ -219,12 +215,10 @@ def solutions_by_enumeration(
     return minimize_family(d for d in subsets_of(problem.hyp) if explains(d))
 
 
-def necessary_sets_by_enumeration(
-    problem: AbductionProblem, cap: int = 16
-) -> frozenset[frozenset[Fact]]:
+def necessary_sets_by_enumeration(problem: AbductionProblem) -> frozenset[frozenset[Fact]]:
     """Necessary hypothesis sets by the definition: remove the candidate
     set and check that no solution survives."""
-    _guard(len(problem.hyp), cap, "necessary set")
+    _guard(len(problem.hyp), ABDUCIBLE_CAP, "necessary set")
     cache: dict[frozenset[Fact], bool] = {}
 
     def unexplainable(candidate: frozenset[Fact]) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, TypeAlias
 
-from .causality import CauseSet, ContingencySet, actual_causes, cause_set_from_hitting_sets
+from .causality import CauseSet, actual_causes, cause_set_from_hitting_sets
 from .errors import DomainError
 from .hitting import minimal_hitting_sets
 from .model import (
@@ -101,17 +101,17 @@ def causes_from_repairs(instance: Instance, query: ConjunctiveQuery) -> CauseSet
     return cause_set_from_hitting_sets(removals, instance.endogenous)
 
 
-def _repairs_from_table(table: dict[Fact, frozenset[ContingencySet]]) -> frozenset[Repair]:
-    """The removal sets X such that every t in X is in ``table`` with X
-    minus {t} among its contingency sets; with no causes at all, the
-    instance repairs to itself."""
-    if not table:
+def _repairs_from_cause_set(cause_set: CauseSet) -> frozenset[Repair]:
+    """The removal sets X such that every t in X is a cause in
+    ``cause_set`` with X minus {t} among its contingency sets; with no
+    causes at all, the instance repairs to itself."""
+    if not cause_set:
         return frozenset({frozenset()})
-    candidates = {gamma | {t} for t, gammas in table.items() for gamma in gammas}
+    candidates = {gamma | {t} for t, gammas in cause_set.items() for gamma in gammas}
     return frozenset(
         removed
         for removed in candidates
-        if all(t in table and removed - {t} in table[t] for t in removed)
+        if all(t in cause_set and removed - {t} in cause_set[t] for t in removed)
     )
 
 
@@ -126,8 +126,7 @@ def s_repairs_from_causes(
     instance has no causes and repairs to itself.
     """
     cause_set = actual_causes(instance.all_endogenous(), dc_to_view(constraint))
-    table = {r.cause: r.minimal_contingencies for r in cause_set.reports}
-    return _repairs_from_table(table)
+    return _repairs_from_cause_set(cause_set)
 
 
 def c_repairs_from_most_responsible(
@@ -138,14 +137,10 @@ def c_repairs_from_most_responsible(
     every removed tuple must have a contingency set of size k, and the
     rest of the removal set must be one of those.  Larger contingency sets
     of a top cause belong to S-repairs that are not C-repairs."""
-    reports = actual_causes(instance.all_endogenous(), dc_to_view(constraint)).reports
-    k = min((len(g) for r in reports for g in r.minimal_contingencies), default=0)
-    table = {
-        r.cause: top
-        for r in reports
-        if (top := frozenset(g for g in r.minimal_contingencies if len(g) == k))
-    }
-    return _repairs_from_table(table)
+    cause_set = actual_causes(instance.all_endogenous(), dc_to_view(constraint))
+    k = min((len(g) for gammas in cause_set.values() for g in gammas), default=0)
+    top = {t: frozenset(g for g in gammas if len(g) == k) for t, gammas in cause_set.items()}
+    return _repairs_from_cause_set({t: gammas for t, gammas in top.items() if gammas})
 
 
 def consistently_true(instance: Instance, constraint: DenialConstraint, a: Fact) -> bool:

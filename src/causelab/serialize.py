@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from .causality import CauseSet
+from .causality import CauseSet, responsibility_of
 from .diagnosis import Diagnosis
 from .errors import ParseError
 from .model import Fact, Instance, RelationSchema
@@ -108,11 +108,11 @@ def instance_from_dict(data: Any) -> Instance:
 def cause_set_to_list(cause_set: CauseSet) -> list[dict[str, Any]]:
     return [
         {
-            "tuple": fact_to_list(report.cause),
-            "responsibility": str(report.responsibility),
-            "min_contingencies": family_to_list(report.minimal_contingencies),
+            "tuple": fact_to_list(t),
+            "responsibility": str(responsibility_of(cause_set[t])),
+            "min_contingencies": family_to_list(cause_set[t]),
         }
-        for report in cause_set
+        for t in sort_facts(cause_set)
     ]
 
 

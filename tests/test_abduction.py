@@ -21,6 +21,7 @@ from causelab import (
 )
 from causelab import datalog
 from causelab.oracles import (
+    LATTICE_CAP,
     datalog_causes_by_enumeration,
     necessary_sets_by_enumeration,
     solutions_by_enumeration,
@@ -143,8 +144,9 @@ def test_datalog_cause_oracle(d0, prog0):
     assert datalog_causes_by_enumeration(prog0, d0) == datalog_actual_causes(prog0, d0)
     underivable = Instance.infer(endogenous=[S1, S2])
     assert datalog_causes_by_enumeration(prog0, underivable) == frozenset()
+    oversized = Instance(d0.schemas, frozenset(fact("S", f"c{i}") for i in range(LATTICE_CAP + 1)))
     with pytest.raises(BudgetError):
-        datalog_causes_by_enumeration(prog0, d0, cap=3)
+        datalog_causes_by_enumeration(prog0, oversized)
 
 
 def test_datalog_responsibility_on_demo(d0, prog0):

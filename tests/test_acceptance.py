@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from causelab import actual_causes, fact
+from causelab import actual_causes, fact, responsibility_of
 from causelab.abduction import (
     abductive_solutions,
     datalog_actual_causes,
@@ -67,10 +67,10 @@ def test_criterion_1_demo_exact_reproduction():
         assert abductive_solutions(problem) == expected_solutions
 
         causes = actual_causes(instance, demo_query())
-        assert frozenset(causes.causes()) == frozenset(
+        assert causes.keys() == frozenset(
             {fact("S", "a1"), fact("R", "a2", "a1"), fact("S", "a3"), fact("R", "a3", "a3")}
         )
-        assert all(r.responsibility == Fraction(1, 2) for r in causes.reports)
+        assert all(responsibility_of(g) == Fraction(1, 2) for g in causes.values())
 
         necessary = necessary_sets(problem)
         assert len(necessary) == 4
@@ -169,6 +169,7 @@ def test_criterion_8_oracle_equivalences(corpus_reports):
             "repairs_s.txt",
             ["repairs", "-i", "d0.json", "-c", "k0.dl", "--endogenous-only", "--format", "table"],
         ),
+        ("check.json", ["check", "--seed", "1"]),
     ],
 )
 def test_criterion_9_determinism(golden, argv, data_dir, monkeypatch, capsys):

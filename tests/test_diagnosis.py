@@ -13,6 +13,7 @@ from causelab import (
     diagnoses_containing,
     fact,
     minimal_diagnoses,
+    responsibility_of,
     s_repairs,
     smallest_diagnoses_containing,
 )
@@ -119,8 +120,8 @@ def test_smallest_diagnosis_of_counterfactual_cause(q0):
 
 def test_causes_via_diagnosis_on_demo(d0, q0):
     via = causes_via_diagnosis(build_problem(d0, q0))
-    assert frozenset(via.causes()) == frozenset({R21, R33, S1, S3})
-    assert all(r.responsibility == Fraction(1, 2) for r in via.reports)
+    assert via.keys() == frozenset({R21, R33, S1, S3})
+    assert all(responsibility_of(g) == Fraction(1, 2) for g in via.values())
     assert via == actual_causes(d0, q0)
 
 
@@ -133,8 +134,8 @@ def test_causes_via_diagnosis_for_chain_query():
     inst = Instance.infer(endogenous=[fact("E", "a", "b"), fact("E", "b", "c")])
     q = ConjunctiveQuery((atom("E", "X", "Y"), atom("E", "Y", "Z")))
     via = causes_via_diagnosis(build_problem(inst, q))
-    assert frozenset(via.causes()) == inst.endogenous
-    assert all(r.responsibility == Fraction(1) for r in via.reports)
+    assert via.keys() == inst.endogenous
+    assert all(responsibility_of(g) == Fraction(1) for g in via.values())
 
 
 def test_diagnoses_are_endogenous_repair_removals(d0, q0, k0):

@@ -16,6 +16,7 @@ from causelab import (
     fact,
     parse_denial_constraint,
     removal_sets_containing,
+    responsibility_of,
     s_repairs,
     s_repairs_from_causes,
 )
@@ -102,8 +103,8 @@ def test_removal_sets_must_stay_endogenous(d0, k0):
 
 def test_causes_from_repairs_on_demo(d0, q0):
     via_repairs = causes_from_repairs(d0, q0)
-    assert frozenset(via_repairs.causes()) == frozenset({R21, R33, S1, S3})
-    assert all(r.responsibility == Fraction(1, 2) for r in via_repairs.reports)
+    assert via_repairs.keys() == frozenset({R21, R33, S1, S3})
+    assert all(responsibility_of(g) == Fraction(1, 2) for g in via_repairs.values())
     assert via_repairs == actual_causes(d0, q0)
 
 
