@@ -50,17 +50,12 @@ from .model import (
     Instance,
     RelationSchema,
     Term,
-    Valuation,
     Variable,
-    ViolationView,
     Witness,
     atom,
-    dc_to_view,
     eval_bcq,
     fact,
-    query_to_dc,
     satisfies_dc,
-    view_to_query,
     witnesses,
 )
 from .parsing import (
@@ -72,7 +67,6 @@ from .parsing import (
 )
 from .repairs import (
     Repair,
-    RemovalSetClass,
     c_repairs,
     c_repairs_from_most_responsible,
     causes_from_repairs,

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, TypeAlias
 
 from .errors import DomainError
 from .hitting import minimal_hitting_sets
-from .model import BooleanQuery, Fact, Instance, eval_bcq, witnesses
+from .model import ConjunctiveQuery, Fact, Instance, eval_bcq, witnesses
 
 __all__ = [
     "ContingencySet",
@@ -80,7 +80,7 @@ def _require_endogenous(instance: Instance, t: Fact) -> None:
     raise DomainError(f"{t} is not in the instance")
 
 
-def is_counterfactual_cause(instance: Instance, query: BooleanQuery, t: Fact) -> bool:
+def is_counterfactual_cause(instance: Instance, query: ConjunctiveQuery, t: Fact) -> bool:
     """True iff the query holds and deleting ``t`` alone falsifies it."""
     _require_endogenous(instance, t)
     facts = instance.facts
@@ -90,14 +90,14 @@ def is_counterfactual_cause(instance: Instance, query: BooleanQuery, t: Fact) ->
 
 
 def _endogenous_hitting_sets(
-    instance: Instance, query: BooleanQuery
+    instance: Instance, query: ConjunctiveQuery
 ) -> frozenset[frozenset[Fact]]:
     family = {w & instance.endogenous for w in witnesses(instance.facts, query, instance.schemas)}
     return minimal_hitting_sets(family)
 
 
 def minimal_contingency_sets(
-    instance: Instance, view: BooleanQuery, t: Fact
+    instance: Instance, view: ConjunctiveQuery, t: Fact
 ) -> frozenset[ContingencySet]:
     """All subset-minimal contingency sets turning ``t`` into a counterfactual
     cause for the view; empty iff ``t`` is not an actual cause."""
@@ -106,20 +106,20 @@ def minimal_contingency_sets(
     return frozenset(h - {t} for h in hs if t in h)
 
 
-def actual_causes(instance: Instance, query: BooleanQuery) -> CauseSet:
+def actual_causes(instance: Instance, query: ConjunctiveQuery) -> CauseSet:
     """Every actual cause of the query, mapped to its minimal contingency
     sets.  Empty when the query is false on the instance."""
     hs = _endogenous_hitting_sets(instance, query)
     return cause_set_from_hitting_sets(hs, instance.endogenous)
 
 
-def responsibility(instance: Instance, query: BooleanQuery, t: Fact) -> Fraction:
+def responsibility(instance: Instance, query: ConjunctiveQuery, t: Fact) -> Fraction:
     """The responsibility of ``t`` from its minimal contingency sets; 0 when
     ``t`` is not an actual cause (also when the query does not hold)."""
     return responsibility_of(minimal_contingency_sets(instance, query, t))
 
 
-def most_responsible_causes(instance: Instance, view: BooleanQuery) -> frozenset[Fact]:
+def most_responsible_causes(instance: Instance, view: ConjunctiveQuery) -> frozenset[Fact]:
     """The actual causes with maximal responsibility; empty iff there are none."""
     rho = {t: responsibility_of(gammas) for t, gammas in actual_causes(instance, view).items()}
     top = max(rho.values(), default=None)

@@ -36,13 +36,13 @@ from .errors import DomainError
 from .model import (
     Atom,
     ConjunctiveQuery,
+    DenialConstraint,
     Fact,
     Instance,
     RelationSchema,
     Variable,
-    dc_to_view,
     eval_bcq,
-    query_to_dc,
+    satisfies_dc,
     witnesses,
 )
 from .oracles import (
@@ -53,6 +53,7 @@ from .oracles import (
     necessary_sets_by_enumeration,
     s_repair_removals_by_enumeration,
     solutions_by_enumeration,
+    valuations_by_nested_loops,
     witnesses_by_enumeration,
 )
 from .repairs import (
@@ -126,8 +127,8 @@ def demo_query() -> ConjunctiveQuery:
     return ConjunctiveQuery((Atom("R", (x, y)), Atom("S", (y,))))
 
 
-def demo_constraint():
-    return query_to_dc(demo_query())
+def demo_constraint() -> DenialConstraint:
+    return demo_query()
 
 
 def demo_program() -> DatalogProgram:
@@ -242,7 +243,12 @@ def _fast_witnesses(instance: Instance, query: ConjunctiveQuery):
 
 @_per_item
 def _fast_s_removals(instance: Instance, query: ConjunctiveQuery):
-    return s_repairs(instance, [query_to_dc(query)])
+    return s_repairs(instance, [query])
+
+
+@_per_item
+def _violation_causes(instance: Instance, query: ConjunctiveQuery):
+    return actual_causes(instance.all_endogenous(), query)
 
 
 @_per_item
@@ -269,15 +275,13 @@ def _prop_witnesses_match_enumeration(item: CorpusItem, rng: random.Random) -> s
 
 
 def _prop_constraint_duality(item: CorpusItem, rng: random.Random) -> str | None:
-    from .model import satisfies_dc
-
-    constraint = query_to_dc(item.query)
-    view = dc_to_view(constraint)
+    # the nested-loop join shares no code with satisfies_dc's join engine
     samples = [item.instance.facts] + [
         _random_subset(rng, item.instance.facts) for _ in range(2)
     ]
     for sample in samples:
-        if satisfies_dc(sample, constraint) == eval_bcq(sample, view):
+        violated = next(valuations_by_nested_loops(sample, item.query.atoms), None) is not None
+        if satisfies_dc(sample, item.query) == violated:
             return f"duality violated on subset {_sorted_strs(sample)}"
     return None
 
@@ -364,7 +368,7 @@ def _prop_responsibility_boundaries(item: CorpusItem, rng: random.Random) -> str
 
 def _prop_removals_match_enumeration(item: CorpusItem, rng: random.Random) -> str | None:
     fast = _fast_s_removals(item)
-    slow = s_repair_removals_by_enumeration(item.instance, [query_to_dc(item.query)])
+    slow = s_repair_removals_by_enumeration(item.instance, [item.query])
     if fast != slow:
         return f"repair removal sets differ: fast={_sorted_strs(map(set, fast))} slow={_sorted_strs(map(set, slow))}"
     return None
@@ -379,42 +383,43 @@ def _prop_causes_from_repairs_agree(item: CorpusItem, rng: random.Random) -> str
 
 
 def _prop_s_repairs_rebuilt(item: CorpusItem, rng: random.Random) -> str | None:
-    constraint = query_to_dc(item.query)
     direct = _fast_s_removals(item)
-    rebuilt = s_repairs_from_causes(item.instance, constraint)
+    rebuilt = s_repairs_from_causes(item.instance, item.query)
     if direct != rebuilt:
         return f"rebuilt s-repairs differ: direct={_sorted_strs(map(set, direct))} rebuilt={_sorted_strs(map(set, rebuilt))}"
     consistent = direct == frozenset({frozenset()})
-    no_causes = not actual_causes(item.instance.all_endogenous(), dc_to_view(constraint))
+    no_causes = not _violation_causes(item)
     if consistent != no_causes:
         return "consistency does not match emptiness of the violation-view cause set"
     return None
 
 
 def _prop_c_repairs_rebuilt(item: CorpusItem, rng: random.Random) -> str | None:
-    constraint = query_to_dc(item.query)
-    direct = c_repairs(item.instance, [constraint])
-    rebuilt = c_repairs_from_most_responsible(item.instance, constraint)
+    direct = c_repairs(item.instance, [item.query])
+    rebuilt = c_repairs_from_most_responsible(item.instance, item.query)
     if direct != rebuilt:
         return f"rebuilt c-repairs differ: direct={_sorted_strs(map(set, direct))} rebuilt={_sorted_strs(map(set, rebuilt))}"
     return None
 
 
 def _prop_cqa_matches_repair_intersection(item: CorpusItem, rng: random.Random) -> str | None:
-    constraint = query_to_dc(item.query)
     removals = _fast_s_removals(item)
+    causes = _violation_causes(item)
     for a in sorted(item.instance.facts):
-        via_causes = consistently_true(item.instance, constraint, a)
+        via_causes = a not in causes
         in_all = all(a not in r for r in removals)
         if via_causes != in_all:
             return f"consistent answer for {a}: via causes {via_causes}, via repairs {in_all}"
+    if item.instance.facts:
+        a = rng.choice(sorted(item.instance.facts))
+        if consistently_true(item.instance, item.query, a) != (a not in causes):
+            return f"consistently_true({a}) disagrees with the violation-view causes"
     return None
 
 
 def _prop_c_repairs_within_s(item: CorpusItem, rng: random.Random) -> str | None:
-    constraint = query_to_dc(item.query)
     s_removals = _fast_s_removals(item)
-    c_removals = c_repairs(item.instance, [constraint])
+    c_removals = c_repairs(item.instance, [item.query])
     if not c_removals <= s_removals:
         return "a cardinality repair is not a subset repair"
     if len({len(r) for r in c_removals}) != 1:
@@ -423,8 +428,7 @@ def _prop_c_repairs_within_s(item: CorpusItem, rng: random.Random) -> str | None
 
 
 def _prop_endogenous_repairs_filter(item: CorpusItem, rng: random.Random) -> str | None:
-    constraint = query_to_dc(item.query)
-    endo_only = endogenous_s_repairs(item.instance, [constraint])
+    endo_only = endogenous_s_repairs(item.instance, [item.query])
     expected = {r for r in _fast_s_removals(item) if r <= item.instance.endogenous}
     if endo_only != expected:
         return "endogenous-only repairs are not the endogenous-removal subset"

@@ -2,8 +2,8 @@
 
 Verbs: causes, responsibility, repairs, cqa, diagnose, abduce, check.
 Exit codes: 0 success, 1 usage, 2 parse or validation error, 3 budget
-exceeded, 4 domain error.  Output is canonical JSON by default; tables
-are for humans, the JSON is the contract.
+or recursion limit exceeded, 4 domain error.  Output is canonical JSON
+by default; tables are for humans, the JSON is the contract.
 """
 from __future__ import annotations
 
@@ -330,7 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"causelab: validation error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except BudgetError as exc:
+    except (BudgetError, RecursionError) as exc:
+        # the hitting-set search recurses once per element of a hitting set
         print(f"causelab: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except DomainError as exc:

@@ -1,9 +1,10 @@
 """Relational data model and boolean conjunctive query evaluation.
 
 Schemas, ground facts, instances with an endogenous/exogenous partition,
-conjunctive queries together with their denial-constraint and
-violation-view faces, plus query evaluation and minimal-witness
-enumeration.
+boolean conjunctive queries, plus query evaluation and minimal-witness
+enumeration.  A denial constraint forbids exactly the pattern of a query
+and its violation view is that query, so :data:`DenialConstraint` is the
+query itself and :func:`satisfies_dc` is the one place that negates it.
 
 Join engine
 -----------
@@ -51,14 +52,8 @@ __all__ = [
     "atom",
     "ConjunctiveQuery",
     "DenialConstraint",
-    "ViolationView",
-    "BooleanQuery",
     "Witness",
-    "Valuation",
     "Instance",
-    "query_to_dc",
-    "dc_to_view",
-    "view_to_query",
     "check_query_schema",
     "ground_atom",
     "FactIndex",
@@ -195,8 +190,13 @@ def atom(relation: str, *terms: Term) -> Atom:
 
 
 @dataclass(frozen=True)
-class _Conjunction:
-    """A nonempty tuple of atoms, written as a comma-separated body."""
+class ConjunctiveQuery:
+    """A boolean conjunctive query: the existential closure of a nonempty
+    tuple of atoms, written as a comma-separated body.
+
+    There are no free head variables; self-joins and duplicate atoms are
+    permitted (duplicates are harmless for the semantics).
+    """
 
     atoms: tuple[Atom, ...]
 
@@ -209,55 +209,21 @@ class _Conjunction:
                 raise ValueError(f"expected an Atom, got {a!r}")
         object.__setattr__(self, "atoms", out)
 
+    def variables(self) -> frozenset[Variable]:
+        return frozenset(v for a in self.atoms for v in a.variables())
+
     def __str__(self) -> str:
         return ", ".join(str(a) for a in self.atoms)
 
 
-@dataclass(frozen=True)
-class ConjunctiveQuery(_Conjunction):
-    """A boolean conjunctive query: the existential closure of its atoms.
-
-    There are no free head variables; self-joins and duplicate atoms are
-    permitted (duplicates are harmless for the semantics).
-    """
-
-    def variables(self) -> frozenset[Variable]:
-        return frozenset(v for a in self.atoms for v in a.variables())
-
-
-@dataclass(frozen=True)
-class DenialConstraint(_Conjunction):
-    """Forbids its conjunctive pattern; the negation of the matching query."""
-
-
-@dataclass(frozen=True)
-class ViolationView(_Conjunction):
-    """Boolean query that holds exactly when the matching constraint is violated."""
-
-
-BooleanQuery: TypeAlias = Union[ConjunctiveQuery, ViolationView]
+#: The denial constraint forbidding a query's pattern.  Its violation
+#: view is the query itself, so a constraint is the query it forbids;
+#: only :func:`satisfies_dc` reads it negated.
+DenialConstraint: TypeAlias = ConjunctiveQuery
 
 #: A minimal support set: the query holds on exactly this set of facts
 #: and on no proper subset.
 Witness: TypeAlias = frozenset[Fact]
-
-#: A total assignment of a query's variables to constants.
-Valuation: TypeAlias = Mapping[Variable, str]
-
-
-def query_to_dc(query: ConjunctiveQuery) -> DenialConstraint:
-    """Re-tag a query as the denial constraint forbidding its pattern."""
-    return DenialConstraint(query.atoms)
-
-
-def dc_to_view(constraint: DenialConstraint) -> ViolationView:
-    """Re-tag a denial constraint as its violation view."""
-    return ViolationView(constraint.atoms)
-
-
-def view_to_query(view: ViolationView) -> ConjunctiveQuery:
-    """Re-tag a violation view as a plain boolean conjunctive query."""
-    return ConjunctiveQuery(view.atoms)
 
 
 @dataclass(frozen=True)
@@ -327,7 +293,7 @@ class Instance:
         return cls(schemas, endo, exo)
 
 
-def check_query_schema(query: BooleanQuery, schemas: frozenset[RelationSchema] | None) -> None:
+def check_query_schema(query: ConjunctiveQuery, schemas: frozenset[RelationSchema] | None) -> None:
     """Raise SchemaError when the query mentions an undeclared relation or
     uses one at the wrong arity.  No-op when schemas is None."""
     if schemas is None:
@@ -498,7 +464,7 @@ def matches(
     return extend(0)
 
 
-def valuations(facts: Iterable[Fact], query: BooleanQuery) -> Iterator[dict[Variable, str]]:
+def valuations(facts: Iterable[Fact], query: ConjunctiveQuery) -> Iterator[dict[Variable, str]]:
     """All total valuations of the query's variables that map every atom
     onto a fact of the given set, charged to the meter current at the call."""
     sources = variable_positions(query.atoms)
@@ -508,7 +474,7 @@ def valuations(facts: Iterable[Fact], query: BooleanQuery) -> Iterator[dict[Vari
 
 def eval_bcq(
     facts: Iterable[Fact],
-    query: BooleanQuery,
+    query: ConjunctiveQuery,
     schemas: frozenset[RelationSchema] | None = None,
 ) -> bool:
     """True iff some valuation maps every atom of the query into ``facts``.
@@ -519,7 +485,7 @@ def eval_bcq(
 
 def witnesses(
     facts: Iterable[Fact],
-    query: BooleanQuery,
+    query: ConjunctiveQuery,
     schemas: frozenset[RelationSchema] | None = None,
 ) -> frozenset[Witness]:
     """Exactly the minimal support sets of the query within ``facts``.
@@ -538,5 +504,6 @@ def satisfies_dc(
     constraint: DenialConstraint,
     schemas: frozenset[RelationSchema] | None = None,
 ) -> bool:
-    """True iff the constraint's violation view is false on ``facts``."""
-    return not eval_bcq(facts, dc_to_view(constraint), schemas)
+    """True iff the constraint's violation view, the query it forbids, is
+    false on ``facts``."""
+    return not eval_bcq(facts, constraint, schemas)

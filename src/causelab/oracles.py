@@ -18,14 +18,13 @@ from .errors import BudgetError
 from .hitting import maximize_family, minimize_family, subsets_of
 from .model import (
     Atom,
-    BooleanQuery,
+    ConjunctiveQuery,
     DenialConstraint,
     Fact,
     Instance,
     RelationSchema,
     Variable,
     check_query_schema,
-    dc_to_view,
     ground_atom,
 )
 from .datalog import DatalogProgram
@@ -70,20 +69,14 @@ def valuations_by_nested_loops(
 
 
 def _eval_bcq(
-    facts: Iterable[Fact], query: BooleanQuery, schemas: frozenset[RelationSchema] | None = None
+    facts: Iterable[Fact], query: ConjunctiveQuery, schemas: frozenset[RelationSchema] | None = None
 ) -> bool:
     check_query_schema(query, schemas)
     return next(valuations_by_nested_loops(facts, query.atoms), None) is not None
 
 
-def _satisfies_dc(
-    facts: Iterable[Fact], constraint: DenialConstraint, schemas: frozenset[RelationSchema]
-) -> bool:
-    return not _eval_bcq(facts, dc_to_view(constraint), schemas)
-
-
 def witnesses_by_enumeration(
-    facts: Iterable[Fact], query: BooleanQuery
+    facts: Iterable[Fact], query: ConjunctiveQuery
 ) -> frozenset[frozenset[Fact]]:
     """Minimal support sets found by walking the subset lattice."""
     pool = frozenset(facts)
@@ -92,7 +85,7 @@ def witnesses_by_enumeration(
 
 
 def causes_by_enumeration(
-    instance: Instance, query: BooleanQuery
+    instance: Instance, query: ConjunctiveQuery
 ) -> dict[Fact, frozenset[ContingencySet]]:
     """Actual causes, each mapped to its minimal contingency sets, found by
     trying every contingency candidate."""
@@ -129,7 +122,7 @@ def s_repair_removals_by_enumeration(
     consistent = [
         kept
         for kept in subsets_of(facts)
-        if all(_satisfies_dc(kept, c, instance.schemas) for c in constraint_list)
+        if not any(_eval_bcq(kept, c, instance.schemas) for c in constraint_list)
     ]
     return frozenset(facts - kept for kept in maximize_family(consistent))
 

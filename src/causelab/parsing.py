@@ -24,7 +24,6 @@ from .model import (
     BARE_NAME,
     Atom,
     ConjunctiveQuery,
-    DenialConstraint,
     Fact,
     Term,
     Variable,
@@ -153,22 +152,23 @@ def parse_query(text: str) -> ConjunctiveQuery:
     return ConjunctiveQuery(atoms)
 
 
-def parse_denial_constraints(text: str) -> tuple[DenialConstraint, ...]:
-    """Parse a file of denial constraints, one ``:- body.`` per statement."""
+def parse_denial_constraints(text: str) -> tuple[ConjunctiveQuery, ...]:
+    """Parse a file of denial constraints, one ``:- body.`` per statement.
+    Each constraint is the query whose pattern it forbids."""
     p = _Parser(text)
-    out: list[DenialConstraint] = []
+    out: list[ConjunctiveQuery] = []
     while not p.at_end():
-        out.append(DenialConstraint(p.body()))
+        out.append(ConjunctiveQuery(p.body()))
     return tuple(out)
 
 
-def parse_denial_constraint(text: str) -> DenialConstraint:
+def parse_denial_constraint(text: str) -> ConjunctiveQuery:
     """Parse a single denial constraint of the form ``:- body.``: the
     one-statement case of :func:`parse_denial_constraints`."""
     p = _Parser(text)
     atoms = p.body()
     p.finish("constraint")
-    return DenialConstraint(atoms)
+    return ConjunctiveQuery(atoms)
 
 
 def parse_program(text: str) -> DatalogProgram:

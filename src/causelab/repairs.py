@@ -5,10 +5,13 @@ For denial constraints, deleting tuples is the only way to restore
 consistency (the constraints are anti-monotone), so repairs are
 consistent sub-instances.  S-repairs keep a subset-maximal consistent
 set of facts; C-repairs additionally keep as many facts as possible.
-Removal sets of S-repairs are exactly the minimal hitting sets of the
-violation-view witnesses; multiple constraints pool their witnesses.
-A repair is represented by its removal set: the repaired instance is
-the original minus those facts.
+The violation view of a denial constraint is the query whose pattern it
+forbids, and a constraint is that query (:data:`DenialConstraint`), so
+it goes to the witness and cause engines unchanged.  Removal sets of
+S-repairs are exactly the minimal hitting sets of its witnesses;
+multiple constraints pool their witnesses.  A repair is represented by
+its removal set: the repaired instance is the original minus those
+facts.
 
 The *_from_causes constructions rebuild repairs out of the cause and
 contingency classes of the violation view and must coincide with the
@@ -22,19 +25,10 @@ from typing import Iterable, TypeAlias
 from .causality import CauseSet, actual_causes, cause_set_from_hitting_sets
 from .errors import DomainError
 from .hitting import minimal_hitting_sets
-from .model import (
-    ConjunctiveQuery,
-    DenialConstraint,
-    Fact,
-    Instance,
-    dc_to_view,
-    query_to_dc,
-    witnesses,
-)
+from .model import ConjunctiveQuery, DenialConstraint, Fact, Instance, witnesses
 
 __all__ = [
     "Repair",
-    "RemovalSetClass",
     "s_repairs",
     "c_repairs",
     "removal_sets_containing",
@@ -48,45 +42,35 @@ __all__ = [
 #: The facts a repair deletes; the repair keeps the rest of the instance.
 Repair: TypeAlias = frozenset[Fact]
 
-#: Removal sets of S-repairs that contain a given tuple and stay inside
-#: the endogenous part.
-RemovalSetClass: TypeAlias = frozenset[Repair]
-
-
-def _removal_sets(
-    instance: Instance, constraints: Iterable[DenialConstraint]
-) -> frozenset[Repair]:
-    pooled: set[frozenset[Fact]] = set()
-    for constraint in constraints:
-        pooled |= witnesses(instance.facts, dc_to_view(constraint), instance.schemas)
-    return minimal_hitting_sets(pooled)
-
 
 def s_repairs(
     instance: Instance, constraints: Iterable[DenialConstraint]
 ) -> frozenset[Repair]:
     """The removal sets of all subset-maximal consistent sub-instances."""
-    return _removal_sets(instance, constraints)
+    pooled: set[frozenset[Fact]] = set()
+    for constraint in constraints:
+        pooled |= witnesses(instance.facts, constraint, instance.schemas)
+    return minimal_hitting_sets(pooled)
 
 
 def c_repairs(
     instance: Instance, constraints: Iterable[DenialConstraint]
 ) -> frozenset[Repair]:
     """The S-repairs removing the fewest facts."""
-    removals = _removal_sets(instance, constraints)
+    removals = s_repairs(instance, constraints)
     best = min(len(r) for r in removals)
     return frozenset(r for r in removals if len(r) == best)
 
 
 def removal_sets_containing(
     instance: Instance, constraint: DenialConstraint, t: Fact
-) -> RemovalSetClass:
+) -> frozenset[Repair]:
     """S-repair removal sets that contain ``t`` and consist of endogenous
     facts only; nonempty exactly when ``t`` is an actual cause of the
     constraint's violation view."""
     if t not in instance.endogenous:
         raise DomainError(f"{t} is not an endogenous fact of the instance")
-    removals = _removal_sets(instance, [constraint])
+    removals = s_repairs(instance, [constraint])
     return frozenset(r for r in removals if t in r and r <= instance.endogenous)
 
 
@@ -97,7 +81,7 @@ def causes_from_repairs(instance: Instance, query: ConjunctiveQuery) -> CauseSet
     removes it using endogenous facts only, and its responsibility is the
     reciprocal of the smallest such removal set.
     """
-    removals = _removal_sets(instance, [query_to_dc(query)])
+    removals = s_repairs(instance, [query])
     return cause_set_from_hitting_sets(removals, instance.endogenous)
 
 
@@ -125,7 +109,7 @@ def s_repairs_from_causes(
     cause whose contingency class contains X minus {t}.  A consistent
     instance has no causes and repairs to itself.
     """
-    cause_set = actual_causes(instance.all_endogenous(), dc_to_view(constraint))
+    cause_set = actual_causes(instance.all_endogenous(), constraint)
     return _repairs_from_cause_set(cause_set)
 
 
@@ -137,7 +121,7 @@ def c_repairs_from_most_responsible(
     every removed tuple must have a contingency set of size k, and the
     rest of the removal set must be one of those.  Larger contingency sets
     of a top cause belong to S-repairs that are not C-repairs."""
-    cause_set = actual_causes(instance.all_endogenous(), dc_to_view(constraint))
+    cause_set = actual_causes(instance.all_endogenous(), constraint)
     k = min((len(g) for gammas in cause_set.values() for g in gammas), default=0)
     top = {t: frozenset(g for g in gammas if len(g) == k) for t, gammas in cause_set.items()}
     return _repairs_from_cause_set({t: gammas for t, gammas in top.items() if gammas})
@@ -149,7 +133,7 @@ def consistently_true(instance: Instance, constraint: DenialConstraint, a: Fact)
     instance counts as endogenous, equivalently iff every S-repair keeps it."""
     if a not in instance.facts:
         raise DomainError(f"{a} is not a fact of the instance")
-    cause_set = actual_causes(instance.all_endogenous(), dc_to_view(constraint))
+    cause_set = actual_causes(instance.all_endogenous(), constraint)
     return a not in cause_set
 
 
@@ -161,4 +145,4 @@ def endogenous_s_repairs(
     May be empty; emptiness means no endogenous repair exists, it is not
     an error.
     """
-    return frozenset(r for r in _removal_sets(instance, constraints) if r <= instance.endogenous)
+    return frozenset(r for r in s_repairs(instance, constraints) if r <= instance.endogenous)

@@ -9,7 +9,6 @@ from causelab import (
     DomainError,
     Instance,
     actual_causes,
-    dc_to_view,
     fact,
     is_counterfactual_cause,
     minimal_contingency_sets,
@@ -35,11 +34,6 @@ RS_SCHEMAS = demo_instance().schemas
 def rs_instance(*endogenous) -> Instance:
     """An all-endogenous instance with the R/2 and S/1 schemas declared."""
     return Instance(RS_SCHEMAS, frozenset(endogenous))
-
-
-@pytest.fixture
-def v0(k0):
-    return dc_to_view(k0)
 
 
 def test_counterfactual_cause_needs_single_witness(d0, q0):
@@ -84,16 +78,16 @@ def test_single_witness_chain_query():
     assert all(responsibility_of(g) == Fraction(1) for g in causes.values())
 
 
-def test_minimal_contingency_sets_on_demo(d0, v0):
-    assert minimal_contingency_sets(d0, v0, R21) == frozenset(
+def test_minimal_contingency_sets_on_demo(d0, q0):
+    assert minimal_contingency_sets(d0, q0, R21) == frozenset(
         {frozenset({R33}), frozenset({S3})}
     )
-    assert minimal_contingency_sets(d0, v0, S2) == frozenset()
+    assert minimal_contingency_sets(d0, q0, S2) == frozenset()
 
 
-def test_counterfactual_cause_has_empty_contingency(v0):
+def test_counterfactual_cause_has_empty_contingency(q0):
     inst = Instance.infer(endogenous=[fact("R", "a", "b"), fact("S", "b")])
-    assert minimal_contingency_sets(inst, v0, fact("R", "a", "b")) == frozenset(
+    assert minimal_contingency_sets(inst, q0, fact("R", "a", "b")) == frozenset(
         {frozenset()}
     )
 
@@ -110,20 +104,20 @@ def test_responsibility_rejects_non_endogenous(d0, q0):
         responsibility(d0, q0, fact("S", "a9"))
 
 
-def test_most_responsible_on_demo(d0, v0):
-    assert most_responsible_causes(d0, v0) == frozenset({R21, R33, S1, S3})
+def test_most_responsible_on_demo(d0, q0):
+    assert most_responsible_causes(d0, q0) == frozenset({R21, R33, S1, S3})
 
 
-def test_most_responsible_on_consistent_instance(v0):
+def test_most_responsible_on_consistent_instance(q0):
     inst = rs_instance(fact("R", "a", "b"))
-    assert most_responsible_causes(inst, v0) == frozenset()
+    assert most_responsible_causes(inst, q0) == frozenset()
 
 
-def test_most_responsible_prefers_unique_witness(v0):
+def test_most_responsible_prefers_unique_witness(q0):
     inst = Instance.infer(
         endogenous=[fact("R", "a", "b"), fact("S", "b"), fact("R", "c", "d")]
     )
-    assert most_responsible_causes(inst, v0) == frozenset(
+    assert most_responsible_causes(inst, q0) == frozenset(
         {fact("R", "a", "b"), fact("S", "b")}
     )
 

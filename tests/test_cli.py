@@ -334,6 +334,30 @@ def test_check_honours_the_budget(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("verb", ["causes", "diagnose"])
+def test_recursion_limit_exits_3(tmp_path, capsys, verb):
+    # 1060 counterfactual causes: the hitting-set search recurses once per
+    # cause, past Python's default recursion limit
+    n = 1060
+    instance = tmp_path / "singletons.json"
+    instance.write_text(
+        json.dumps(
+            {
+                "schemas": [{"name": "R", "arity": 2}, {"name": "S", "arity": 1}],
+                "endogenous": [["S", f"c{i}"] for i in range(n)],
+                "exogenous": [["R", f"a{i}", f"c{i}"] for i in range(n)],
+            }
+        )
+    )
+    query = tmp_path / "q.dl"
+    query.write_text("q() :- R(X, Y), S(Y).\n")
+    code, out, err = run(capsys, verb, "-i", str(instance), "-q", str(query))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("causelab: budget exceeded: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
 def test_domain_error_exits_4(in_data_dir, capsys):
     code, _, err = run(
         capsys, "responsibility", "-i", D0, "-q", Q0, "--tuple", "S(a9)"
