@@ -35,11 +35,15 @@ def test_subsets_are_size_ordered():
 
 
 def test_hitting_empty_family_is_empty_set():
-    assert minimal_hitting_sets([]) == fsets(())
+    with Meter() as meter:
+        assert minimal_hitting_sets([]) == fsets(())
+    assert meter.used == 0
 
 
 def test_hitting_with_empty_member_is_impossible():
-    assert minimal_hitting_sets([{1}, set()]) == frozenset()
+    with Meter() as meter:
+        assert minimal_hitting_sets([{1}, set()]) == frozenset()
+    assert meter.used == 0
 
 
 def test_hitting_basic():
@@ -97,3 +101,32 @@ def test_hitting_search_charges_are_pinned():
         for w in witnesses(instance.facts, demo_query(), instance.schemas)
     ]
     assert _charged(parts) == 7
+
+
+def test_hitting_work_on_disjoint_pairs_is_pinned():
+    # one node per prefix of choices: 2^14 - 1 nodes for 2^13 leaves
+    pairs = [{2 * i, 2 * i + 1} for i in range(13)]
+    with Meter() as meter:
+        assert len(minimal_hitting_sets(pairs)) == 8192
+    assert meter.used == 16_383
+
+
+def test_hitting_work_on_a_star_is_pinned():
+    # hub 0 with six leaves: the root, {0}, and {1}, {1, 2}, ..., {1, ..., 6};
+    # adding the hub below {1} would leave 1 with no critical member, so
+    # that branch is cut before it is entered
+    star = [{0, leaf} for leaf in range(1, 7)]
+    with Meter() as meter:
+        assert minimal_hitting_sets(star) == fsets({0}, range(1, 7))
+    assert meter.used == 8
+
+
+def test_hitting_work_on_a_path_is_pinned():
+    # the path 2-0-1-3 with its middle edge as the pivot: {0, 1} is found
+    # once, below 1, because the branch of 0 (tried first) may not add 1;
+    # finding it below 0 as well would add a seventh node
+    path = [{0, 1}, {0, 2}, {1, 3}]
+    with Meter() as meter:
+        assert minimal_hitting_sets(path) == fsets({0, 1}, {0, 3}, {1, 2})
+    assert meter.used == 6
+
