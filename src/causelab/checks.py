@@ -2,6 +2,18 @@
 causality, repair, diagnosis and abduction routes over seeded random
 instances, plus exact-value checks on the built-in demo fixtures.
 
+A property maps a corpus item and a random source to ``None`` or a
+failure detail.  One that only asks two routes for the same value is an
+:func:`_agree` entry of :data:`PROPERTIES`.  One with its own logic is a
+function; it makes each comparison over every tuple or sample at once,
+as a map or a set, and reports the first comparison that fails.  Every
+comparison, the fixtures' included, goes through :func:`_differ`, which
+prints both sides in input syntax (``R(a, b)``), with facts, fact sets
+and map keys in :mod:`causelab.serialize`'s canonical order.  So a
+counterexample's text depends on the inputs alone, not on hash order.
+The work units several properties share are cached properties of
+:class:`CorpusItem`.
+
 Failures are data, not errors: each report carries serialized
 counterexamples for replay.
 """
@@ -9,10 +21,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Set
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, TypeAlias
 
 from .abduction import (
     AbductionProblem,
@@ -24,6 +38,7 @@ from .abduction import (
     relevant_hypotheses,
 )
 from .causality import (
+    CauseSet,
     actual_causes,
     is_counterfactual_cause,
     minimal_contingency_sets,
@@ -31,7 +46,13 @@ from .causality import (
     responsibility_of,
 )
 from .datalog import DatalogProgram, DatalogRule, entails, evaluate
-from .diagnosis import build_problem, causes_via_diagnosis, minimal_diagnoses
+from .diagnosis import (
+    Diagnosis,
+    build_problem,
+    causes_via_diagnosis,
+    minimal_diagnoses,
+    smallest_diagnoses_containing,
+)
 from .errors import DomainError
 from .model import (
     Atom,
@@ -42,6 +63,7 @@ from .model import (
     RelationSchema,
     Variable,
     eval_bcq,
+    fact,
     satisfies_dc,
     witnesses,
 )
@@ -56,7 +78,9 @@ from .oracles import (
     valuations_by_nested_loops,
     witnesses_by_enumeration,
 )
+from .parsing import parse_program, parse_query
 from .repairs import (
+    Repair,
     c_repairs,
     c_repairs_from_most_responsible,
     causes_from_repairs,
@@ -65,7 +89,13 @@ from .repairs import (
     s_repairs,
     s_repairs_from_causes,
 )
-from .serialize import cause_set_to_list, dumps, instance_to_dict
+from .serialize import (
+    cause_set_to_list,
+    dumps,
+    fact_key,
+    family_key,
+    instance_to_dict,
+)
 
 __all__ = [
     "CheckReport",
@@ -98,12 +128,56 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class CorpusItem:
-    """One random instance and query.  ``memo`` holds the work units the
-    properties share, so they live exactly as long as the corpus."""
+    """One random instance and query.  The work units several properties
+    share are cached properties, so they live exactly as long as the
+    corpus."""
 
     instance: Instance
     query: ConjunctiveQuery
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def causes(self) -> CauseSet:
+        return actual_causes(self.instance, self.query)
+
+    @cached_property
+    def oracle_causes(self) -> CauseSet:
+        return causes_by_enumeration(self.instance, self.query)
+
+    @cached_property
+    def witnesses(self) -> frozenset[frozenset[Fact]]:
+        # the module's model.witnesses: class attributes are not in scope here
+        return witnesses(self.instance.facts, self.query, self.instance.schemas)
+
+    @cached_property
+    def s_removals(self) -> frozenset[Repair]:
+        return s_repairs(self.instance, [self.query])
+
+    @cached_property
+    def violation_causes(self) -> CauseSet:
+        """The causes of the query read as a denial constraint's violation:
+        every fact is endogenous."""
+        return actual_causes(self.instance.all_endogenous(), self.query)
+
+    @cached_property
+    def diagnoses(self) -> frozenset[Diagnosis]:
+        return minimal_diagnoses(build_problem(self.instance, self.query))
+
+    @cached_property
+    def program(self) -> DatalogProgram:
+        """The query as the single rule ``ans() :- body``."""
+        return DatalogProgram((DatalogRule(Atom("ans", ()), self.query.atoms),))
+
+    @cached_property
+    def problem(self) -> AbductionProblem | None:
+        """The program's abduction problem for its answer atom, or None
+        when the instance does not entail it."""
+        if entails(self.program, self.instance.facts, {self.program.answer_atom()}):
+            return problem_for_instance(self.program, self.instance)
+        try:
+            problem_for_instance(self.program, self.instance)
+        except DomainError:
+            return None
+        raise AssertionError("construction accepted an unentailed observation")
 
 
 # ---------------------------------------------------------------- fixtures
@@ -112,19 +186,14 @@ def demo_instance() -> Instance:
     """Six endogenous facts over R/2 and S/1; the running demo database."""
     return Instance.infer(
         endogenous=[
-            Fact("R", ("a1", "a4")),
-            Fact("R", ("a2", "a1")),
-            Fact("R", ("a3", "a3")),
-            Fact("S", ("a1",)),
-            Fact("S", ("a2",)),
-            Fact("S", ("a3",)),
+            fact("R", "a1", "a4"), fact("R", "a2", "a1"), fact("R", "a3", "a3"),
+            fact("S", "a1"), fact("S", "a2"), fact("S", "a3"),
         ]
     )
 
 
 def demo_query() -> ConjunctiveQuery:
-    x, y = Variable("X"), Variable("Y")
-    return ConjunctiveQuery((Atom("R", (x, y)), Atom("S", (y,))))
+    return parse_query("q() :- R(X, Y), S(Y).")
 
 
 def demo_constraint() -> DenialConstraint:
@@ -132,26 +201,16 @@ def demo_constraint() -> DenialConstraint:
 
 
 def demo_program() -> DatalogProgram:
-    x, y = Variable("X"), Variable("Y")
-    return DatalogProgram(
-        (DatalogRule(Atom("ans", ()), (Atom("R", (x, y)), Atom("S", (y,)))),)
-    )
+    return parse_program("ans() :- R(X, Y), S(Y).")
 
 
 def closure_instance() -> Instance:
     """Two endogenous edges a->b->c for the recursive-closure fixture."""
-    return Instance.infer(endogenous=[Fact("E", ("a", "b")), Fact("E", ("b", "c"))])
+    return Instance.infer(endogenous=[fact("E", "a", "b"), fact("E", "b", "c")])
 
 
 def closure_program() -> DatalogProgram:
-    x, y, z = Variable("X"), Variable("Y"), Variable("Z")
-    return DatalogProgram(
-        (
-            DatalogRule(Atom("T", (x, y)), (Atom("E", (x, y)),)),
-            DatalogRule(Atom("T", (x, y)), (Atom("E", (x, z)), Atom("T", (z, y)))),
-            DatalogRule(Atom("ans", ()), (Atom("T", ("a", "c")),)),
-        )
-    )
+    return parse_program("T(X, Y) :- E(X, Y).\nT(X, Y) :- E(X, Z), T(Z, Y).\nans() :- T(a, c).")
 
 
 # ------------------------------------------------------- corpus generation
@@ -199,7 +258,8 @@ def build_corpus(seed: int, trials: int, max_size: int) -> list[CorpusItem]:
 
 
 def _random_subset(rng: random.Random, facts: frozenset[Fact]) -> frozenset[Fact]:
-    return frozenset(f for f in facts if rng.random() < 0.5)
+    # drawn in sorted order, so the sample does not depend on hash order
+    return frozenset(f for f in sorted(facts) if rng.random() < 0.5)
 
 
 def _fresh_fact(instance: Instance, rng: random.Random) -> Fact | None:
@@ -213,124 +273,111 @@ def _fresh_fact(instance: Instance, rng: random.Random) -> Fact | None:
     return None
 
 
-# ----------------------------------------------------- memoized work units
+# --------------------------------------------------------- the comparison
 
-def _per_item(compute: Callable[[Instance, ConjunctiveQuery], object]):
-    """Compute once per corpus item, memoized on the item itself."""
-
-    def get(item: CorpusItem):
-        if compute not in item.memo:
-            item.memo[compute] = compute(item.instance, item.query)
-        return item.memo[compute]
-
-    return get
+# A string: a subscripted Callable would sit in typing's cache and keep
+# this module alive after the package is imported afresh.
+Property: TypeAlias = "Callable[[CorpusItem, random.Random], str | None]"
 
 
-@_per_item
-def _fast_causes(instance: Instance, query: ConjunctiveQuery):
-    return actual_causes(instance, query)
+def _order(value: object) -> object:
+    """A member's place in serialize's canonical fact and family order."""
+    if isinstance(value, Fact):
+        return fact_key(value)
+    return family_key(value) if isinstance(value, Set) else value
 
 
-@_per_item
-def _oracle_causes(instance: Instance, query: ConjunctiveQuery):
-    return causes_by_enumeration(instance, query)
+def _render(value: object) -> str:
+    """Input-syntax text for a fact, a set or a map, members and keys in
+    canonical order; a scalar such as a Fraction or a size by ``str``."""
+    if isinstance(value, Mapping):
+        pairs = (f"{_render(k)}: {_render(value[k])}" for k in sorted(value, key=_order))
+        return "{" + ", ".join(pairs) + "}"
+    if isinstance(value, Set):
+        return "{" + ", ".join(map(_render, sorted(value, key=_order))) + "}"
+    return str(value)
 
 
-@_per_item
-def _fast_witnesses(instance: Instance, query: ConjunctiveQuery):
-    return witnesses(instance.facts, query, instance.schemas)
+def _differ(what: str, fast: object, slow: object) -> str | None:
+    """None when both sides are equal, else a detail rendering both."""
+    if fast == slow:
+        return None
+    return f"{what}: {_render(fast)} != {_render(slow)}"
 
 
-@_per_item
-def _fast_s_removals(instance: Instance, query: ConjunctiveQuery):
-    return s_repairs(instance, [query])
+def _agree(
+    what: str, fast: Callable[[CorpusItem], object], slow: Callable[[CorpusItem], object]
+) -> Property:
+    """The property that two routes give the same value."""
+    return lambda item, rng: _differ(what, fast(item), slow(item))
 
 
-@_per_item
-def _violation_causes(instance: Instance, query: ConjunctiveQuery):
-    return actual_causes(instance.all_endogenous(), query)
+def _needs_problem(check: Property) -> Property:
+    """Skip the items whose instance does not entail the program's answer."""
+    return lambda item, rng: None if item.problem is None else check(item, rng)
 
 
-@_per_item
-def _fast_diagnoses(instance: Instance, query: ConjunctiveQuery):
-    return minimal_diagnoses(build_problem(instance, query))
+def _endogenous_removals(item: CorpusItem) -> frozenset[Repair]:
+    return frozenset(r for r in item.s_removals if r <= item.instance.endogenous)
 
 
-def _single_rule_program(query: ConjunctiveQuery) -> DatalogProgram:
-    return DatalogProgram((DatalogRule(Atom("ans", ()), query.atoms),))
-
-
-def _sorted_strs(values: Iterable) -> list[str]:
-    return sorted(str(v) for v in values)
+def _cause_rho(item: CorpusItem, t: Fact) -> Fraction:
+    return responsibility_of(item.causes.get(t, ()))
 
 
 # ----------------------------------------------------------- the properties
 
-def _prop_witnesses_match_enumeration(item: CorpusItem, rng: random.Random) -> str | None:
-    fast = _fast_witnesses(item)
-    slow = witnesses_by_enumeration(item.instance.facts, item.query)
-    if fast != slow:
-        return f"witnesses differ: fast={_sorted_strs(map(set, fast))} slow={_sorted_strs(map(set, slow))}"
-    return None
+def _nested_loop_match(facts: frozenset[Fact], query: ConjunctiveQuery) -> bool:
+    return next(valuations_by_nested_loops(facts, query.atoms), None) is not None
 
 
 def _prop_constraint_duality(item: CorpusItem, rng: random.Random) -> str | None:
     # the nested-loop join shares no code with satisfies_dc's join engine
-    samples = [item.instance.facts] + [
-        _random_subset(rng, item.instance.facts) for _ in range(2)
-    ]
-    for sample in samples:
-        violated = next(valuations_by_nested_loops(sample, item.query.atoms), None) is not None
-        if satisfies_dc(sample, item.query) == violated:
-            return f"duality violated on subset {_sorted_strs(sample)}"
-    return None
+    facts, q = item.instance.facts, item.query
+    samples = [facts, _random_subset(rng, facts), _random_subset(rng, facts)]
+    return _differ(
+        "subsets where satisfies_dc and the nested-loop join disagree",
+        {s for s in samples if satisfies_dc(s, q) == _nested_loop_match(s, q)},
+        set(),
+    )
 
 
 def _prop_eval_monotone(item: CorpusItem, rng: random.Random) -> str | None:
+    pairs = []
     for _ in range(3):
         bigger = _random_subset(rng, item.instance.facts)
-        smaller = _random_subset(rng, bigger)
-        if eval_bcq(smaller, item.query) and not eval_bcq(bigger, item.query):
-            return f"evaluation is not monotone between {_sorted_strs(smaller)} and {_sorted_strs(bigger)}"
-    return None
+        pairs.append((_random_subset(rng, bigger), bigger))
+    return _differ(
+        "subsets where the query holds, each with a superset where it does not",
+        {s: b for s, b in pairs if eval_bcq(s, item.query) and not eval_bcq(b, item.query)},
+        {},
+    )
 
 
 def _prop_eval_iff_witnesses(item: CorpusItem, rng: random.Random) -> str | None:
-    for sample in (item.instance.facts, _random_subset(rng, item.instance.facts)):
-        holds = eval_bcq(sample, item.query)
-        has_witness = bool(witnesses(sample, item.query))
-        if holds != has_witness:
-            return f"eval={holds} but witnesses nonempty={has_witness}"
-    return None
-
-
-def _prop_causes_match_enumeration(item: CorpusItem, rng: random.Random) -> str | None:
-    fast = _fast_causes(item)
-    slow = _oracle_causes(item)
-    if fast != slow:
-        return f"cause sets differ: fast={_sorted_strs(fast)} slow={_sorted_strs(slow)}"
-    return None
+    samples = [item.instance.facts, _random_subset(rng, item.instance.facts)]
+    return _differ(
+        "subsets where evaluation and witness existence disagree",
+        {s for s in samples if eval_bcq(s, item.query) != bool(witnesses(s, item.query))},
+        set(),
+    )
 
 
 def _prop_engines_agree(item: CorpusItem, rng: random.Random) -> str | None:
-    oracle = _oracle_causes(item)
-    for t in sorted(item.instance.endogenous):
-        if minimal_contingency_sets(item.instance, item.query, t) != oracle.get(t, frozenset()):
-            return f"minimal contingency sets of {t} differ from the enumeration oracle's"
-    return None
+    endo = item.instance.endogenous
+    return _differ(
+        "minimal contingency sets vs enumeration",
+        {t: minimal_contingency_sets(item.instance, item.query, t) for t in endo},
+        {t: item.oracle_causes.get(t, frozenset()) for t in endo},
+    )
 
 
 def _prop_endogenous_insertion_monotone(item: CorpusItem, rng: random.Random) -> str | None:
     extra = _fresh_fact(item.instance, rng)
     if extra is None:
         return None
-    before = _fast_causes(item).keys()
-    grown = item.instance.with_endogenous(extra)
-    after = actual_causes(grown, item.query).keys()
-    if not before <= after:
-        lost = _sorted_strs(before - after)
-        return f"adding endogenous {extra} removed causes {lost}"
-    return None
+    after = actual_causes(item.instance.with_endogenous(extra), item.query).keys()
+    return _differ(f"causes lost by adding endogenous {extra}", item.causes.keys() - after, set())
 
 
 def _prop_exogenous_relabel_antimonotone(item: CorpusItem, rng: random.Random) -> str | None:
@@ -340,293 +387,211 @@ def _prop_exogenous_relabel_antimonotone(item: CorpusItem, rng: random.Random) -
     if not item.instance.endogenous:
         return None
     moved = rng.choice(sorted(item.instance.endogenous))
-    before = _fast_causes(item).keys()
     relabelled = Instance(
         item.instance.schemas,
         item.instance.endogenous - {moved},
         item.instance.exogenous | {moved},
     )
     after = actual_causes(relabelled, item.query).keys()
-    if not after <= before:
-        gained = _sorted_strs(after - before)
-        return f"relabelling {moved} as exogenous introduced causes {gained}"
-    return None
+    gained = after - item.causes.keys()
+    return _differ(f"causes gained by relabelling {moved} exogenous", gained, set())
 
 
 def _prop_responsibility_boundaries(item: CorpusItem, rng: random.Random) -> str | None:
-    cause_set = _fast_causes(item)
-    for t in sorted(item.instance.endogenous):
-        rho = responsibility(item.instance, item.query, t)
-        if (rho > 0) != (t in cause_set):
-            return f"rho({t})={rho} disagrees with cause membership"
-        if (rho == 1) != is_counterfactual_cause(item.instance, item.query, t):
-            return f"rho({t})={rho} disagrees with the counterfactual test"
-        if rho != responsibility_of(cause_set.get(t, ())):
-            return f"standalone and cause-set responsibilities differ for {t}"
-    return None
-
-
-def _prop_removals_match_enumeration(item: CorpusItem, rng: random.Random) -> str | None:
-    fast = _fast_s_removals(item)
-    slow = s_repair_removals_by_enumeration(item.instance, [item.query])
-    if fast != slow:
-        return f"repair removal sets differ: fast={_sorted_strs(map(set, fast))} slow={_sorted_strs(map(set, slow))}"
-    return None
-
-
-def _prop_causes_from_repairs_agree(item: CorpusItem, rng: random.Random) -> str | None:
-    direct = _fast_causes(item)
-    via_repairs = causes_from_repairs(item.instance, item.query)
-    if direct != via_repairs:
-        return "cause set via repairs differs from the direct computation"
-    return None
+    endo = item.instance.endogenous
+    rho = {t: responsibility(item.instance, item.query, t) for t in endo}
+    return (
+        _differ("rho > 0 vs cause membership", {t: r > 0 for t, r in rho.items()},
+                {t: t in item.causes for t in endo})
+        or _differ("rho = 1 vs the counterfactual test", {t: r == 1 for t, r in rho.items()},
+                   {t: is_counterfactual_cause(item.instance, item.query, t) for t in endo})
+        or _differ("rho vs the cause set's", rho, {t: _cause_rho(item, t) for t in endo})
+    )
 
 
 def _prop_s_repairs_rebuilt(item: CorpusItem, rng: random.Random) -> str | None:
-    direct = _fast_s_removals(item)
     rebuilt = s_repairs_from_causes(item.instance, item.query)
-    if direct != rebuilt:
-        return f"rebuilt s-repairs differ: direct={_sorted_strs(map(set, direct))} rebuilt={_sorted_strs(map(set, rebuilt))}"
-    consistent = direct == frozenset({frozenset()})
-    no_causes = not _violation_causes(item)
-    if consistent != no_causes:
-        return "consistency does not match emptiness of the violation-view cause set"
-    return None
-
-
-def _prop_c_repairs_rebuilt(item: CorpusItem, rng: random.Random) -> str | None:
-    direct = c_repairs(item.instance, [item.query])
-    rebuilt = c_repairs_from_most_responsible(item.instance, item.query)
-    if direct != rebuilt:
-        return f"rebuilt c-repairs differ: direct={_sorted_strs(map(set, direct))} rebuilt={_sorted_strs(map(set, rebuilt))}"
-    return None
+    return _differ("s-repairs vs rebuilt from causes", item.s_removals, rebuilt) or _differ(
+        "consistent vs no violation-view causes",
+        item.s_removals == {frozenset()},
+        not item.violation_causes,
+    )
 
 
 def _prop_cqa_matches_repair_intersection(item: CorpusItem, rng: random.Random) -> str | None:
-    removals = _fast_s_removals(item)
-    causes = _violation_causes(item)
-    for a in sorted(item.instance.facts):
-        via_causes = a not in causes
-        in_all = all(a not in r for r in removals)
-        if via_causes != in_all:
-            return f"consistent answer for {a}: via causes {via_causes}, via repairs {in_all}"
-    if item.instance.facts:
-        a = rng.choice(sorted(item.instance.facts))
-        if consistently_true(item.instance, item.query, a) != (a not in causes):
-            return f"consistently_true({a}) disagrees with the violation-view causes"
-    return None
+    facts, causes = item.instance.facts, item.violation_causes
+    picked = [rng.choice(sorted(facts))] if facts else []
+    return _differ(
+        "consistently true via causes vs via repairs",
+        {a: a not in causes for a in facts},
+        {a: all(a not in r for r in item.s_removals) for a in facts},
+    ) or _differ(
+        "consistently_true vs the violation-view causes",
+        {a: consistently_true(item.instance, item.query, a) for a in picked},
+        {a: a not in causes for a in picked},
+    )
 
 
 def _prop_c_repairs_within_s(item: CorpusItem, rng: random.Random) -> str | None:
-    s_removals = _fast_s_removals(item)
     c_removals = c_repairs(item.instance, [item.query])
-    if not c_removals <= s_removals:
-        return "a cardinality repair is not a subset repair"
-    if len({len(r) for r in c_removals}) != 1:
-        return "cardinality repair removal sets differ in size"
-    return None
-
-
-def _prop_endogenous_repairs_filter(item: CorpusItem, rng: random.Random) -> str | None:
-    endo_only = endogenous_s_repairs(item.instance, [item.query])
-    expected = {r for r in _fast_s_removals(item) if r <= item.instance.endogenous}
-    if endo_only != expected:
-        return "endogenous-only repairs are not the endogenous-removal subset"
-    return None
-
-
-def _prop_diagnoses_match_enumeration(item: CorpusItem, rng: random.Random) -> str | None:
-    problem = build_problem(item.instance, item.query)
-    fast = _fast_diagnoses(item)
-    slow = diagnoses_by_enumeration(problem)
-    if fast != slow:
-        return f"diagnoses differ: fast={_sorted_strs(map(set, fast))} slow={_sorted_strs(map(set, slow))}"
-    return None
+    outside = c_removals - item.s_removals
+    return _differ("c-repairs that are not s-repairs", outside, set()) or _differ(
+        "distinct c-repair sizes", len({len(r) for r in c_removals}), 1
+    )
 
 
 def _prop_diagnosis_causes_agree(item: CorpusItem, rng: random.Random) -> str | None:
     problem = build_problem(item.instance, item.query)
-    via_diagnosis = causes_via_diagnosis(problem)
-    direct = _fast_causes(item)
-    if via_diagnosis != direct:
-        return "cause set via diagnosis differs from the direct computation"
-    from .diagnosis import smallest_diagnoses_containing
+    endo = item.instance.endogenous
 
-    for t in sorted(item.instance.endogenous):
-        rho = responsibility_of(direct.get(t, ()))
+    def by_smallest_diagnosis(t: Fact) -> Fraction:
         smallest = smallest_diagnoses_containing(problem, t)
-        if (rho == 0) != (not smallest):
-            return f"rho({t})={rho} disagrees with smallest-diagnosis emptiness"
-        if smallest and rho != Fraction(1, min(len(d) for d in smallest)):
-            return f"rho({t})={rho} does not match the smallest diagnosis size"
-    return None
+        return Fraction(1, min(map(len, smallest))) if smallest else Fraction(0)
+
+    via_diagnosis = causes_via_diagnosis(problem)
+    return _differ("causes via diagnosis vs direct", via_diagnosis, item.causes) or _differ(
+        "rho vs 1/size of the smallest diagnoses containing it",
+        {t: _cause_rho(item, t) for t in endo},
+        {t: by_smallest_diagnosis(t) for t in endo},
+    )
 
 
-def _prop_diagnosis_repair_bridge(item: CorpusItem, rng: random.Random) -> str | None:
-    removals = _fast_s_removals(item)
-    endogenous_removals = frozenset(r for r in removals if r <= item.instance.endogenous)
-    diagnoses = _fast_diagnoses(item)
-    if diagnoses != endogenous_removals:
-        return "diagnoses are not the endogenous repair removal sets"
-    return None
+@cache
+def _reach_program(base: str) -> DatalogProgram:
+    """The transitive closure of a binary relation, asking for a cycle."""
+    return parse_program(
+        f"reach(X, Y) :- {base}(X, Y).\nreach(X, Y) :- {base}(X, Z), reach(Z, Y).\n"
+        "ans() :- reach(X, X)."
+    )
 
 
 def _prop_seminaive_matches_naive(item: CorpusItem, rng: random.Random) -> str | None:
-    programs = [_single_rule_program(item.query)]
     binary = sorted(s.name for s in item.instance.schemas if s.arity == 2)
-    if binary:
-        x, y, z = Variable("X"), Variable("Y"), Variable("Z")
-        base = binary[0]
-        programs.append(
-            DatalogProgram(
-                (
-                    DatalogRule(Atom("reach", (x, y)), (Atom(base, (x, y)),)),
-                    DatalogRule(
-                        Atom("reach", (x, y)), (Atom(base, (x, z)), Atom("reach", (z, y)))
-                    ),
-                    DatalogRule(Atom("ans", ()), (Atom("reach", (x, x)),)),
-                )
-            )
-        )
-    for program in programs:
-        if evaluate(program, item.instance.facts) != naive_datalog_model(
-            program, item.instance.facts
-        ):
-            return f"semi-naive and naive models differ for program: {program}"
-    return None
+    programs = [item.program] + [_reach_program(name) for name in binary[:1]]
+    facts = item.instance.facts
+    return _differ(
+        "semi-naive vs naive models",
+        {str(p): evaluate(p, facts) for p in programs},
+        {str(p): naive_datalog_model(p, facts) for p in programs},
+    )
 
 
 def _prop_entailment_monotone(item: CorpusItem, rng: random.Random) -> str | None:
-    program = _single_rule_program(item.query)
-    bigger = item.instance.facts
-    smaller = _random_subset(rng, bigger)
-    if not evaluate(program, smaller) <= evaluate(program, bigger):
-        return "the model of a subset is not contained in the model of the superset"
-    return None
-
-
-@_per_item
-def _canonical_problem(instance: Instance, query: ConjunctiveQuery) -> AbductionProblem | None:
-    program = _single_rule_program(query)
-    if not entails(program, instance.facts, {program.answer_atom()}):
-        try:
-            problem_for_instance(program, instance)
-        except DomainError:
-            return None
-        raise AssertionError("construction accepted an unentailed observation")
-    return problem_for_instance(program, instance)
-
-
-def _prop_solutions_match_enumeration(item: CorpusItem, rng: random.Random) -> str | None:
-    problem = _canonical_problem(item)
-    if problem is None:
-        return None
-    fast = abductive_solutions(problem)
-    slow = solutions_by_enumeration(problem)
-    if fast != slow:
-        return f"solutions differ: fast={_sorted_strs(map(set, fast))} slow={_sorted_strs(map(set, slow))}"
-    return None
+    smaller = _random_subset(rng, item.instance.facts)
+    return _differ(
+        f"facts in the model of {_render(smaller)} but not of the whole instance",
+        evaluate(item.program, smaller) - evaluate(item.program, item.instance.facts),
+        set(),
+    )
 
 
 def _prop_solutions_valid_and_minimal(item: CorpusItem, rng: random.Random) -> str | None:
-    problem = _canonical_problem(item)
-    if problem is None:
-        return None
-    for delta in abductive_solutions(problem):
-        if not entails(problem.program, problem.edb | delta, problem.obs):
-            return f"solution {_sorted_strs(delta)} does not entail the observations"
-        for h in delta:
-            if entails(problem.program, problem.edb | (delta - {h}), problem.obs):
-                return f"solution {_sorted_strs(delta)} is not minimal at {h}"
-    return None
-
-
-def _prop_necessary_match_enumeration(item: CorpusItem, rng: random.Random) -> str | None:
-    problem = _canonical_problem(item)
-    if problem is None:
-        return None
-    fast = necessary_sets(problem)
-    slow = necessary_sets_by_enumeration(problem)
-    if fast != slow:
-        return f"necessary sets differ: fast={_sorted_strs(map(set, fast))} slow={_sorted_strs(map(set, slow))}"
-    return None
-
-
-def _prop_necessary_equal_diagnoses(item: CorpusItem, rng: random.Random) -> str | None:
-    problem = _canonical_problem(item)
-    if problem is None:
-        return None
-    diagnoses = _fast_diagnoses(item)
-    if necessary_sets(problem) != diagnoses:
-        return "necessary hypothesis sets differ from the minimal diagnoses"
-    return None
+    p = item.problem
+    solutions = abductive_solutions(p)
+    return _differ(
+        "solutions not entailing the observations",
+        {d for d in solutions if not entails(p.program, p.edb | d, p.obs)},
+        set(),
+    ) or _differ(
+        "solutions still entailing them less one fact",
+        {d for d in solutions if any(entails(p.program, p.edb | (d - {h}), p.obs) for h in d)},
+        set(),
+    )
 
 
 def _prop_relevant_equal_causes(item: CorpusItem, rng: random.Random) -> str | None:
-    program = _single_rule_program(item.query)
-    causes = datalog_actual_causes(program, item.instance)
-    problem = _canonical_problem(item)
-    relevant = (
-        frozenset() if problem is None else relevant_hypotheses(problem)
+    causes = datalog_actual_causes(item.program, item.instance)
+    relevant = frozenset() if item.problem is None else relevant_hypotheses(item.problem)
+    return _differ("program causes vs relevant hypotheses", causes, relevant) or _differ(
+        "program causes vs enumeration",
+        causes,
+        datalog_causes_by_enumeration(item.program, item.instance),
     )
-    if causes != relevant:
-        return f"relevant hypotheses {_sorted_strs(relevant)} differ from causes {_sorted_strs(causes)}"
-    oracle = datalog_causes_by_enumeration(program, item.instance)
-    if causes != oracle:
-        return f"program causes {_sorted_strs(causes)} differ from the oracle's {_sorted_strs(oracle)}"
-    return None
 
 
 def _prop_responsibility_matches_bcq(item: CorpusItem, rng: random.Random) -> str | None:
-    program = _single_rule_program(item.query)
-    for t in sorted(item.instance.endogenous):
-        via_program = datalog_responsibility(program, item.instance, t)
-        via_query = responsibility(item.instance, item.query, t)
-        if via_program != via_query:
-            return f"responsibilities differ for {t}: program {via_program}, query {via_query}"
-    return None
+    endo = item.instance.endogenous
+    return _differ(
+        "responsibility via the program vs via the query",
+        {t: datalog_responsibility(item.program, item.instance, t) for t in endo},
+        {t: responsibility(item.instance, item.query, t) for t in endo},
+    )
 
 
-PROPERTIES: dict[str, Callable[[CorpusItem, random.Random], str | None]] = {
-    "core.witnesses-match-enumeration": _prop_witnesses_match_enumeration,
+PROPERTIES: dict[str, Property] = {
+    "core.witnesses-match-enumeration": _agree(
+        "witnesses vs enumeration",
+        lambda i: i.witnesses,
+        lambda i: witnesses_by_enumeration(i.instance.facts, i.query),
+    ),
     "core.constraint-duality": _prop_constraint_duality,
     "core.eval-monotone": _prop_eval_monotone,
     "core.eval-iff-witnesses": _prop_eval_iff_witnesses,
-    "causality.causes-match-enumeration": _prop_causes_match_enumeration,
+    "causality.causes-match-enumeration": _agree(
+        "causes vs enumeration", lambda i: i.causes, lambda i: i.oracle_causes
+    ),
     "causality.engines-agree": _prop_engines_agree,
     "causality.endogenous-insertion-monotone": _prop_endogenous_insertion_monotone,
     "causality.exogenous-insertion-antimonotone": _prop_exogenous_relabel_antimonotone,
     "causality.responsibility-boundaries": _prop_responsibility_boundaries,
-    "repairs.removals-match-enumeration": _prop_removals_match_enumeration,
-    "repairs.causes-from-repairs-agree": _prop_causes_from_repairs_agree,
+    "repairs.removals-match-enumeration": _agree(
+        "s-repair removal sets vs enumeration",
+        lambda i: i.s_removals,
+        lambda i: s_repair_removals_by_enumeration(i.instance, [i.query]),
+    ),
+    "repairs.causes-from-repairs-agree": _agree(
+        "causes vs via repairs",
+        lambda i: i.causes,
+        lambda i: causes_from_repairs(i.instance, i.query),
+    ),
     "repairs.s-repairs-rebuilt-from-causes": _prop_s_repairs_rebuilt,
-    "repairs.c-repairs-rebuilt-from-top-causes": _prop_c_repairs_rebuilt,
+    "repairs.c-repairs-rebuilt-from-top-causes": _agree(
+        "c-repairs vs rebuilt from the most responsible causes",
+        lambda i: c_repairs(i.instance, [i.query]),
+        lambda i: c_repairs_from_most_responsible(i.instance, i.query),
+    ),
     "repairs.cqa-matches-repair-intersection": _prop_cqa_matches_repair_intersection,
     "repairs.c-repairs-within-s": _prop_c_repairs_within_s,
-    "repairs.endogenous-only-filter": _prop_endogenous_repairs_filter,
-    "diagnosis.matches-enumeration": _prop_diagnoses_match_enumeration,
+    "repairs.endogenous-only-filter": _agree(
+        "endogenous-only s-repairs vs the s-repairs removing only endogenous facts",
+        lambda i: endogenous_s_repairs(i.instance, [i.query]),
+        _endogenous_removals,
+    ),
+    "diagnosis.matches-enumeration": _agree(
+        "diagnoses vs enumeration",
+        lambda i: i.diagnoses,
+        lambda i: diagnoses_by_enumeration(build_problem(i.instance, i.query)),
+    ),
     "diagnosis.causes-agree": _prop_diagnosis_causes_agree,
-    "diagnosis.repair-bridge": _prop_diagnosis_repair_bridge,
+    "diagnosis.repair-bridge": _agree(
+        "diagnoses vs the s-repairs removing only endogenous facts",
+        lambda i: i.diagnoses,
+        _endogenous_removals,
+    ),
     "datalog.seminaive-matches-naive": _prop_seminaive_matches_naive,
     "datalog.entailment-monotone": _prop_entailment_monotone,
-    "datalog.solutions-match-enumeration": _prop_solutions_match_enumeration,
-    "datalog.solutions-valid-and-minimal": _prop_solutions_valid_and_minimal,
-    "datalog.necessary-sets-match-enumeration": _prop_necessary_match_enumeration,
-    "datalog.necessary-sets-equal-diagnoses": _prop_necessary_equal_diagnoses,
+    "datalog.solutions-match-enumeration": _needs_problem(_agree(
+        "solutions vs enumeration",
+        lambda i: abductive_solutions(i.problem),
+        lambda i: solutions_by_enumeration(i.problem),
+    )),
+    "datalog.solutions-valid-and-minimal": _needs_problem(_prop_solutions_valid_and_minimal),
+    "datalog.necessary-sets-match-enumeration": _needs_problem(_agree(
+        "necessary sets vs enumeration",
+        lambda i: necessary_sets(i.problem),
+        lambda i: necessary_sets_by_enumeration(i.problem),
+    )),
+    "datalog.necessary-sets-equal-diagnoses": _needs_problem(_agree(
+        "necessary sets vs diagnoses", lambda i: necessary_sets(i.problem), lambda i: i.diagnoses
+    )),
     "datalog.relevant-equal-causes": _prop_relevant_equal_causes,
     "datalog.responsibility-matches-bcq": _prop_responsibility_matches_bcq,
 }
 
 
 def _describe_failure(item: CorpusItem, detail: str) -> str:
-    return json.dumps(
-        {
-            "instance": instance_to_dict(item.instance),
-            "query": str(item.query),
-            "detail": detail,
-        },
-        sort_keys=True,
-    )
+    record = {"instance": instance_to_dict(item.instance), "query": str(item.query)}
+    return json.dumps({**record, "detail": detail}, sort_keys=True)
 
 
 def cross_check(seed: int = 1, trials: int = 200, max_size: int = 7) -> list[CheckReport]:
@@ -650,42 +615,35 @@ def cross_check(seed: int = 1, trials: int = 200, max_size: int = 7) -> list[Che
 
 # ------------------------------------------------------------ fixture mode
 
-def _fset(*facts: Fact) -> frozenset[Fact]:
-    return frozenset(facts)
+def _family(*sets: set[Fact]) -> frozenset[frozenset[Fact]]:
+    return frozenset(map(frozenset, sets))
+
+
+def _failures(*details: str | None) -> list[str]:
+    return [d for d in details if d is not None]
 
 
 def _fixture_demo_values() -> list[str]:
-    failures = []
     instance = demo_instance()
-    query = demo_query()
-    r21 = Fact("R", ("a2", "a1"))
-    r33 = Fact("R", ("a3", "a3"))
-    s1 = Fact("S", ("a1",))
-    s3 = Fact("S", ("a3",))
-
-    expected_solutions = frozenset({_fset(s1, r21), _fset(s3, r33)})
+    r21, r33 = fact("R", "a2", "a1"), fact("R", "a3", "a3")
+    s1, s3 = fact("S", "a1"), fact("S", "a3")
     problem = problem_for_instance(demo_program(), instance)
-    solutions = abductive_solutions(problem)
-    if solutions != expected_solutions:
-        failures.append(f"solutions: {_sorted_strs(map(set, solutions))}")
-
-    cause_set = actual_causes(instance, query)
-    if cause_set.keys() != _fset(r21, r33, s1, s3):
-        failures.append(f"causes: {_sorted_strs(cause_set)}")
-    if any(responsibility_of(g) != Fraction(1, 2) for g in cause_set.values()):
-        failures.append("responsibilities are not uniformly 1/2")
-
-    necessary = necessary_sets(problem)
-    if {len(n) for n in necessary} != {2}:
-        failures.append(f"necessary set sizes: {sorted(len(n) for n in necessary)}")
-
-    expected_removals = frozenset(
-        {_fset(r21, r33), _fset(r21, s3), _fset(s1, r33), _fset(s1, s3)}
+    cause_set = actual_causes(instance, demo_query())
+    return _failures(
+        _differ("solutions", abductive_solutions(problem), _family({s1, r21}, {s3, r33})),
+        _differ("causes", cause_set.keys(), {r21, r33, s1, s3}),
+        _differ(
+            "responsibilities other than 1/2",
+            {responsibility_of(g) for g in cause_set.values()} - {Fraction(1, 2)},
+            set(),
+        ),
+        _differ("necessary set sizes", {len(n) for n in necessary_sets(problem)}, {2}),
+        _differ(
+            "repair removals",
+            s_repairs(instance, [demo_constraint()]),
+            _family({r21, r33}, {r21, s3}, {s1, r33}, {s1, s3}),
+        ),
     )
-    removals = s_repairs(instance, [demo_constraint()])
-    if removals != expected_removals:
-        failures.append(f"repair removals: {_sorted_strs(map(set, removals))}")
-    return failures
 
 
 def _fixture_demo_route_agreement() -> list[str]:
@@ -693,43 +651,33 @@ def _fixture_demo_route_agreement() -> list[str]:
     query = demo_query()
     direct = dumps(cause_set_to_list(actual_causes(instance, query)))
     via_repairs = dumps(cause_set_to_list(causes_from_repairs(instance, query)))
-    via_diagnosis = dumps(
-        cause_set_to_list(causes_via_diagnosis(build_problem(instance, query)))
+    via_diagnosis = dumps(cause_set_to_list(causes_via_diagnosis(build_problem(instance, query))))
+    return _failures(
+        _differ("serialized causes, direct vs via repairs", direct, via_repairs),
+        _differ("serialized causes, direct vs via diagnosis", direct, via_diagnosis),
     )
-    failures = []
-    if direct != via_repairs:
-        failures.append("repair-route serialization differs from the direct one")
-    if direct != via_diagnosis:
-        failures.append("diagnosis-route serialization differs from the direct one")
-    return failures
 
 
 def _fixture_closure_values() -> list[str]:
-    failures = []
     instance = closure_instance()
     program = closure_program()
-    eab = Fact("E", ("a", "b"))
-    ebc = Fact("E", ("b", "c"))
-
+    eab, ebc = fact("E", "a", "b"), fact("E", "b", "c")
     model = evaluate(program, instance.facts)
-    derived = model - instance.facts
-    expected_derived = frozenset(
-        {Fact("T", ("a", "b")), Fact("T", ("b", "c")), Fact("T", ("a", "c")), Fact("ans", ())}
-    )
-    if derived != expected_derived:
-        failures.append(f"derived atoms: {_sorted_strs(derived)}")
-
     problem = problem_for_instance(program, instance)
-    if abductive_solutions(problem) != frozenset({_fset(eab, ebc)}):
-        failures.append("solutions are not the single edge pair")
-    if necessary_sets(problem) != frozenset({_fset(eab), _fset(ebc)}):
-        failures.append("necessary sets are not the single edges")
-    if datalog_actual_causes(program, instance) != _fset(eab, ebc):
-        failures.append("causes are not the two edges")
-    for edge in (eab, ebc):
-        if datalog_responsibility(program, instance, edge) != Fraction(1):
-            failures.append(f"responsibility of {edge} is not 1")
-    return failures
+    return _failures(
+        _differ(
+            "derived atoms",
+            model - instance.facts,
+            {fact("T", "a", "b"), fact("T", "b", "c"), fact("T", "a", "c"), fact("ans")},
+        ),
+        _differ("solutions", abductive_solutions(problem), _family({eab, ebc})),
+        _differ("necessary sets", necessary_sets(problem), _family({eab}, {ebc})),
+        _differ("causes", datalog_actual_causes(program, instance), {eab, ebc}),
+        *(
+            _differ(f"responsibility of {edge}", datalog_responsibility(program, instance, edge), 1)
+            for edge in (eab, ebc)
+        ),
+    )
 
 
 def fixture_checks() -> list[CheckReport]:

@@ -21,6 +21,7 @@ from .diagnosis import build_problem, minimal_diagnoses
 from .errors import BudgetError, DomainError, ParseError, SchemaError
 from .hitting import minimal_hitting_sets
 from .model import Instance, eval_bcq
+from .oracles import LATTICE_CAP
 from .parsing import (
     parse_denial_constraints,
     parse_ground_atom,
@@ -124,9 +125,10 @@ def _facts_table(rows: list[list[str]]) -> str:
 
 
 def _fact_sets(family: list[list[list[str]]]) -> str:
-    """Set notation for a family of fact sets, each fact in input syntax."""
+    """Set notation for a family of fact sets, each fact in input syntax:
+    ``{}`` is the empty set and ``none`` the empty family."""
     sets = ("{" + ", ".join(str(fact_from_list(f)) for f in fs) + "}" for fs in family)
-    return "; ".join(sets) or "{}"
+    return "; ".join(sets) or "none"
 
 
 def _cmd_causes(args: argparse.Namespace) -> dict[str, Any]:
@@ -309,6 +311,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.verb == "check" and min(args.trials, args.max_size) < 0:
             raise ValueError("--trials and --max-size must not be negative")
+        if args.verb == "check" and args.max_size > LATTICE_CAP:
+            raise ValueError(
+                f"--max-size must be at most {LATTICE_CAP}, the brute-force oracles' cap"
+            )
         if args.verb == "repairs" and args.endogenous_only and args.semantics != "s":
             raise ValueError("--endogenous-only applies to the s semantics only")
         budget = budget_from_env(args.budget)

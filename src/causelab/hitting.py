@@ -1,5 +1,4 @@
-"""Set-family utilities: antichains, subset enumeration and minimal
-hitting sets.
+"""Set-family utilities: antichains and minimal hitting sets.
 
 The hitting-set enumeration is the workhorse behind repairs, diagnoses,
 contingency sets and necessary hypothesis sets.  Elements must be
@@ -31,8 +30,7 @@ to 1,060 counterfactual causes is 72 MB of JSON.
 """
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Hashable, Iterable, Iterator, TypeVar
+from typing import Hashable, Iterable, TypeVar
 
 from .budget import current_meter
 
@@ -74,14 +72,6 @@ def _antichain(sets: Iterable[Iterable[T]], reverse: bool) -> frozenset[frozense
         if not any(map(cand.issubset if reverse else cand.issuperset, settled)):
             level.append(cand)
     return frozenset(settled + level)
-
-
-def subsets_of(items: Iterable[T]) -> Iterator[frozenset[T]]:
-    """All subsets of ``items``, smallest first, deterministic within a size."""
-    pool = sorted(set(items))
-    for size in range(len(pool) + 1):
-        for combo in combinations(pool, size):
-            yield frozenset(combo)
 
 
 def minimal_hitting_sets(family: Iterable[Iterable[T]]) -> frozenset[frozenset[T]]:

@@ -9,13 +9,14 @@ nested-loop join below.  They only make sense at small sizes.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Hashable, Iterable, Iterator, TypeVar
 
 from .abduction import AbductionProblem
 from .causality import ContingencySet
 from .diagnosis import DiagnosisProblem
 from .errors import BudgetError
-from .hitting import maximize_family, minimize_family, subsets_of
+from .hitting import maximize_family, minimize_family
 from .model import (
     Atom,
     ConjunctiveQuery,
@@ -37,9 +38,20 @@ HITTING_CAP = 20
 ABDUCIBLE_CAP = 16
 
 
+T = TypeVar("T", bound=Hashable)
+
+
 def _guard(n: int, cap: int, what: str) -> None:
     if n > cap:
         raise BudgetError(f"{what} oracle is capped at {cap} facts, got {n}", budget=cap)
+
+
+def subsets_of(items: Iterable[T]) -> Iterator[frozenset[T]]:
+    """All subsets of ``items``, smallest first, deterministic within a size."""
+    pool = sorted(set(items))
+    for size in range(len(pool) + 1):
+        for combo in combinations(pool, size):
+            yield frozenset(combo)
 
 
 def valuations_by_nested_loops(

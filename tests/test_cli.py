@@ -10,6 +10,7 @@ import pytest
 
 from causelab import datalog
 from causelab.cli import main
+from causelab.oracles import LATTICE_CAP
 
 D0 = "d0.json"
 Q0 = "q0.dl"
@@ -154,18 +155,48 @@ def test_check_small_corpus(in_data_dir, capsys):
     assert all(not r["failures"] for r in payload["reports"])
 
 
-@pytest.mark.parametrize("flag", ["--trials", "--max-size"])
-def test_negative_check_arguments_exit_1(capsys, flag):
-    code, out, err = run(capsys, "check", flag, "-1")
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        pytest.param("--trials", "-1", "must not be negative", id="--trials"),
+        pytest.param("--max-size", "-1", "must not be negative", id="--max-size"),
+        pytest.param(
+            "--max-size", str(LATTICE_CAP + 1), f"at most {LATTICE_CAP}", id="--max-size-above-cap"
+        ),
+    ],
+)
+def test_negative_check_arguments_exit_1(capsys, flag, value, message):
+    code, out, err = run(capsys, "check", flag, value)
     assert code == 1
     assert out == ""
-    assert "must not be negative" in err
+    assert message in err
 
 
 def test_table_format(in_data_dir, capsys):
     code, out, _ = run(capsys, "causes", "-i", D0, "-q", Q0, "--format", "table")
     assert code == 0
     assert "responsibility" in out and "R(a2, a1)" in out
+
+
+def test_table_tells_no_sets_from_one_empty_set(tmp_path, capsys):
+    # the background alone entails the answer: the one solution is empty,
+    # and so there is no necessary set
+    instance = tmp_path / "instance.json"
+    instance.write_text(
+        json.dumps(
+            {
+                "schemas": [{"name": "R", "arity": 2}, {"name": "S", "arity": 1}],
+                "endogenous": [],
+                "exogenous": [["R", "a", "b"], ["S", "b"]],
+            }
+        )
+    )
+    program = tmp_path / "p.dl"
+    program.write_text("ans() :- R(X, Y), S(Y).\n")
+    argv = ["abduce", "-i", str(instance), "-p", str(program), "--format", "table"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[:2] == ["solutions: {}", "necessary sets: none"]
 
 
 def _write_instance(tmp_path, schemas: dict[str, int], endogenous: list[list[str]]) -> str:

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from causelab.budget import Meter
 from causelab.checks import demo_instance, demo_query
 from causelab.errors import BudgetError
-from causelab.oracles import minimal_hitting_sets_by_enumeration
+from causelab.oracles import minimal_hitting_sets_by_enumeration, subsets_of
 from causelab.hitting import (
     maximize_family,
     minimal_hitting_sets,
     minimize_family,
-    subsets_of,
 )
 from causelab.model import witnesses
 
