@@ -16,9 +16,10 @@ which the cross-check harness compares against.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, TypeAlias
+from typing import Iterable, TypeAlias
 
 from .errors import DomainError
 from .hitting import minimal_hitting_sets

@@ -8,6 +8,7 @@ by default; tables are for humans, the JSON is the contract.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from .checks import cross_check, fixture_checks
 from .diagnosis import build_problem, minimal_diagnoses
 from .errors import BudgetError, DomainError, ParseError, SchemaError
 from .hitting import minimal_hitting_sets
-from .model import Instance, eval_bcq
+from .model import Fact, Instance, eval_bcq
 from .oracles import LATTICE_CAP
 from .parsing import (
     parse_denial_constraints,
@@ -33,9 +34,6 @@ from .serialize import (
     cause_set_to_list,
     diagnosis_to_dict,
     dumps,
-    fact_from_list,
-    fact_to_list,
-    family_key,
     family_to_list,
     instance_from_dict,
     repair_to_dict,
@@ -64,7 +62,11 @@ def load_instance(path: str) -> Instance:
     return instance_from_dict(raw)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    each parse fills a fresh namespace, so one parse leaves nothing for
+    the next."""
     parser = argparse.ArgumentParser(prog="causelab", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -124,10 +126,10 @@ def _facts_table(rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fact_sets(family: list[list[list[str]]]) -> str:
+def _fact_sets(family: list[list[Fact]]) -> str:
     """Set notation for a family of fact sets, each fact in input syntax:
     ``{}`` is the empty set and ``none`` the empty family."""
-    sets = ("{" + ", ".join(str(fact_from_list(f)) for f in fs) + "}" for fs in family)
+    sets = ("{" + ", ".join(map(str, fs)) + "}" for fs in family)
     return "; ".join(sets) or "none"
 
 
@@ -149,7 +151,7 @@ def _cmd_responsibility(args: argparse.Namespace) -> dict[str, Any]:
     query = parse_query(_read(args.query))
     t = parse_ground_atom(args.tuple_)
     rho = responsibility(instance, query, t)
-    return {"tuple": fact_to_list(t), "responsibility": str(rho)}
+    return {"tuple": t, "responsibility": str(rho)}
 
 
 def _cmd_repairs(args: argparse.Namespace) -> dict[str, Any]:
@@ -164,7 +166,7 @@ def _cmd_repairs(args: argparse.Namespace) -> dict[str, Any]:
     kind = args.semantics.upper()
     payload: dict[str, Any] = {
         "semantics": kind,
-        "repairs": [repair_to_dict(r, kind) for r in sorted(found, key=family_key)],
+        "repairs": [repair_to_dict(r, kind) for r in family_to_list(found)],
     }
     if args.endogenous_only:
         payload["endogenous_only"] = True
@@ -178,17 +180,16 @@ def _cmd_cqa(args: argparse.Namespace) -> dict[str, Any]:
         raise ParseError("cqa expects exactly one denial constraint")
     a = parse_ground_atom(args.atom)
     value = consistently_true(instance, constraints[0], a)
-    return {"atom": fact_to_list(a), "consistently_true": value}
+    return {"atom": a, "consistently_true": value}
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> dict[str, Any]:
     instance = load_instance(args.instance)
     query = parse_query(_read(args.query))
     problem = build_problem(instance, query)
-    ordered = sorted(minimal_diagnoses(problem), key=family_key)
     return {
         "vacuous": problem.vacuous,
-        "diagnoses": [diagnosis_to_dict(d) for d in ordered],
+        "diagnoses": [diagnosis_to_dict(d) for d in family_to_list(minimal_diagnoses(problem))],
     }
 
 
@@ -209,10 +210,10 @@ def _cmd_abduce(args: argparse.Namespace) -> dict[str, Any]:
         for t, gammas in cause_set_from_hitting_sets(necessary, problem.hyp).items()
     }
     return {
-        "observations": [fact_to_list(o) for o in sort_facts(problem.obs)],
+        "observations": sort_facts(problem.obs),
         "solutions": family_to_list(solutions),
         "relevant_hypotheses": [
-            {"tuple": fact_to_list(t), "responsibility": str(rho[t])}
+            {"tuple": t, "responsibility": str(rho[t])}
             for t in sorted(rho, key=lambda t: (-rho[t], t))
         ],
         "necessary_sets": family_to_list(necessary),
@@ -245,7 +246,7 @@ def _render_table(verb: str, payload: dict[str, Any]) -> str:
         for entry in payload["causes"]:
             rows.append(
                 [
-                    str(fact_from_list(entry["tuple"])),
+                    str(entry["tuple"]),
                     entry["responsibility"],
                     _fact_sets(entry["min_contingencies"]),
                 ]
@@ -255,14 +256,14 @@ def _render_table(verb: str, payload: dict[str, Any]) -> str:
             out += "note: " + payload["note"] + "\n"
         return out
     if verb == "responsibility":
-        return f"{fact_from_list(payload['tuple'])}: {payload['responsibility']}\n"
+        return f"{payload['tuple']}: {payload['responsibility']}\n"
     if verb == "repairs":
         rows = [["kind", "removed"]]
         for entry in payload["repairs"]:
             rows.append([entry["kind"], _fact_sets([entry["removed"]])])
         return _facts_table(rows)
     if verb == "cqa":
-        return f"{fact_from_list(payload['atom'])}: {str(payload['consistently_true']).lower()}\n"
+        return f"{payload['atom']}: {str(payload['consistently_true']).lower()}\n"
     if verb == "diagnose":
         rows = [["diagnosis"]]
         for entry in payload["diagnoses"]:
@@ -274,7 +275,7 @@ def _render_table(verb: str, payload: dict[str, Any]) -> str:
     if verb == "abduce":
         rows = [["hypothesis", "responsibility"]]
         for entry in payload["relevant_hypotheses"]:
-            rows.append([str(fact_from_list(entry["tuple"])), entry["responsibility"]])
+            rows.append([str(entry["tuple"]), entry["responsibility"]])
         return (
             "solutions: " + _fact_sets(payload["solutions"]) + "\n"
             "necessary sets: " + _fact_sets(payload["necessary_sets"]) + "\n"

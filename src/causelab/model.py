@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Iterator, Mapping, TypeAlias, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, TypeAlias
 
 from .budget import Meter, current_meter
 from .errors import SchemaError
@@ -139,7 +139,7 @@ class Variable:
         return self.name
 
 
-Term: TypeAlias = Union[Variable, str]
+Term: TypeAlias = Variable | str
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,27 @@
 """Canonical JSON forms for instances, causes, repairs, diagnoses and
-solution families.
+solution families, and the one writer that prints them.
 
 Every emitted collection is sorted canonically (relation name, then
 constants, lexicographically), so identical inputs always serialize to
 byte-identical output.  Facts appear as flat lists ``[relation, arg...]``
 and responsibilities as exact rational strings such as ``"1/2"``.
+
+The payload builders (``cause_set_to_list``, ``family_to_list``,
+``repair_to_dict``, ``diagnosis_to_dict``) put every collection in
+canonical order and keep its facts as :class:`Fact` objects.  A family is
+ordered by ranks: the union of its facts is sorted once, and each set is
+keyed by the tuple of its members' sorted ranks, which is the order of
+:func:`family_key` (a set before its extensions, the empty set first).
+:func:`dumps` prints a payload as ``json.dumps(plain, indent=2)`` would,
+``plain`` being the payload with each fact replaced by its flat list,
+byte for byte; it builds each fact's text once per indent depth, since
+facts recur across thousands of sets.
 """
 from __future__ import annotations
 
-import json
-from typing import Any, Iterable
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable
 
 from .causality import CauseSet, responsibility_of
 from .diagnosis import Diagnosis
@@ -42,19 +54,28 @@ def sort_facts(facts: Iterable[Fact]) -> list[Fact]:
     return sorted(facts, key=fact_key)
 
 
-def _keys(facts: list[Fact]) -> list[tuple[str, tuple[str, ...]]]:
-    return [fact_key(f) for f in facts]
-
-
 def family_key(facts: Iterable[Fact]) -> list[tuple[str, tuple[str, ...]]]:
     """A fact set's place in canonical family order: the keys of its
     sorted facts, compared lexicographically."""
-    return _keys(sort_facts(facts))
+    return [fact_key(f) for f in sort_facts(facts)]
+
+
+def _family_sorter(order: list[Fact]) -> Callable[[Iterable[Iterable[Fact]]], list[list[Fact]]]:
+    """Sorts families drawn from ``order``, a list of facts in canonical
+    order, into canonical family order, each set a sorted list."""
+    rank = dict(zip(order, range(len(order)))).__getitem__
+    at = order.__getitem__
+
+    def sort(family: Iterable[Iterable[Fact]]) -> list[list[Fact]]:
+        keys = sorted([tuple(sorted(map(rank, s))) for s in family])
+        return [list(map(at, key)) for key in keys]
+
+    return sort
 
 
 def sort_families(families: Iterable[Iterable[Fact]]) -> list[list[Fact]]:
-    # each set is sorted once and ordered by the keys of its sorted facts
-    return sorted(map(sort_facts, families), key=_keys)
+    sets = list(map(tuple, families))
+    return _family_sorter(sort_facts(set().union(*sets)))(sets)
 
 
 def fact_to_list(f: Fact) -> list[str]:
@@ -67,8 +88,9 @@ def fact_from_list(data: Any) -> Fact:
     return Fact(data[0], tuple(data[1:]))
 
 
-def family_to_list(families: Iterable[Iterable[Fact]]) -> list[list[list[str]]]:
-    return [[fact_to_list(f) for f in fs] for fs in sort_families(families)]
+def family_to_list(families: Iterable[Iterable[Fact]]) -> list[list[Fact]]:
+    """A family as a payload: its sets in canonical order."""
+    return sort_families(families)
 
 
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
@@ -106,26 +128,105 @@ def instance_from_dict(data: Any) -> Instance:
 
 
 def cause_set_to_list(cause_set: CauseSet) -> list[dict[str, Any]]:
+    """The causes in canonical order, each with its responsibility and its
+    minimal contingency sets in canonical family order."""
+    causes = sort_facts(cause_set)
+    members = set(causes).union(*chain.from_iterable(cause_set.values()))
+    family_order = _family_sorter(sort_facts(members))
     return [
         {
-            "tuple": fact_to_list(t),
+            "tuple": t,
             "responsibility": str(responsibility_of(cause_set[t])),
-            "min_contingencies": family_to_list(cause_set[t]),
+            "min_contingencies": family_order(cause_set[t]),
         }
-        for t in sort_facts(cause_set)
+        for t in causes
     ]
 
 
 def repair_to_dict(repair: Repair, kind: str) -> dict[str, Any]:
     """A repair as its kind ("S" or "C") and the facts it removes."""
-    return {"kind": kind, "removed": [fact_to_list(f) for f in sort_facts(repair)]}
+    return {"kind": kind, "removed": sort_facts(repair)}
 
 
 def diagnosis_to_dict(diagnosis: Diagnosis) -> dict[str, Any]:
-    return {"abnormal": [fact_to_list(f) for f in sort_facts(diagnosis)]}
+    return {"abnormal": sort_facts(diagnosis)}
+
+
+class _FactTexts(dict):
+    """Each fact's text with its opening bracket at one indent depth,
+    built on first use."""
+
+    def __init__(self, depth: int) -> None:
+        self.inner = "\n" + "  " * (depth + 1)
+        self.close = "\n" + "  " * depth + "]"
+
+    def __missing__(self, f: Fact) -> str:
+        items = ("," + self.inner).join(map(encode_basestring_ascii, (f.relation, *f.args)))
+        text = self[f] = "[" + self.inner + items + self.close
+        return text
 
 
 def dumps(payload: Any) -> str:
-    """The canonical JSON text for a payload: two-space indent, stable key
-    order as constructed, trailing newline."""
-    return json.dumps(payload, indent=2) + "\n"
+    """The canonical JSON text for a payload of dicts with string keys,
+    lists, strings, bools, ints, None and facts: two-space indent, key
+    order as constructed, ASCII only, trailing newline.  Any other type
+    raises :class:`TypeError`."""
+    chunks: list[str] = []
+    emit = chunks.append
+    fact_texts: dict[int, _FactTexts] = {}
+
+    def texts_at(depth: int) -> _FactTexts:
+        texts = fact_texts.get(depth)
+        if texts is None:
+            texts = fact_texts[depth] = _FactTexts(depth)
+        return texts
+
+    def write(value: Any, depth: int) -> None:
+        # a container's items are written one level deeper, each followed
+        # by a separator; the last separator becomes the closing line
+        if isinstance(value, str):
+            emit(encode_basestring_ascii(value))
+        elif isinstance(value, list):
+            if not value:
+                emit("[]")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            close = "\n" + "  " * depth + "]"
+            if all(map(isinstance, value, repeat(Fact))):
+                texts = texts_at(depth + 1).__getitem__
+                emit("[" + inner + ("," + inner).join(map(texts, value)) + close)
+                return
+            emit("[" + inner)
+            for item in value:
+                write(item, depth + 1)
+                emit("," + inner)
+            chunks[-1] = close
+        elif isinstance(value, dict):
+            if not value:
+                emit("{}")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            emit("{" + inner)
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"a JSON key must be a str, not a {type(key).__name__}")
+                emit(encode_basestring_ascii(key) + ": ")
+                write(item, depth + 1)
+                emit("," + inner)
+            chunks[-1] = "\n" + "  " * depth + "}"
+        elif isinstance(value, Fact):
+            emit(texts_at(depth)[value])
+        elif value is None:
+            emit("null")
+        elif value is True:
+            emit("true")
+        elif value is False:
+            emit("false")
+        elif isinstance(value, int):
+            emit(int.__repr__(value))
+        else:
+            raise TypeError(f"a {type(value).__name__} has no canonical JSON form")
+
+    write(payload, 0)
+    emit("\n")
+    return "".join(chunks)

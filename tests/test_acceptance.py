@@ -195,11 +195,11 @@ def test_criterion_9_route_agreement(data_dir, monkeypatch, capsys):
         golden_causes = json.loads((GOLDEN / "causes.json").read_text())["causes"]
         from causelab.diagnosis import build_problem, causes_via_diagnosis
         from causelab.repairs import causes_from_repairs
-        from causelab.serialize import cause_set_to_list
+        from causelab.serialize import cause_set_to_list, dumps
+
+        def written(causes):
+            return json.loads(dumps(cause_set_to_list(causes)))
 
         instance, query = demo_instance(), demo_query()
-        assert cause_set_to_list(causes_from_repairs(instance, query)) == golden_causes
-        assert (
-            cause_set_to_list(causes_via_diagnosis(build_problem(instance, query)))
-            == golden_causes
-        )
+        assert written(causes_from_repairs(instance, query)) == golden_causes
+        assert written(causes_via_diagnosis(build_problem(instance, query))) == golden_causes

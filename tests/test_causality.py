@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from causelab import (
 from causelab.checks import closure_instance, demo_instance
 from causelab.model import ConjunctiveQuery, atom
 from causelab.oracles import LATTICE_CAP, causes_by_enumeration
-from causelab.serialize import cause_set_to_list, fact_to_list
+from causelab.serialize import cause_set_to_list, dumps, fact_to_list
 
 R21 = fact("R", "a2", "a1")
 R33 = fact("R", "a3", "a3")
@@ -185,7 +186,7 @@ def test_cause_set_lookup_helpers(d0, q0):
     assert R14 not in causes
     assert causes.get(R14) is None
     assert causes[S1] == frozenset({frozenset({R33}), frozenset({S3})})
-    serialized = [entry["tuple"] for entry in cause_set_to_list(causes)]
+    serialized = [entry["tuple"] for entry in json.loads(dumps(cause_set_to_list(causes)))]
     assert serialized == [fact_to_list(t) for t in sorted(causes)]
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from causelab import datalog
-from causelab.cli import main
+from causelab.cli import build_parser, main
 from causelab.oracles import LATTICE_CAP
 
 D0 = "d0.json"
@@ -133,6 +133,33 @@ def test_abduce_with_explicit_observation(in_data_dir, capsys):
     )
     assert code == 0
     assert json.loads(out)["observations"] == [["T", "a", "c"]]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["abduce", "-i", "t0.json", "-p", "t0_prog.dl", "--obs", "T(a, b)"],
+         ["abduce", "-i", "t0.json", "-p", "t0_prog.dl"]),
+        (["repairs", "-i", D0, "-c", K0, "--endogenous-only"], ["repairs", "-i", D0, "-c", K0]),
+    ],
+    ids=["abduce-obs", "repairs-endogenous-only"],
+)
+def test_consecutive_calls_do_not_leak_options(in_data_dir, capsys, first, second):
+    # the parser is kept for the process; each call must still start from
+    # the defaults
+    code, alone, _ = run(capsys, *second)
+    assert code == 0
+    code, with_option, _ = run(capsys, *first)
+    assert code == 0 and with_option != alone
+    code, after, _ = run(capsys, *second)
+    assert code == 0
+    assert after == alone
+    assert json.loads(after).get("observations", [["ans"]]) == [["ans"]]
+    assert "endogenous_only" not in json.loads(after)
 
 
 def test_check_fixtures_only(in_data_dir, capsys):

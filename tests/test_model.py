@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -196,3 +201,35 @@ def test_constraint_duality(fs, q):
     # against the nested-loop join, which shares no code with satisfies_dc
     violated = next(valuations_by_nested_loops(fs, q.atoms), None) is not None
     assert satisfies_dc(fs, q) != violated
+
+
+REIMPORT = """
+import gc, importlib, sys, weakref
+
+def fresh():
+    for name in [m for m in sys.modules if m == "causelab" or m.startswith("causelab.")]:
+        del sys.modules[name]
+    return importlib.import_module("causelab.cli")
+
+cli = fresh()
+cli.main(["check", "--fixtures-only"])
+model, errors = sys.modules["causelab.model"], sys.modules["causelab.errors"]
+refs = {c.__name__: weakref.ref(c) for c in (model.Fact, model.Variable, errors.BudgetError)}
+del cli, model, errors
+fresh()
+gc.collect()
+print(sorted(name for name, ref in refs.items() if ref() is not None))
+"""
+
+
+def test_reimport_frees_the_previous_classes():
+    # a subscripted typing alias such as Mapping[Fact, ...] or
+    # Union[Variable, str] sits in typing's cache and keeps the classes of
+    # the previous import alive
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", REIMPORT], capture_output=True, env=env, check=True, text=True
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"

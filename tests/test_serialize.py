@@ -88,7 +88,7 @@ def test_family_key_orders_quoted_constants_canonically():
 
 
 def test_cause_set_serialization_shape(d0, q0):
-    entries = cause_set_to_list(actual_causes(d0, q0))
+    entries = json.loads(dumps(cause_set_to_list(actual_causes(d0, q0))))
     assert entries[0] == {
         "tuple": ["R", "a2", "a1"],
         "responsibility": "1/2",
@@ -102,7 +102,7 @@ def test_repair_serialization_shape(d0, k0):
 
 
 def test_families_are_canonically_ordered(d0, prog0):
-    listed = family_to_list(abductive_solutions(problem_for_instance(prog0, d0)))
+    listed = json.loads(dumps(family_to_list(abductive_solutions(problem_for_instance(prog0, d0)))))
     assert listed == [
         [["R", "a2", "a1"], ["S", "a1"]],
         [["R", "a3", "a3"], ["S", "a3"]],
