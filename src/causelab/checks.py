@@ -92,8 +92,6 @@ from .repairs import (
 from .serialize import (
     cause_set_to_list,
     dumps,
-    fact_key,
-    family_key,
     instance_to_dict,
 )
 
@@ -281,10 +279,9 @@ Property: TypeAlias = "Callable[[CorpusItem, random.Random], str | None]"
 
 
 def _order(value: object) -> object:
-    """A member's place in serialize's canonical fact and family order."""
-    if isinstance(value, Fact):
-        return fact_key(value)
-    return family_key(value) if isinstance(value, Set) else value
+    """A member's place in canonical order: a set by its sorted members,
+    as serialize orders families, anything else (a fact) by itself."""
+    return sorted(value) if isinstance(value, Set) else value
 
 
 def _render(value: object) -> str:

@@ -37,7 +37,6 @@ from .serialize import (
     family_to_list,
     instance_from_dict,
     repair_to_dict,
-    sort_facts,
 )
 
 EXIT_OK = 0
@@ -210,7 +209,7 @@ def _cmd_abduce(args: argparse.Namespace) -> dict[str, Any]:
         for t, gammas in cause_set_from_hitting_sets(necessary, problem.hyp).items()
     }
     return {
-        "observations": sort_facts(problem.obs),
+        "observations": sorted(problem.obs),
         "solutions": family_to_list(solutions),
         "relevant_hypotheses": [
             {"tuple": t, "responsibility": str(rho[t])}

@@ -20,7 +20,7 @@ depend on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator
 
 from .budget import Meter, current_meter
@@ -146,22 +146,12 @@ def entails(program: DatalogProgram, facts: Iterable[Fact], goals: Iterable[Fact
 
 
 def _combine(
-    antichains: list[frozenset[frozenset[Fact]] | set[frozenset[Fact]]], meter: Meter
+    antichains: list[frozenset[frozenset[Fact]]], meter: Meter
 ) -> Iterator[frozenset[Fact]]:
     """Unions of one support per factor; nothing when a factor is empty."""
     for combo in product(*antichains):
         meter.charge()
         yield frozenset().union(*combo)
-
-
-def _antichain_add(antichain: set[frozenset[Fact]], candidate: frozenset[Fact]) -> bool:
-    """Insert keeping only subset-minimal members; True when it changed."""
-    if any(member <= candidate for member in antichain):
-        return False
-    for member in [m for m in antichain if candidate < m]:
-        antichain.remove(member)
-    antichain.add(candidate)
-    return True
 
 
 def minimal_supports(
@@ -193,20 +183,22 @@ def minimal_supports(
             stack.extend(b for body in derivations[head] for b in body if b in derivations)
     heads = [h for h in derivations if h in needed]
 
-    supports: dict[Fact, set[frozenset[Fact]]] = {f: {frozenset({f})} for f in base}
+    supports: dict[Fact, frozenset[frozenset[Fact]]] = {
+        f: frozenset({frozenset({f})}) for f in base
+    }
     for head in heads:
-        supports.setdefault(head, set())
+        supports.setdefault(head, frozenset())
 
     changed = True
     while changed:
         changed = False
         for head in heads:
-            target = supports[head]
-            for bodyset in derivations[head]:
-                factors = [supports[b] for b in sorted(bodyset)]
-                for combo in _combine(factors, meter):
-                    if _antichain_add(target, combo):
-                        changed = True
+            old = supports[head]
+            combos = chain.from_iterable(
+                _combine([supports[b] for b in sorted(body)], meter) for body in derivations[head]
+            )
+            new = supports[head] = minimize_family(chain(old, combos))
+            changed = changed or new != old
 
-    goal_factors = [supports.get(g, set()) for g in sorted(goal_set)]
+    goal_factors = [supports.get(g, frozenset()) for g in sorted(goal_set)]
     return minimize_family(_combine(goal_factors, meter))

@@ -33,10 +33,10 @@ meter, which is per thread and per task, so concurrent use is safe.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Iterator, Mapping, TypeAlias
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, TypeAlias
 
 from .budget import Meter, current_meter
 from .errors import SchemaError
@@ -96,25 +96,29 @@ class RelationSchema:
             raise ValueError(f"arity of {self.name!r} must be at least 1, got {self.arity}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Fact:
-    """A ground tuple: a relation name plus constant arguments."""
-
+# a NamedTuple cannot override __new__, so Fact checks its fields in a subclass
+class _FactFields(NamedTuple):
     relation: str
-    args: tuple[str, ...] = ()
-    # computed once: facts are hashed on every set test and dict lookup
-    _hash: int = field(init=False, repr=False, compare=False)
+    args: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        if not self.relation:
+
+class Fact(_FactFields):
+    """A ground tuple: a relation name plus constant arguments.
+
+    A fact is its plain ``(relation, args)`` tuple: it hashes, compares
+    and sorts as that tuple does, in C, so ``sorted`` gives the canonical
+    order (relation name, then constants, lexicographically).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, relation: str, args: Iterable[str] = ()) -> Fact:
+        args = tuple(args)
+        if not relation:
             raise ValueError("a fact needs a relation name")
-        if not all(isinstance(a, str) for a in self.args):
+        if not all(isinstance(a, str) for a in args):
             raise ValueError("fact arguments must be strings")
-        object.__setattr__(self, "_hash", hash((self.relation, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple.__new__(cls, (relation, args))
 
     @property
     def arity(self) -> int:

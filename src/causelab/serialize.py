@@ -1,21 +1,25 @@
 """Canonical JSON forms for instances, causes, repairs, diagnoses and
 solution families, and the one writer that prints them.
 
-Every emitted collection is sorted canonically (relation name, then
-constants, lexicographically), so identical inputs always serialize to
-byte-identical output.  Facts appear as flat lists ``[relation, arg...]``
-and responsibilities as exact rational strings such as ``"1/2"``.
+Every emitted collection is sorted canonically, so identical inputs
+always serialize to byte-identical output.  A :class:`Fact` is its
+``(relation, args)`` tuple, so plain ``sorted`` orders facts canonically
+(relation name, then constants, lexicographically).  Facts appear as
+flat lists ``[relation, arg...]`` and responsibilities as exact rational
+strings such as ``"1/2"``.
 
 The payload builders (``cause_set_to_list``, ``family_to_list``,
 ``repair_to_dict``, ``diagnosis_to_dict``) put every collection in
 canonical order and keep its facts as :class:`Fact` objects.  A family is
 ordered by ranks: the union of its facts is sorted once, and each set is
-keyed by the tuple of its members' sorted ranks, which is the order of
-:func:`family_key` (a set before its extensions, the empty set first).
-:func:`dumps` prints a payload as ``json.dumps(plain, indent=2)`` would,
-``plain`` being the payload with each fact replaced by its flat list,
-byte for byte; it builds each fact's text once per indent depth, since
-facts recur across thousands of sets.
+keyed by the tuple of its members' sorted ranks.  That is the order of
+``sorted(family, key=sorted)``: each set's sorted facts, compared
+lexicographically, so a set comes before its extensions and the empty
+set first.  :func:`dumps` prints a payload as
+``json.dumps(plain, indent=2)`` would, ``plain`` being the payload with
+each fact replaced by its flat list, byte for byte; it builds each
+fact's text once per indent depth, since facts recur across thousands
+of sets.
 """
 from __future__ import annotations
 
@@ -30,9 +34,6 @@ from .model import Fact, Instance, RelationSchema
 from .repairs import Repair
 
 __all__ = [
-    "fact_key",
-    "sort_facts",
-    "family_key",
     "sort_families",
     "fact_to_list",
     "fact_from_list",
@@ -44,20 +45,6 @@ __all__ = [
     "diagnosis_to_dict",
     "dumps",
 ]
-
-
-def fact_key(f: Fact) -> tuple[str, tuple[str, ...]]:
-    return (f.relation, f.args)
-
-
-def sort_facts(facts: Iterable[Fact]) -> list[Fact]:
-    return sorted(facts, key=fact_key)
-
-
-def family_key(facts: Iterable[Fact]) -> list[tuple[str, tuple[str, ...]]]:
-    """A fact set's place in canonical family order: the keys of its
-    sorted facts, compared lexicographically."""
-    return [fact_key(f) for f in sort_facts(facts)]
 
 
 def _family_sorter(order: list[Fact]) -> Callable[[Iterable[Iterable[Fact]]], list[list[Fact]]]:
@@ -75,7 +62,7 @@ def _family_sorter(order: list[Fact]) -> Callable[[Iterable[Iterable[Fact]]], li
 
 def sort_families(families: Iterable[Iterable[Fact]]) -> list[list[Fact]]:
     sets = list(map(tuple, families))
-    return _family_sorter(sort_facts(set().union(*sets)))(sets)
+    return _family_sorter(sorted(set().union(*sets)))(sets)
 
 
 def fact_to_list(f: Fact) -> list[str]:
@@ -98,8 +85,8 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
         "schemas": [
             {"name": s.name, "arity": s.arity} for s in sorted(instance.schemas)
         ],
-        "endogenous": [fact_to_list(f) for f in sort_facts(instance.endogenous)],
-        "exogenous": [fact_to_list(f) for f in sort_facts(instance.exogenous)],
+        "endogenous": [fact_to_list(f) for f in sorted(instance.endogenous)],
+        "exogenous": [fact_to_list(f) for f in sorted(instance.exogenous)],
     }
 
 
@@ -130,9 +117,9 @@ def instance_from_dict(data: Any) -> Instance:
 def cause_set_to_list(cause_set: CauseSet) -> list[dict[str, Any]]:
     """The causes in canonical order, each with its responsibility and its
     minimal contingency sets in canonical family order."""
-    causes = sort_facts(cause_set)
+    causes = sorted(cause_set)
     members = set(causes).union(*chain.from_iterable(cause_set.values()))
-    family_order = _family_sorter(sort_facts(members))
+    family_order = _family_sorter(sorted(members))
     return [
         {
             "tuple": t,
@@ -145,11 +132,11 @@ def cause_set_to_list(cause_set: CauseSet) -> list[dict[str, Any]]:
 
 def repair_to_dict(repair: Repair, kind: str) -> dict[str, Any]:
     """A repair as its kind ("S" or "C") and the facts it removes."""
-    return {"kind": kind, "removed": sort_facts(repair)}
+    return {"kind": kind, "removed": sorted(repair)}
 
 
 def diagnosis_to_dict(diagnosis: Diagnosis) -> dict[str, Any]:
-    return {"abnormal": sort_facts(diagnosis)}
+    return {"abnormal": sorted(diagnosis)}
 
 
 class _FactTexts(dict):

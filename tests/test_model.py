@@ -48,6 +48,25 @@ def test_schema_requires_positive_arity():
 def test_fact_ordering_is_canonical():
     fs = [fact("S", "a1"), fact("R", "a2", "a1"), fact("R", "a1", "a4")]
     assert sorted(fs) == [fact("R", "a1", "a4"), fact("R", "a2", "a1"), fact("S", "a1")]
+    # the order of the constants themselves, not of the facts' text, which
+    # puts the quoted constants "a b" and "it's" first
+    quoted = [fact("R", "it's"), fact("R", "b"), fact("R", "a b"), fact("R", "a")]
+    assert sorted(quoted) == [fact("R", "a"), fact("R", "a b"), fact("R", "b"), fact("R", "it's")]
+
+
+@pytest.mark.parametrize("relation, args", [("", ()), ("R", (1,)), ("R", ("a", None))])
+def test_fact_rejects_bad_fields(relation, args):
+    with pytest.raises(ValueError):
+        Fact(relation, args)
+
+
+def test_fact_is_its_relation_args_tuple():
+    f = Fact("R", ["a"])
+    assert f.args == ("a",) and f.arity == 1
+    assert hash(f) == hash((f.relation, f.args))
+    assert f == ("R", ("a",)) and Fact("ans") == ("ans", ())
+    assert repr(f) == "Fact(relation='R', args=('a',))"
+    assert str(f) == "R(a)" and str(fact("R", "it's")) == 'R("it\'s")'
 
 
 def test_atom_helper_applies_naming_convention():
