@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, TypeAlias
 
-from .causality import CauseSet, cause_set_from_hitting_sets, responsibility_of
+from .causality import CauseSet, cause_set_from_hitting_sets, require_endogenous, responsibility_of
 from .errors import DomainError
 from .hitting import minimal_hitting_sets, minimize_family
 from .model import Fact, Instance
@@ -151,6 +151,5 @@ def datalog_responsibility(program: DatalogProgram, instance: Instance, t: Fact)
     """1/|N| for the smallest necessary hypothesis set N containing ``t``
     in the instance's canonical abduction problem; 0 when ``t`` is in no
     necessary set or the answer is not derived at all."""
-    if t not in instance.endogenous:
-        raise DomainError(f"{t} is not an endogenous fact of the instance")
+    require_endogenous(instance, t)
     return responsibility_of(_datalog_cause_set(program, instance).get(t, ()))

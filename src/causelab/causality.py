@@ -30,6 +30,7 @@ __all__ = [
     "CauseSet",
     "cause_set_from_hitting_sets",
     "responsibility_of",
+    "require_endogenous",
     "is_counterfactual_cause",
     "minimal_contingency_sets",
     "actual_causes",
@@ -73,7 +74,9 @@ def cause_set_from_hitting_sets(
     )
 
 
-def _require_endogenous(instance: Instance, t: Fact) -> None:
+def require_endogenous(instance: Instance, t: Fact) -> None:
+    """Raise :class:`DomainError` unless ``t`` is an endogenous fact of the
+    instance: the admissibility check of every per-tuple cause route."""
     if t in instance.endogenous:
         return
     if t in instance.exogenous:
@@ -83,7 +86,7 @@ def _require_endogenous(instance: Instance, t: Fact) -> None:
 
 def is_counterfactual_cause(instance: Instance, query: ConjunctiveQuery, t: Fact) -> bool:
     """True iff the query holds and deleting ``t`` alone falsifies it."""
-    _require_endogenous(instance, t)
+    require_endogenous(instance, t)
     facts = instance.facts
     return eval_bcq(facts, query, instance.schemas) and not eval_bcq(
         facts - {t}, query, instance.schemas
@@ -102,7 +105,7 @@ def minimal_contingency_sets(
 ) -> frozenset[ContingencySet]:
     """All subset-minimal contingency sets turning ``t`` into a counterfactual
     cause for the view; empty iff ``t`` is not an actual cause."""
-    _require_endogenous(instance, t)
+    require_endogenous(instance, t)
     hs = _endogenous_hitting_sets(instance, view)
     return frozenset(h - {t} for h in hs if t in h)
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TypeAlias
 
-from .causality import CauseSet, cause_set_from_hitting_sets
-from .errors import DomainError
+from .causality import CauseSet, cause_set_from_hitting_sets, require_endogenous
 from .hitting import minimal_hitting_sets
 from .model import ConjunctiveQuery, Fact, Instance, eval_bcq, witnesses
 
@@ -73,14 +72,9 @@ def minimal_diagnoses(problem: DiagnosisProblem) -> frozenset[Diagnosis]:
     return minimal_hitting_sets(family)
 
 
-def _require_in_scope(problem: DiagnosisProblem, t: Fact) -> None:
-    if t not in problem.abnormal_scope:
-        raise DomainError(f"{t} is not an endogenous fact of the diagnosis problem")
-
-
 def diagnoses_containing(problem: DiagnosisProblem, t: Fact) -> frozenset[Diagnosis]:
     """The subset-minimal diagnoses that contain ``t``."""
-    _require_in_scope(problem, t)
+    require_endogenous(problem.instance, t)
     return frozenset(d for d in minimal_diagnoses(problem) if t in d)
 
 

@@ -2,15 +2,20 @@
 
 These transcribe the definitions directly, walking subset lattices and
 naive fixpoints, and exist so the optimized engines can be checked
-against something that is obviously right.  They are deliberately
-independent of the hitting-set and semi-naive code paths and of the
-indexed join engine: queries and rule bodies are evaluated by the plain
-nested-loop join below.  They only make sense at small sizes.
+against something that is obviously right.  They are independent of the
+hitting-set search, the semi-naive fixpoint and the indexed join engine:
+queries and rule bodies are evaluated by the plain nested-loop join
+below.  The only code they share with the engines is the antichain
+filters :func:`~causelab.hitting.minimize_family` and
+:func:`~causelab.hitting.maximize_family`, which
+``tests/test_hitting_differential.py`` checks against the pairwise
+definition.  They only make sense at small sizes.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
-from typing import Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .abduction import AbductionProblem
 from .causality import ContingencySet
@@ -96,29 +101,30 @@ def witnesses_by_enumeration(
     return minimize_family(w for w in subsets_of(pool) if _eval_bcq(w, query))
 
 
+def _contingency_sets(
+    instance: Instance, t: Fact, holds: Callable[[frozenset[Fact]], bool]
+) -> Iterator[ContingencySet]:
+    """The contingency sets of ``t``: the sets of endogenous facts other
+    than ``t`` whose removal keeps the answer (``holds``) and whose removal
+    together with ``t`` loses it.  ``t`` is an actual cause iff there is one."""
+    full = instance.facts
+    return (
+        gamma
+        for gamma in subsets_of(instance.endogenous - {t})
+        if holds(full - gamma) and not holds(full - gamma - {t})
+    )
+
+
 def causes_by_enumeration(
     instance: Instance, query: ConjunctiveQuery
 ) -> dict[Fact, frozenset[ContingencySet]]:
     """Actual causes, each mapped to its minimal contingency sets, found by
     trying every contingency candidate."""
     _guard(len(instance.endogenous), LATTICE_CAP, "cause")
-    cache: dict[frozenset[Fact], bool] = {}
-    full = instance.facts
-
-    def holds(fs: frozenset[Fact]) -> bool:
-        got = cache.get(fs)
-        if got is None:
-            got = _eval_bcq(fs, query, instance.schemas)
-            cache[fs] = got
-        return got
-
+    holds = cache(lambda fs: _eval_bcq(fs, query, instance.schemas))
     causes = {}
     for t in sorted(instance.endogenous):
-        gammas = [
-            gamma
-            for gamma in subsets_of(instance.endogenous - {t})
-            if holds(full - gamma) and not holds(full - gamma - {t})
-        ]
+        gammas = list(_contingency_sets(instance, t, holds))
         if gammas:
             causes[t] = minimize_family(gammas)
     return causes
@@ -178,60 +184,33 @@ def naive_datalog_model(program: DatalogProgram, facts: Iterable[Fact]) -> froze
 def datalog_causes_by_enumeration(program: DatalogProgram, instance: Instance) -> frozenset[Fact]:
     """Actual causes of the answer atom found by trying every contingency
     candidate against the naive fixpoint."""
-    endo = instance.endogenous
-    _guard(len(endo), LATTICE_CAP, "Datalog cause")
+    _guard(len(instance.endogenous), LATTICE_CAP, "Datalog cause")
     goal = program.answer_atom()
-    full = instance.facts
-    cache: dict[frozenset[Fact], bool] = {}
-
-    def derives(fs: frozenset[Fact]) -> bool:
-        got = cache.get(fs)
-        if got is None:
-            got = goal in naive_datalog_model(program, fs)
-            cache[fs] = got
-        return got
-
+    derives = cache(lambda fs: goal in naive_datalog_model(program, fs))
     return frozenset(
         t
-        for t in endo
-        if any(
-            derives(full - gamma) and not derives(full - gamma - {t})
-            for gamma in subsets_of(endo - {t})
-        )
+        for t in instance.endogenous
+        if next(_contingency_sets(instance, t, derives), None) is not None
     )
 
 
-def _naive_entails(program: DatalogProgram, facts: frozenset[Fact], obs: frozenset[Fact]) -> bool:
-    return obs <= naive_datalog_model(program, facts)
+def _explains(problem: AbductionProblem, delta: frozenset[Fact]) -> bool:
+    """Whether the abducibles ``delta``, with the background, entail the
+    observations under the naive fixpoint.  Each oracle below asks once
+    per subset of the abducibles, so there is nothing to memoise."""
+    return problem.obs <= naive_datalog_model(problem.program, problem.edb | delta)
 
 
 def solutions_by_enumeration(problem: AbductionProblem) -> frozenset[frozenset[Fact]]:
     """Abductive solutions by trying every subset of the abducibles."""
     _guard(len(problem.hyp), ABDUCIBLE_CAP, "solution")
-    cache: dict[frozenset[Fact], bool] = {}
-
-    def explains(delta: frozenset[Fact]) -> bool:
-        got = cache.get(delta)
-        if got is None:
-            got = _naive_entails(problem.program, problem.edb | delta, problem.obs)
-            cache[delta] = got
-        return got
-
-    return minimize_family(d for d in subsets_of(problem.hyp) if explains(d))
+    return minimize_family(d for d in subsets_of(problem.hyp) if _explains(problem, d))
 
 
 def necessary_sets_by_enumeration(problem: AbductionProblem) -> frozenset[frozenset[Fact]]:
     """Necessary hypothesis sets by the definition: remove the candidate
     set and check that no solution survives."""
     _guard(len(problem.hyp), ABDUCIBLE_CAP, "necessary set")
-    cache: dict[frozenset[Fact], bool] = {}
-
-    def unexplainable(candidate: frozenset[Fact]) -> bool:
-        remaining = problem.hyp - candidate
-        got = cache.get(remaining)
-        if got is None:
-            got = not _naive_entails(problem.program, problem.edb | remaining, problem.obs)
-            cache[remaining] = got
-        return got
-
-    return minimize_family(n for n in subsets_of(problem.hyp) if unexplainable(n))
+    return minimize_family(
+        n for n in subsets_of(problem.hyp) if not _explains(problem, problem.hyp - n)
+    )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, TypeAlias
 
-from .causality import CauseSet, actual_causes, cause_set_from_hitting_sets
+from .causality import CauseSet, actual_causes, cause_set_from_hitting_sets, require_endogenous
 from .errors import DomainError
 from .hitting import minimal_hitting_sets
 from .model import ConjunctiveQuery, DenialConstraint, Fact, Instance, witnesses
@@ -68,8 +68,7 @@ def removal_sets_containing(
     """S-repair removal sets that contain ``t`` and consist of endogenous
     facts only; nonempty exactly when ``t`` is an actual cause of the
     constraint's violation view."""
-    if t not in instance.endogenous:
-        raise DomainError(f"{t} is not an endogenous fact of the instance")
+    require_endogenous(instance, t)
     removals = s_repairs(instance, [constraint])
     return frozenset(r for r in removals if t in r and r <= instance.endogenous)
 

@@ -34,7 +34,6 @@ from .model import Fact, Instance, RelationSchema
 from .repairs import Repair
 
 __all__ = [
-    "sort_families",
     "fact_to_list",
     "fact_from_list",
     "family_to_list",
@@ -60,11 +59,6 @@ def _family_sorter(order: list[Fact]) -> Callable[[Iterable[Iterable[Fact]]], li
     return sort
 
 
-def sort_families(families: Iterable[Iterable[Fact]]) -> list[list[Fact]]:
-    sets = list(map(tuple, families))
-    return _family_sorter(sorted(set().union(*sets)))(sets)
-
-
 def fact_to_list(f: Fact) -> list[str]:
     return [f.relation, *f.args]
 
@@ -77,7 +71,8 @@ def fact_from_list(data: Any) -> Fact:
 
 def family_to_list(families: Iterable[Iterable[Fact]]) -> list[list[Fact]]:
     """A family as a payload: its sets in canonical order."""
-    return sort_families(families)
+    sets = list(map(tuple, families))
+    return _family_sorter(sorted(set().union(*sets)))(sets)
 
 
 def instance_to_dict(instance: Instance) -> dict[str, Any]:

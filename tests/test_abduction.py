@@ -19,9 +19,10 @@ from causelab import (
     relevant_hypotheses,
     responsibility,
 )
-from causelab import datalog
+from causelab import datalog, oracles
 from causelab.oracles import (
     LATTICE_CAP,
+    causes_by_enumeration,
     datalog_causes_by_enumeration,
     necessary_sets_by_enumeration,
     solutions_by_enumeration,
@@ -83,6 +84,8 @@ def test_background_entailment_gives_empty_solution(prog0, d0):
     problem = problem_for_instance(prog0, inst)
     assert abductive_solutions(problem) == frozenset({frozenset()})
     assert necessary_sets(problem) == frozenset()
+    assert solutions_by_enumeration(problem) == frozenset({frozenset()})
+    assert necessary_sets_by_enumeration(problem) == frozenset()
 
 
 def test_solutions_on_closure_fixture(t0, t0_prog):
@@ -221,3 +224,33 @@ def test_exogenous_edges_do_not_appear_in_solutions(t0_prog):
     assert abductive_solutions(problem) == frozenset({frozenset({EBC})})
     assert datalog_actual_causes(t0_prog, inst) == frozenset({EBC})
     assert datalog_responsibility(t0_prog, inst, EBC) == Fraction(1)
+    assert solutions_by_enumeration(problem) == abductive_solutions(problem)
+    assert necessary_sets_by_enumeration(problem) == necessary_sets(problem)
+    assert datalog_causes_by_enumeration(t0_prog, inst) == datalog_actual_causes(t0_prog, inst)
+
+
+def test_oracles_evaluate_each_fact_set_once(d0, q0, prog0, monkeypatch):
+    # a dropped memo changes no answer, only how often a fact set is evaluated
+    evaluated = []
+    eval_bcq, naive_model = oracles._eval_bcq, oracles.naive_datalog_model
+
+    def recorded_bcq(facts, *rest):
+        evaluated.append(facts)
+        return eval_bcq(facts, *rest)
+
+    def recorded_model(program, facts):
+        evaluated.append(facts)
+        return naive_model(program, facts)
+
+    monkeypatch.setattr(oracles, "_eval_bcq", recorded_bcq)
+    monkeypatch.setattr(oracles, "naive_datalog_model", recorded_model)
+    problem = problem_for_instance(prog0, d0)
+    for call in (
+        lambda: causes_by_enumeration(d0, q0),
+        lambda: datalog_causes_by_enumeration(prog0, d0),
+        lambda: solutions_by_enumeration(problem),
+        lambda: necessary_sets_by_enumeration(problem),
+    ):
+        evaluated.clear()
+        call()
+        assert evaluated and len(set(evaluated)) == len(evaluated)

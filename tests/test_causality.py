@@ -10,12 +10,17 @@ from causelab import (
     DomainError,
     Instance,
     actual_causes,
+    build_problem,
+    datalog_responsibility,
+    diagnoses_containing,
     fact,
     is_counterfactual_cause,
     minimal_contingency_sets,
     most_responsible_causes,
+    removal_sets_containing,
     responsibility,
     responsibility_of,
+    smallest_diagnoses_containing,
 )
 from causelab.checks import closure_instance, demo_instance
 from causelab.model import ConjunctiveQuery, atom
@@ -196,3 +201,33 @@ def test_cause_set_is_read_only(d0, q0):
         causes[S1] = frozenset()
     with pytest.raises(TypeError):
         del causes[S1]
+
+
+# every route that takes one tuple t, as route(instance, query, program, t)
+PER_TUPLE_ROUTES = {
+    "responsibility": lambda i, q, p, t: responsibility(i, q, t),
+    "minimal_contingency_sets": lambda i, q, p, t: minimal_contingency_sets(i, q, t),
+    "is_counterfactual_cause": lambda i, q, p, t: is_counterfactual_cause(i, q, t),
+    "removal_sets_containing": lambda i, q, p, t: removal_sets_containing(i, q, t),
+    "diagnoses_containing": lambda i, q, p, t: diagnoses_containing(build_problem(i, q), t),
+    "smallest_diagnoses_containing": lambda i, q, p, t: smallest_diagnoses_containing(
+        build_problem(i, q), t
+    ),
+    "datalog_responsibility": lambda i, q, p, t: datalog_responsibility(p, i, t),
+}
+
+
+@pytest.mark.parametrize("route", PER_TUPLE_ROUTES)
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (S1, "S(a1) is exogenous; only endogenous tuples can be causes"),
+        (fact("S", "a9"), "S(a9) is not in the instance"),
+    ],
+    ids=["exogenous", "absent"],
+)
+def test_per_tuple_routes_share_the_endogenous_check(d0, q0, prog0, route, t, message):
+    instance = Instance(d0.schemas, d0.endogenous - {S1}, frozenset({S1}))
+    with pytest.raises(DomainError) as raised:
+        PER_TUPLE_ROUTES[route](instance, q0, prog0, t)
+    assert str(raised.value) == message

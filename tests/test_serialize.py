@@ -15,7 +15,6 @@ from causelab.serialize import (
     instance_from_dict,
     instance_to_dict,
     repair_to_dict,
-    sort_families,
 )
 
 
@@ -83,7 +82,7 @@ def test_family_key_orders_quoted_constants_canonically():
     # a key on the facts' repr would put "it's" (repr starts with ") first
     sets = [{fact("R", "it's")}, {fact("R", "a")}]
     assert sorted(sets, key=sorted) == [{fact("R", "a")}, {fact("R", "it's")}]
-    assert sort_families(sets) == [[fact("R", "a")], [fact("R", "it's")]]
+    assert family_to_list(sets) == [[fact("R", "a")], [fact("R", "it's")]]
 
 
 def test_cause_set_serialization_shape(d0, q0):

@@ -1,7 +1,7 @@
 """Differential tests of the canonical writer and the rank-based family
 order against their definitions: ``dumps`` against
 ``json.dumps(plain, indent=2) + "\\n"`` on seeded random payloads, and
-``sort_families`` against ``sorted(family, key=sorted)`` (each set's
+``family_to_list`` against ``sorted(family, key=sorted)`` (each set's
 sorted facts, compared lexicographically)."""
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from causelab.serialize import (
     dumps,
     fact_to_list,
     family_to_list,
-    sort_families,
 )
 
 pytestmark = pytest.mark.differential
@@ -57,7 +56,7 @@ def random_fact(rng: random.Random) -> Fact:
 def random_family(rng: random.Random, pool: list[Fact]) -> list[list[Fact]]:
     """Sets drawn from a small pool, so sets share facts and prefixes; the
     empty set included at times."""
-    return sort_families(
+    return family_to_list(
         rng.sample(pool, rng.randrange(len(pool) + 1)) for _ in range(rng.randrange(5))
     )
 
@@ -143,18 +142,18 @@ def test_sort_families_matches_family_key_order(seed):
     chosen = sorted(rng.choice(family))
     family += [frozenset(chosen[:k]) for k in range(len(chosen))]
     expected = [sorted(s) for s in sorted(family, key=sorted)]
-    assert sort_families(family) == expected
+    assert family_to_list(family) == expected
     assert family_to_list(iter(family)) == expected
     distinct = set(family)
-    assert sort_families(distinct) == [sorted(s) for s in sorted(distinct, key=sorted)]
+    assert family_to_list(distinct) == [sorted(s) for s in sorted(distinct, key=sorted)]
 
 
 def test_sort_families_puts_prefixes_first():
     a, b, c = fact("R", "a"), fact("R", "b"), fact("S", "a")
     family = [{a, b, c}, {b}, {a, c}, set(), {a, b}, {a}]
-    assert sort_families(family) == [[], [a], [a, b], [a, b, c], [a, c], [b]]
-    assert sort_families([]) == []
-    assert sort_families([set()]) == [[]]
+    assert family_to_list(family) == [[], [a], [a, b], [a, b, c], [a, c], [b]]
+    assert family_to_list([]) == []
+    assert family_to_list([set()]) == [[]]
 
 
 def _old_cause_set_to_list(cause_set) -> list[dict[str, Any]]:
