@@ -52,9 +52,10 @@ class AbductionProblem:
     edb: frozenset[Fact]
     hyp: frozenset[Fact]
     obs: frozenset[Fact]
-    #: Minimal supports of the observations over background plus
-    #: abducibles, computed once, at construction.
-    supports: frozenset[frozenset[Fact]] = field(init=False, compare=False, repr=False)
+    #: The subset-minimal sets of abducibles that, with the background,
+    #: entail the observations: the minimized abducible parts of the
+    #: observations' minimal supports, computed once, at construction.
+    solutions: frozenset[frozenset[Fact]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edb", frozenset(self.edb))
@@ -71,7 +72,7 @@ class AbductionProblem:
             raise DomainError(
                 "the observations are not entailed even with every hypothesis included"
             )
-        object.__setattr__(self, "supports", supports)
+        object.__setattr__(self, "solutions", minimize_family(s - self.edb for s in supports))
 
 
 def problem_for_instance(
@@ -94,20 +95,18 @@ def abductive_solutions(problem: AbductionProblem) -> frozenset[frozenset[Fact]]
     """All subset-minimal sets of abducibles that, with the background,
     entail the observations.
 
-    Derived from the problem's minimal supports of the observations over
-    background plus abducibles: the background part of a support is free,
-    so the solutions are the minimized abducible parts.  Observations
-    entailed by the background alone yield the single empty solution.
+    Read off the problem, which derives them from the minimal supports of
+    the observations over background plus abducibles: the background part
+    of a support is free, so the solutions are the minimized abducible
+    parts.  Observations entailed by the background alone yield the single
+    empty solution.
     """
-    return minimize_family(s - problem.edb for s in problem.supports)
+    return problem.solutions
 
 
 def relevant_hypotheses(problem: AbductionProblem) -> frozenset[Fact]:
     """The abducibles occurring in at least one solution."""
-    out: frozenset[Fact] = frozenset()
-    for solution in abductive_solutions(problem):
-        out |= solution
-    return out
+    return frozenset().union(*problem.solutions)
 
 
 def necessary_sets(problem: AbductionProblem) -> frozenset[NecessarySet]:
@@ -119,7 +118,7 @@ def necessary_sets(problem: AbductionProblem) -> frozenset[NecessarySet]:
     against the definition-level search.  Empty when the background alone
     entails the observations, since then nothing can be made necessary.
     """
-    return minimal_hitting_sets(abductive_solutions(problem))
+    return minimal_hitting_sets(problem.solutions)
 
 
 def _datalog_cause_set(program: DatalogProgram, instance: Instance) -> CauseSet:

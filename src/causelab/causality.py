@@ -32,6 +32,7 @@ __all__ = [
     "responsibility_of",
     "require_endogenous",
     "is_counterfactual_cause",
+    "endogenous_parts",
     "minimal_contingency_sets",
     "actual_causes",
     "responsibility",
@@ -93,11 +94,13 @@ def is_counterfactual_cause(instance: Instance, query: ConjunctiveQuery, t: Fact
     )
 
 
-def _endogenous_hitting_sets(
-    instance: Instance, query: ConjunctiveQuery
-) -> frozenset[frozenset[Fact]]:
-    family = {w & instance.endogenous for w in witnesses(instance.facts, query, instance.schemas)}
-    return minimal_hitting_sets(family)
+def endogenous_parts(instance: Instance, query: ConjunctiveQuery) -> frozenset[frozenset[Fact]]:
+    """The endogenous part of every witness of the query: the family whose
+    minimal hitting sets are the contingency-extended causes and the
+    minimal diagnoses.  Empty iff the query is false; it holds the empty
+    set iff some witness is wholly exogenous, and then nothing is a cause."""
+    endogenous = instance.endogenous
+    return frozenset(w & endogenous for w in witnesses(instance.facts, query, instance.schemas))
 
 
 def minimal_contingency_sets(
@@ -106,14 +109,14 @@ def minimal_contingency_sets(
     """All subset-minimal contingency sets turning ``t`` into a counterfactual
     cause for the view; empty iff ``t`` is not an actual cause."""
     require_endogenous(instance, t)
-    hs = _endogenous_hitting_sets(instance, view)
+    hs = minimal_hitting_sets(endogenous_parts(instance, view))
     return frozenset(h - {t} for h in hs if t in h)
 
 
 def actual_causes(instance: Instance, query: ConjunctiveQuery) -> CauseSet:
     """Every actual cause of the query, mapped to its minimal contingency
     sets.  Empty when the query is false on the instance."""
-    hs = _endogenous_hitting_sets(instance, query)
+    hs = minimal_hitting_sets(endogenous_parts(instance, query))
     return cause_set_from_hitting_sets(hs, instance.endogenous)
 
 

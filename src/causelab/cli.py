@@ -14,13 +14,12 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .abduction import abductive_solutions, problem_for_instance
+from .abduction import abductive_solutions, necessary_sets, problem_for_instance
 from .budget import Meter, budget_from_env
 from .causality import actual_causes, cause_set_from_hitting_sets, responsibility, responsibility_of
 from .checks import cross_check, fixture_checks
 from .diagnosis import build_problem, minimal_diagnoses
 from .errors import BudgetError, DomainError, ParseError, SchemaError
-from .hitting import minimal_hitting_sets
 from .model import Fact, Instance, eval_bcq
 from .oracles import LATTICE_CAP
 from .parsing import (
@@ -114,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--max-size", type=int, default=7)
-    p.add_argument("--fixtures-only", action="store_true")
 
     return parser
 
@@ -199,11 +197,10 @@ def _cmd_abduce(args: argparse.Namespace) -> dict[str, Any]:
     if args.obs:
         observations = [parse_ground_atom(o) for o in args.obs]
     problem = problem_for_instance(program, instance, observations)
-    # Necessary sets and relevant hypotheses are both read off the
-    # solutions, so the minimal supports are computed once.  The solutions
-    # form an antichain, so every relevant hypothesis is in a necessary set.
+    # The solutions form an antichain, so every relevant hypothesis is in a
+    # necessary set and gets its responsibility from them.
     solutions = abductive_solutions(problem)
-    necessary = minimal_hitting_sets(solutions)
+    necessary = necessary_sets(problem)
     rho = {
         t: responsibility_of(gammas)
         for t, gammas in cause_set_from_hitting_sets(necessary, problem.hyp).items()
@@ -220,12 +217,10 @@ def _cmd_abduce(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_check(args: argparse.Namespace) -> dict[str, Any]:
-    reports = list(fixture_checks())
-    if not args.fixtures_only:
-        reports.extend(cross_check(args.seed, args.trials, args.max_size))
+    reports = fixture_checks() + cross_check(args.seed, args.trials, args.max_size)
     return {
         "seed": args.seed,
-        "trials": 0 if args.fixtures_only else args.trials,
+        "trials": args.trials,
         "max_size": args.max_size,
         "reports": [
             {

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TypeAlias
 
-from .causality import CauseSet, cause_set_from_hitting_sets, require_endogenous
+from .causality import CauseSet, cause_set_from_hitting_sets, endogenous_parts, require_endogenous
 from .hitting import minimal_hitting_sets
-from .model import ConjunctiveQuery, Fact, Instance, eval_bcq, witnesses
+from .model import ConjunctiveQuery, Fact, Instance
 
 __all__ = [
     "DiagnosisProblem",
@@ -37,14 +37,22 @@ class DiagnosisProblem:
     """A query observed to hold over an instance, with the endogenous part
     as the scope of possible abnormality.
 
-    When the observation does not actually hold the problem is vacuous:
-    the empty abnormality assumption already explains the behaviour and
-    no tuple-specific diagnosis class is populated.
+    ``parts`` holds the endogenous part of every witness of the query,
+    built once by :func:`build_problem`: a set of tuples restores the
+    expected behaviour iff it meets each part.  With no witness the
+    observation does not actually hold and the problem is vacuous: the
+    empty abnormality assumption already explains the behaviour and no
+    tuple-specific diagnosis class is populated.
     """
 
     instance: Instance
     query: ConjunctiveQuery
-    vacuous: bool
+    parts: frozenset[frozenset[Fact]]
+
+    @property
+    def vacuous(self) -> bool:
+        """True iff the query has no witness, i.e. it is false."""
+        return not self.parts
 
     @property
     def abnormal_scope(self) -> frozenset[Fact]:
@@ -53,23 +61,20 @@ class DiagnosisProblem:
 
 
 def build_problem(instance: Instance, query: ConjunctiveQuery) -> DiagnosisProblem:
-    """Set up the diagnosis problem for a query over an instance."""
-    holds = eval_bcq(instance.facts, query, instance.schemas)
-    return DiagnosisProblem(instance, query, vacuous=not holds)
+    """Set up the diagnosis problem for a query over an instance: one join,
+    whose witnesses give the endogenous parts the problem carries."""
+    return DiagnosisProblem(instance, query, endogenous_parts(instance, query))
 
 
 def minimal_diagnoses(problem: DiagnosisProblem) -> frozenset[Diagnosis]:
     """All subset-minimal sets of endogenous tuples whose removal falsifies
     the query.
 
-    These are exactly the minimal hitting sets of the endogenous parts of
-    the query's witnesses: empty result iff some witness contains no
-    endogenous tuple; the vacuous problem yields the empty diagnosis.
+    These are exactly the minimal hitting sets of the problem's endogenous
+    witness parts: empty result iff some witness contains no endogenous
+    tuple; the vacuous problem yields the empty diagnosis.
     """
-    instance = problem.instance
-    scope = problem.abnormal_scope
-    family = {w & scope for w in witnesses(instance.facts, problem.query, instance.schemas)}
-    return minimal_hitting_sets(family)
+    return minimal_hitting_sets(problem.parts)
 
 
 def diagnoses_containing(problem: DiagnosisProblem, t: Fact) -> frozenset[Diagnosis]:

@@ -13,6 +13,10 @@ multiple constraints pool their witnesses.  A repair is represented by
 its removal set: the repaired instance is the original minus those
 facts.
 
+A ground atom is consistently true, kept by every S-repair, iff it lies
+in no witness of the constraint, so :func:`consistently_true` reads the
+answer off the witnesses alone.
+
 The *_from_causes constructions rebuild repairs out of the cause and
 contingency classes of the violation view and must coincide with the
 direct computation; the cross-check harness verifies this on random
@@ -128,12 +132,20 @@ def c_repairs_from_most_responsible(
 
 def consistently_true(instance: Instance, constraint: DenialConstraint, a: Fact) -> bool:
     """Consistent query answering for a ground atom of the instance: true
-    iff ``a`` is not an actual cause of the violation view when the whole
-    instance counts as endogenous, equivalently iff every S-repair keeps it."""
+    iff every S-repair keeps ``a``.
+
+    For denial constraints that holds iff ``a`` lies in no minimal
+    conflict, i.e. in no witness of the violation view (Chomicki and
+    Marcinkowski, Inf. Comput. 2005): the witnesses form an antichain, so
+    each fact of one lies in some minimal hitting set.  One join answers
+    it.  The paper's route, ``a`` is no actual cause of the violation view
+    with the whole instance endogenous, says the same through causality;
+    the cross-check harness keeps it as a reference, next to the
+    intersection of the S-repairs.
+    """
     if a not in instance.facts:
         raise DomainError(f"{a} is not a fact of the instance")
-    cause_set = actual_causes(instance.all_endogenous(), constraint)
-    return a not in cause_set
+    return not any(a in w for w in witnesses(instance.facts, constraint, instance.schemas))
 
 
 def endogenous_s_repairs(

@@ -83,6 +83,7 @@ def test_background_entailment_gives_empty_solution(prog0, d0):
     inst = Instance(d0.schemas, frozenset(), d0.facts)
     problem = problem_for_instance(prog0, inst)
     assert abductive_solutions(problem) == frozenset({frozenset()})
+    assert relevant_hypotheses(problem) == frozenset()
     assert necessary_sets(problem) == frozenset()
     assert solutions_by_enumeration(problem) == frozenset({frozenset()})
     assert necessary_sets_by_enumeration(problem) == frozenset()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from causelab import datalog
+from causelab import datalog, model
 from causelab.cli import build_parser, main
 from causelab.oracles import LATTICE_CAP
 
@@ -103,6 +103,21 @@ def test_abduce_verb(in_data_dir, capsys):
     assert len(payload["necessary_sets"]) == 4
 
 
+def test_diagnose_runs_one_join(in_data_dir, capsys, monkeypatch):
+    # the problem's witness parts both flag vacuity and give the diagnoses
+    calls = []
+    matches = model.matches
+
+    def counted(*args):
+        calls.append(args)
+        return matches(*args)
+
+    monkeypatch.setattr(model, "matches", counted)
+    code, _, _ = run(capsys, "diagnose", "-i", D0, "-q", Q0)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_abduce_runs_one_fixpoint(in_data_dir, capsys, monkeypatch):
     # the problem's minimal supports both check the observations and give
     # the solutions
@@ -163,7 +178,7 @@ def test_consecutive_calls_do_not_leak_options(in_data_dir, capsys, first, secon
 
 
 def test_check_fixtures_only(in_data_dir, capsys):
-    code, out, _ = run(capsys, "check", "--fixtures-only")
+    code, out, _ = run(capsys, "check", "--trials", "0")
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
@@ -172,6 +187,13 @@ def test_check_fixtures_only(in_data_dir, capsys):
         "fixtures.demo-route-agreement",
         "fixtures.transitive-closure",
     }
+
+
+def test_fixtures_only_option_is_gone(capsys):
+    # check --trials 0 prints the fixture reports alone
+    code, out, _ = run(capsys, "check", "--fixtures-only")
+    assert code == 1
+    assert out == ""
 
 
 def test_check_small_corpus(in_data_dir, capsys):

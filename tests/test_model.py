@@ -231,7 +231,7 @@ def fresh():
     return importlib.import_module("causelab.cli")
 
 cli = fresh()
-cli.main(["check", "--fixtures-only"])
+cli.main(["check", "--trials", "0"])
 model, errors = sys.modules["causelab.model"], sys.modules["causelab.errors"]
 refs = {c.__name__: weakref.ref(c) for c in (model.Fact, model.Variable, errors.BudgetError)}
 del cli, model, errors

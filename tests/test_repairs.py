@@ -20,7 +20,9 @@ from causelab import (
     s_repairs,
     s_repairs_from_causes,
 )
+from causelab.budget import Meter
 from causelab.checks import demo_instance
+from causelab.model import witnesses
 from causelab.oracles import causes_by_enumeration, s_repair_removals_by_enumeration
 
 R21 = fact("R", "a2", "a1")
@@ -187,6 +189,20 @@ def test_consistently_true_matches_repair_intersection(d0, k0):
     repairs = s_repairs(d0, [k0])
     for a in sorted(d0.facts):
         assert consistently_true(d0, k0, a) == all(a not in r for r in repairs)
+
+
+def test_consistently_true_spends_only_the_witness_join():
+    # ten disjoint violations give 1,024 S-repairs; the answer needs none
+    chains = [(fact("R", f"a{i}", f"b{i}"), fact("R", f"b{i}", f"c{i}")) for i in range(10)]
+    inst = rs_instance(*(f for chain in chains for f in chain))
+    constraint = parse_denial_constraint(":- R(X, Y), R(Y, Z).")
+    assert len(s_repairs(inst, [constraint])) == 1024
+    with Meter() as join:
+        witnesses(inst.facts, constraint, inst.schemas)
+    for a in chains[0]:
+        with Meter() as cqa:
+            assert not consistently_true(inst, constraint, a)
+        assert cqa.used == join.used
 
 
 def test_endogenous_repairs_when_everything_is_endogenous(d0, k0):
