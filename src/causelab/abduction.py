@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, TypeAlias
 
-from .causality import CauseSet, cause_set_from_hitting_sets, require_endogenous, responsibility_of
+from .causality import require_endogenous, responsibility_of
 from .errors import DomainError
 from .hitting import minimal_hitting_sets, minimize_family
 from .model import Fact, Instance
@@ -121,29 +121,34 @@ def necessary_sets(problem: AbductionProblem) -> frozenset[NecessarySet]:
     return minimal_hitting_sets(problem.solutions)
 
 
-def _datalog_cause_set(program: DatalogProgram, instance: Instance) -> CauseSet:
-    """Causes of the answer atom read off the minimal hitting sets of the
-    endogenous parts of its minimal supports: one fixpoint in all.
+def _endogenous_support_parts(
+    program: DatalogProgram, instance: Instance
+) -> frozenset[frozenset[Fact]]:
+    """The subset-minimal endogenous parts of the answer atom's minimal
+    supports: one fixpoint in all.
 
-    With no supports (the answer is not derived) the only hitting set is
-    the empty one, so there are no causes.  These hitting sets are the
+    Empty when the answer is not derived; ``{frozenset()}`` when some
+    support is wholly exogenous.  Their minimal hitting sets are the
     necessary sets of the instance's canonical abduction problem.
     """
     supports = minimal_supports(program, instance.facts, {program.answer_atom()})
-    hitting = minimal_hitting_sets({s & instance.endogenous for s in supports})
-    return cause_set_from_hitting_sets(hitting, instance.endogenous)
+    return minimize_family(s & instance.endogenous for s in supports)
 
 
 def datalog_actual_causes(program: DatalogProgram, instance: Instance) -> frozenset[Fact]:
     """Actual causes for the answer atom, by the contingency definition
     generalized to Datalog entailment.
 
-    Reduces to minimal hitting sets of the endogenous parts of the
-    answer's minimal supports; empty when the program does not derive
-    the answer from the full instance.  Agrees with the relevant
+    A tuple is a cause iff it lies in a subset-minimal endogenous part of
+    the answer's minimal supports and no part is empty (Meliou,
+    Gatterbauer, Moore & Suciu, PVLDB 2010): each element of a minimal
+    member of a family lies in some minimal hitting set of it.  An empty
+    part is the only minimal one, so the union of the minimal parts is the
+    answer with no hitting-set search; empty when the program does not
+    derive the answer from the full instance.  Agrees with the relevant
     hypotheses of the matching abduction problem.
     """
-    return frozenset(_datalog_cause_set(program, instance))
+    return frozenset().union(*_endogenous_support_parts(program, instance))
 
 
 def datalog_responsibility(program: DatalogProgram, instance: Instance, t: Fact) -> Fraction:
@@ -151,4 +156,5 @@ def datalog_responsibility(program: DatalogProgram, instance: Instance, t: Fact)
     in the instance's canonical abduction problem; 0 when ``t`` is in no
     necessary set or the answer is not derived at all."""
     require_endogenous(instance, t)
-    return responsibility_of(_datalog_cause_set(program, instance).get(t, ()))
+    parts = _endogenous_support_parts(program, instance)
+    return responsibility_of(h - {t} for h in minimal_hitting_sets(parts, forced=t))

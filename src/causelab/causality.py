@@ -10,9 +10,10 @@ k is the size of the smallest contingency set, computed by
 
 Causes reduce to minimal hitting sets of the endogenous parts of the
 query's witnesses: the minimal contingency sets of t are exactly H minus
-{t} for the minimal hitting sets H that contain t.  The definition-level
-search over contingency candidates lives in :mod:`causelab.oracles`,
-which the cross-check harness compares against.
+{t} for the minimal hitting sets H that contain t, and the search
+enumerates only those when asked for t.  The definition-level search
+over contingency candidates lives in :mod:`causelab.oracles`, which the
+cross-check harness compares against.
 """
 from __future__ import annotations
 
@@ -54,22 +55,19 @@ def responsibility_of(contingencies: Iterable[ContingencySet]) -> Fraction:
     return Fraction(0) if k is None else Fraction(1, 1 + k)
 
 
-def cause_set_from_hitting_sets(
-    sets: Iterable[frozenset[Fact]], candidates: frozenset[Fact]
-) -> CauseSet:
-    """Causes read off a family of minimal hitting sets.
+def cause_set_from_hitting_sets(sets: Iterable[frozenset[Fact]]) -> CauseSet:
+    """Causes read off a family of minimal hitting sets drawn from the
+    candidates (the endogenous tuples, or the abducibles).
 
-    Only the sets drawn wholly from ``candidates`` count.  A candidate is
-    a cause iff one of them contains it, and its minimal contingency sets
-    are those sets minus itself.  The hitting sets of witness parts, the
-    repair removal sets and the minimal diagnoses all yield causes this
-    way.
+    A tuple is a cause iff one of the sets contains it, and its minimal
+    contingency sets are those sets minus itself.  The hitting sets of
+    witness parts, the endogenous repair removal sets, the minimal
+    diagnoses and the necessary hypothesis sets all yield causes this way.
     """
     containing: dict[Fact, list[frozenset[Fact]]] = {}
     for h in sets:
-        if h <= candidates:
-            for t in h:
-                containing.setdefault(t, []).append(h)
+        for t in h:
+            containing.setdefault(t, []).append(h)
     return MappingProxyType(
         {t: frozenset(h - {t} for h in hs) for t, hs in containing.items()}
     )
@@ -109,15 +107,14 @@ def minimal_contingency_sets(
     """All subset-minimal contingency sets turning ``t`` into a counterfactual
     cause for the view; empty iff ``t`` is not an actual cause."""
     require_endogenous(instance, t)
-    hs = minimal_hitting_sets(endogenous_parts(instance, view))
-    return frozenset(h - {t} for h in hs if t in h)
+    hs = minimal_hitting_sets(endogenous_parts(instance, view), forced=t)
+    return frozenset(h - {t} for h in hs)
 
 
 def actual_causes(instance: Instance, query: ConjunctiveQuery) -> CauseSet:
     """Every actual cause of the query, mapped to its minimal contingency
     sets.  Empty when the query is false on the instance."""
-    hs = minimal_hitting_sets(endogenous_parts(instance, query))
-    return cause_set_from_hitting_sets(hs, instance.endogenous)
+    return cause_set_from_hitting_sets(minimal_hitting_sets(endogenous_parts(instance, query)))
 
 
 def responsibility(instance: Instance, query: ConjunctiveQuery, t: Fact) -> Fraction:

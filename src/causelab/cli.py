@@ -203,7 +203,7 @@ def _cmd_abduce(args: argparse.Namespace) -> dict[str, Any]:
     necessary = necessary_sets(problem)
     rho = {
         t: responsibility_of(gammas)
-        for t, gammas in cause_set_from_hitting_sets(necessary, problem.hyp).items()
+        for t, gammas in cause_set_from_hitting_sets(necessary).items()
     }
     return {
         "observations": sorted(problem.obs),

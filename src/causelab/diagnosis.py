@@ -80,15 +80,13 @@ def minimal_diagnoses(problem: DiagnosisProblem) -> frozenset[Diagnosis]:
 def diagnoses_containing(problem: DiagnosisProblem, t: Fact) -> frozenset[Diagnosis]:
     """The subset-minimal diagnoses that contain ``t``."""
     require_endogenous(problem.instance, t)
-    return frozenset(d for d in minimal_diagnoses(problem) if t in d)
+    return minimal_hitting_sets(problem.parts, forced=t)
 
 
 def smallest_diagnoses_containing(problem: DiagnosisProblem, t: Fact) -> frozenset[Diagnosis]:
     """Among the diagnoses containing ``t``, those of minimum cardinality."""
     containing = diagnoses_containing(problem, t)
-    if not containing:
-        return frozenset()
-    best = min(len(d) for d in containing)
+    best = min(map(len, containing), default=0)
     return frozenset(d for d in containing if len(d) == best)
 
 
@@ -96,4 +94,4 @@ def causes_via_diagnosis(problem: DiagnosisProblem) -> CauseSet:
     """Actual causes computed solely from the diagnosis classes: a tuple is
     a cause iff some minimal diagnosis contains it, and its responsibility
     is the reciprocal of the smallest such diagnosis."""
-    return cause_set_from_hitting_sets(minimal_diagnoses(problem), problem.abnormal_scope)
+    return cause_set_from_hitting_sets(minimal_diagnoses(problem))

@@ -22,11 +22,20 @@ arrays, each member's sole chosen hitter and each chosen element's
 count of critical members, are updated in place; each branch logs what
 it changed and undoes it on the way back, so a node copies nothing.
 
+Asked for the sets that contain one element t (``forced=t``), the
+search starts with t as the root's only branch.  The critical-member cut
+then keeps t critical, so every leaf is a minimal hitting set containing
+t, reached once, and no subtree without t is entered: the per-tuple
+questions (t's contingency sets, the S-repairs removing t, the diagnoses
+flagging t) cost only the sets that contain t.
+
 The search recurses once per chosen element.  A family of about a
 thousand singletons therefore exceeds Python's default recursion limit
-and raises :class:`RecursionError` (the CLI exits ``3``).  The limit
-stays until the requests that reach it are resized: the correct answer
-to 1,060 counterfactual causes is 72 MB of JSON.
+and raises :class:`RecursionError` (the CLI exits ``3``).  The limit is
+kept on purpose: with it raised, the CLI answer to 1,060 counterfactual
+causes is 72 MB of JSON, and holding that text in memory takes several
+times the peak memory of the benchmark workload that sends the request,
+far past the 15% bound on that metric.
 """
 from __future__ import annotations
 
@@ -74,12 +83,17 @@ def _antichain(sets: Iterable[Iterable[T]], reverse: bool) -> frozenset[frozense
     return frozenset(settled + level)
 
 
-def minimal_hitting_sets(family: Iterable[Iterable[T]]) -> frozenset[frozenset[T]]:
-    """All subset-minimal sets that intersect every member of ``family``.
+def minimal_hitting_sets(
+    family: Iterable[Iterable[T]], forced: T | None = None
+) -> frozenset[frozenset[T]]:
+    """All subset-minimal sets that intersect every member of ``family``;
+    with ``forced``, only those that contain it.
 
     The empty family is hit by the empty set alone, so the result is
     ``{frozenset()}``; a family containing the empty set has no hitting
-    sets at all and the result is empty.
+    sets at all and the result is empty.  A ``forced`` element in no
+    subset-minimal member is in no minimal hitting set: the result is
+    empty and nothing is charged.
 
     Branches on the lowest-indexed unhit member of the family, sorted by
     ``(len, sorted)`` (so a first shortest one), trying its candidate
@@ -93,13 +107,13 @@ def minimal_hitting_sets(family: Iterable[Iterable[T]]) -> frozenset[frozenset[T
     """
     meter = current_meter()
     base = sorted(minimize_family(family), key=lambda s: (len(s), sorted(s)))
-    if not base:
-        return frozenset({frozenset()})
-    if not base[0]:
-        return frozenset()
-
     elements = sorted(frozenset().union(*base))
     index = {x: i for i, x in enumerate(elements)}
+    if (base and not base[0]) or (forced is not None and forced not in index):
+        return frozenset()
+    if not base:
+        return frozenset({frozenset()})
+
     members = [sum(1 << index[x] for x in s) for s in base]
     containing: list[list[int]] = [[] for _ in elements]
     for j, s in enumerate(base):
@@ -111,12 +125,12 @@ def minimal_hitting_sets(family: Iterable[Iterable[T]]) -> frozenset[frozenset[T
     chosen: list[int] = []
     result: list[frozenset[T]] = []
 
-    def walk(unhit: int, candidates: int) -> None:
+    def walk(unhit: int, candidates: int, branch: int = 0) -> None:
         meter.charge()
         if not unhit:
             result.append(frozenset(elements[e] for e in chosen))
             return
-        branch = candidates & members[(unhit & -unhit).bit_length() - 1]
+        branch = branch or candidates & members[(unhit & -unhit).bit_length() - 1]
         candidates &= ~branch
         while branch:
             bit = branch & -branch
@@ -148,5 +162,6 @@ def minimal_hitting_sets(family: Iterable[Iterable[T]]) -> frozenset[frozenset[T
             crit[e] = 0
             candidates |= bit
 
-    walk((1 << len(base)) - 1, (1 << len(elements)) - 1)
+    root = 0 if forced is None else 1 << index[forced]
+    walk((1 << len(base)) - 1, (1 << len(elements)) - 1, root)
     return frozenset(result)

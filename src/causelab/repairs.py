@@ -73,8 +73,9 @@ def removal_sets_containing(
     facts only; nonempty exactly when ``t`` is an actual cause of the
     constraint's violation view."""
     require_endogenous(instance, t)
-    removals = s_repairs(instance, [constraint])
-    return frozenset(r for r in removals if t in r and r <= instance.endogenous)
+    conflicts = witnesses(instance.facts, constraint, instance.schemas)
+    removals = minimal_hitting_sets(conflicts, forced=t)
+    return frozenset(r for r in removals if r <= instance.endogenous)
 
 
 def causes_from_repairs(instance: Instance, query: ConjunctiveQuery) -> CauseSet:
@@ -84,8 +85,7 @@ def causes_from_repairs(instance: Instance, query: ConjunctiveQuery) -> CauseSet
     removes it using endogenous facts only, and its responsibility is the
     reciprocal of the smallest such removal set.
     """
-    removals = s_repairs(instance, [query])
-    return cause_set_from_hitting_sets(removals, instance.endogenous)
+    return cause_set_from_hitting_sets(endogenous_s_repairs(instance, [query]))
 
 
 def _repairs_from_cause_set(cause_set: CauseSet) -> frozenset[Repair]:

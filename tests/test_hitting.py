@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from causelab.budget import Meter
@@ -65,8 +65,14 @@ def test_hitting_budget_is_enforced():
         max_size=6,
     )
 )
+@example([])
+@example([{1, 2}, set()])
 def test_hitting_matches_lattice_enumeration(family):
-    assert minimal_hitting_sets(family) == minimal_hitting_sets_by_enumeration(family)
+    full = minimal_hitting_sets(family)
+    assert full == minimal_hitting_sets_by_enumeration(family)
+    # a forced element gets exactly the sets that contain it; 7 is in no member
+    for x in sorted(set().union(*family)) + [7]:
+        assert minimal_hitting_sets(family, forced=x) == frozenset(h for h in full if x in h)
 
 
 @given(
@@ -100,6 +106,20 @@ def test_hitting_search_charges_are_pinned():
         for w in witnesses(instance.facts, demo_query(), instance.schemas)
     ]
     assert _charged(parts) == 7
+
+
+def test_forced_search_work_is_pinned():
+    # forcing 0 on ten disjoint pairs: the root, its one branch {0}, then
+    # one node per prefix of choices over the other nine pairs, 2^10 - 2;
+    # an element in no member is answered before the search starts
+    pairs = [{2 * i, 2 * i + 1} for i in range(10)]
+    with Meter() as meter:
+        got = minimal_hitting_sets(pairs, forced=0)
+    assert len(got) == 512 and all(0 in h for h in got)
+    assert meter.used == 1024
+    with Meter() as meter:
+        assert minimal_hitting_sets(pairs, forced=20) == frozenset()
+    assert meter.used == 0
 
 
 def test_hitting_work_on_disjoint_pairs_is_pinned():
