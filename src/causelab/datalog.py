@@ -12,14 +12,22 @@ the full index with the delta facts skipped.  A rule position is skipped
 when its delta has no facts for its atom or when an earlier atom has no
 old facts.  The current meter (:func:`causelab.budget.current_meter`)
 is charged per candidate fact an index probe returns, not per fact
-scanned, and per support combination.  Derivations are recorded while
-evaluating and feed the minimal-support computation, a fixpoint over
-antichains of base-fact sets restricted to the derived atoms the goals
-depend on.
+scanned, and per support combination.
+
+:func:`evaluate` and :func:`ground_derivations` compute the whole model.
+:func:`entails` and :func:`minimal_supports` are goal-directed: they
+evaluate the magic-sets rewrite of the program for their goals
+(Bancilhon, Maier, Sagiv & Ullman, PODS 1986; Beeri & Ramakrishnan, JLP
+1991), which derives only the facts the goals demand.  On a transitive
+closure chain of n edges that is n ``T`` facts, not n(n+1)/2.  Its
+derivations, with the magic guards stripped, feed the minimal-support
+computation, a fixpoint over antichains of base-fact sets restricted to
+the derived atoms the goals depend on.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, product
 from typing import Iterable, Iterator
 
@@ -88,11 +96,6 @@ class DatalogProgram:
         return "\n".join(str(r) for r in self.rules)
 
 
-def _old_is_empty(full: FactIndex, delta: FactIndex, a: Atom) -> bool:
-    group = (a.relation, a.arity)
-    return full.size(group) == delta.size(group)
-
-
 def _seminaive(
     program: DatalogProgram, facts: Iterable[Fact], meter: Meter
 ) -> tuple[frozenset[Fact], dict[Fact, set[frozenset[Fact]]]]:
@@ -100,16 +103,21 @@ def _seminaive(
     full = FactIndex(model)
     delta: set[Fact] = set(model)
     derivations: dict[Fact, set[frozenset[Fact]]] = {}
+    compiled = []
+    for r in program.rules:
+        sources = variable_positions(r.body)
+        # Head terms as (atom, position) of a body match; constants as (-1, value).
+        head = tuple(sources[t] if isinstance(t, Variable) else (-1, t) for t in r.head.terms)
+        compiled.append((r, head, [(a.relation, a.arity) for a in r.body]))
     while delta:
         delta_index = FactIndex(delta)
         fresh: set[Fact] = set()
-        for r in program.rules:
-            sources = variable_positions(r.body)
-            # Head terms as (atom, position) of a body match; constants as (-1, value).
-            head = [sources[t] if isinstance(t, Variable) else (-1, t) for t in r.head.terms]
-            for i, a in enumerate(r.body):
-                if not delta_index.size((a.relation, a.arity)) or any(
-                    _old_is_empty(full, delta_index, b) for b in r.body[:i]
+        for r, head, groups in compiled:
+            for i, group in enumerate(groups):
+                # skip when the delta has no facts for atom i, or an earlier
+                # atom has no facts outside the delta
+                if not delta_index.size(group) or any(
+                    full.size(g) == delta_index.size(g) for g in groups[:i]
                 ):
                     continue
                 for m in matches(full, r.body, meter, (i, delta_index, delta)):
@@ -141,8 +149,91 @@ def ground_derivations(
 
 
 def entails(program: DatalogProgram, facts: Iterable[Fact], goals: Iterable[Fact]) -> bool:
-    """True iff every goal atom is in the least fixpoint."""
-    return frozenset(goals) <= evaluate(program, facts)
+    """True iff every goal atom is in the least fixpoint.  Evaluates the
+    demand program of the goals, not the whole model."""
+    entailed, _ = _demanded(program, frozenset(facts), frozenset(goals), current_meter())
+    return entailed
+
+
+def _magic_name(relation: str, adornment: str) -> str:
+    # ':' and '/' never occur in a parsed relation name
+    return f"magic:{relation}/{adornment}"
+
+
+def _magic_atom(a: Atom, adornment: str) -> Atom:
+    """The demand for ``a`` under ``adornment``: its bound terms, on the
+    magic predicate of its relation and adornment."""
+    bound = tuple(t for t, x in zip(a.terms, adornment) if x == "b")
+    return Atom(_magic_name(a.relation, adornment), bound)
+
+
+@lru_cache(maxsize=256)
+def _demand_program(
+    program: DatalogProgram, goals: frozenset[tuple[str, int]]
+) -> tuple[DatalogProgram, frozenset[str]]:
+    """The magic-sets rewrite of ``program`` for ground goals of the given
+    (relation, arity) pairs, and the names of its magic predicates.
+
+    Adornments mark each argument bound (b) or free (f).  A goal is bound
+    in every argument; in a rule body, bindings pass left to right from
+    the head's bound arguments, and a term is bound when it is a constant
+    or a variable bound before it.  A rule reached under an adornment
+    becomes the original rule plus one guard atom, last, on the head's
+    magic predicate, so the rewritten program derives only true facts;
+    each derived body atom demands its bound arguments through a magic
+    rule whose body is the guard after the atoms to its left.  With no
+    bound argument anywhere there is nothing to prune, and the program
+    comes back as it is.
+    """
+    heads = {(r.head.relation, r.head.arity) for r in program.rules}
+    todo = sorted((relation, "b" * arity) for relation, arity in goals & heads)
+    seen = set(todo)
+    rules: dict[DatalogRule, None] = {}
+    for relation, adornment in todo:  # grows while it is walked
+        for r in program.rules:
+            if r.head.relation != relation or r.head.arity != len(adornment):
+                continue
+            guard = _magic_atom(r.head, adornment)
+            bound = {t for t, x in zip(r.head.terms, adornment) if x == "b"}
+            for i, a in enumerate(r.body):
+                if (a.relation, a.arity) in heads:
+                    demand = "".join(
+                        "b" if not isinstance(t, Variable) or t in bound else "f" for t in a.terms
+                    )
+                    magic = _magic_atom(a, demand)
+                    if i or magic != guard:
+                        rules[DatalogRule(magic, r.body[:i] + (guard,))] = None
+                    if (a.relation, demand) not in seen:
+                        seen.add((a.relation, demand))
+                        todo.append((a.relation, demand))
+                bound |= a.variables()
+            rules[DatalogRule(r.head, r.body + (guard,))] = None
+    if not any("b" in adornment for _, adornment in seen):
+        return program, frozenset()
+    return DatalogProgram(tuple(rules)), frozenset(_magic_name(*p) for p in seen)
+
+
+def _demanded(
+    program: DatalogProgram, base: frozenset[Fact], goals: frozenset[Fact], meter: Meter
+) -> tuple[bool, dict[Fact, set[frozenset[Fact]]]]:
+    """Whether the goals are entailed, and the ground derivations of the
+    facts the goals demand: one fixpoint of the demand program, seeded
+    with the goals' magic facts.  The magic facts are dropped, from the
+    derivations and from their bodies, where each is a guard."""
+    rewritten, magic = _demand_program(program, frozenset((g.relation, g.arity) for g in goals))
+    seeds = (Fact(_magic_name(g.relation, "b" * g.arity), g.args) for g in goals)
+    start = base.union(s for s in seeds if s.relation in magic) if magic else base
+    model, derivations = _seminaive(rewritten, start, meter)
+    # the program derives no fact on a magic predicate, so only a base
+    # fact can meet a goal there
+    entailed = all(g in base if g.relation in magic else g in model for g in goals)
+    if magic:
+        derivations = {
+            head: {frozenset(f for f in body if f.relation not in magic) for body in bodies}
+            for head, bodies in derivations.items()
+            if head.relation not in magic
+        }
+    return entailed, derivations
 
 
 def _combine(
@@ -160,7 +251,9 @@ def minimal_supports(
     """All subset-minimal sets of base facts from which the program derives
     every goal atom.
 
-    Computed over the recorded ground derivations: a base fact supports
+    Computed over the ground derivations of the goals' demand program
+    (see :func:`_demand_program`), which records every rule instance with
+    true body atoms for each fact the goals demand: a base fact supports
     itself, a derived atom is supported by any union of supports of the
     atoms in one of its derivation bodies, and a fixpoint over these
     antichains handles recursion.  Empty when the goals are not entailed
@@ -169,8 +262,8 @@ def minimal_supports(
     base = frozenset(facts)
     goal_set = frozenset(goals)
     meter = current_meter()
-    model, derivations = _seminaive(program, base, meter)
-    if not goal_set <= model:
+    entailed, derivations = _demanded(program, base, goal_set, meter)
+    if not entailed:
         return frozenset()
 
     # Only derived atoms the goals depend on can contribute to their supports.

@@ -26,7 +26,13 @@ from __future__ import annotations
 
 from typing import Iterable, TypeAlias
 
-from .causality import CauseSet, actual_causes, cause_set_from_hitting_sets, require_endogenous
+from .causality import (
+    CauseSet,
+    actual_causes,
+    cause_set_from_hitting_sets,
+    endogenous_parts,
+    require_endogenous,
+)
 from .errors import DomainError
 from .hitting import minimal_hitting_sets
 from .model import ConjunctiveQuery, DenialConstraint, Fact, Instance, witnesses
@@ -73,9 +79,7 @@ def removal_sets_containing(
     facts only; nonempty exactly when ``t`` is an actual cause of the
     constraint's violation view."""
     require_endogenous(instance, t)
-    conflicts = witnesses(instance.facts, constraint, instance.schemas)
-    removals = minimal_hitting_sets(conflicts, forced=t)
-    return frozenset(r for r in removals if r <= instance.endogenous)
+    return minimal_hitting_sets(endogenous_parts(instance, constraint), forced=t)
 
 
 def causes_from_repairs(instance: Instance, query: ConjunctiveQuery) -> CauseSet:
@@ -153,7 +157,11 @@ def endogenous_s_repairs(
 ) -> frozenset[Repair]:
     """S-repairs obtained by deleting endogenous facts only.
 
-    May be empty; emptiness means no endogenous repair exists, it is not
-    an error.
+    A set of endogenous facts hits a witness iff it hits the witness's
+    endogenous part, so these are the minimal hitting sets of the pooled
+    endogenous parts, searched directly; a wholly exogenous witness leaves
+    an empty part, which nothing hits.  May be empty; emptiness means no
+    endogenous repair exists, it is not an error.
     """
-    return frozenset(r for r in s_repairs(instance, constraints) if r <= instance.endogenous)
+    parts = frozenset().union(*(endogenous_parts(instance, c) for c in constraints))
+    return minimal_hitting_sets(parts)

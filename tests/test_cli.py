@@ -400,12 +400,13 @@ def test_abduce_on_160_edge_chain_within_default_budget(tmp_path, capsys):
 
 
 def test_budget_caps_the_whole_request(tmp_path, capsys):
-    # Problem construction (the fixpoint and the minimal supports) spends
-    # 484 units and the hitting sets 21: each fits in 500, the request not.
+    # Problem construction (the demand fixpoint and the minimal supports)
+    # spends 227 units and the hitting sets 21: each fits in 240, the
+    # request not.
     _, instance, program = _chain(tmp_path, 20)
-    code, _, err = run(capsys, "abduce", "-i", instance, "-p", program, "--budget", "500")
+    code, _, err = run(capsys, "abduce", "-i", instance, "-p", program, "--budget", "240")
     assert code == 3
-    assert "budget of 500" in err
+    assert "budget of 240" in err
 
 
 def test_check_honours_the_budget(capsys):

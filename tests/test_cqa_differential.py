@@ -30,12 +30,19 @@ CONSTRAINTS = [
 ]
 
 
+#: The shapes whose witnesses need a repeated constant.
+CYCLIC = {":- R(X, X).", ":- R(X, Y), R(Y, X), S(X)."}
+
+
 def _case(seed: int, low: int, high: int) -> tuple[Instance, str]:
     rng = random.Random(seed)
     n = rng.randint(low, high)
+    text = CONSTRAINTS[seed % len(CONSTRAINTS)]
     # one constant per fact keeps the conflicts sparse enough for the
-    # repair enumeration at 60 facts
-    consts = [f"c{i}" for i in range(n)]
+    # repair enumeration at 60 facts; the cyclic shapes take one constant
+    # per four facts (at least 3, so that n distinct facts exist), which
+    # gives most of their instances a witness
+    consts = [f"c{i}" for i in range(max(3, n // 4) if text in CYCLIC else n)]
     chosen: set = set()
     while len(chosen) < n:
         if rng.random() < 0.6:
@@ -46,7 +53,7 @@ def _case(seed: int, low: int, high: int) -> tuple[Instance, str]:
     rng.shuffle(facts)
     cut = rng.randint(0, n)
     instance = Instance(demo_instance().schemas, frozenset(facts[:cut]), frozenset(facts[cut:]))
-    return instance, CONSTRAINTS[seed % len(CONSTRAINTS)]
+    return instance, text
 
 
 CASES = [_case(seed, 20, 60) for seed in range(40)]
