@@ -128,6 +128,11 @@ class Fact(_FactFields):
         return _atom_text(self.relation, self.args)
 
 
+def _signatures(facts: AbstractSet[Fact]) -> set[tuple[str, int]]:
+    """The facts' (relation, arity) pairs, gathered in C."""
+    return set(zip(map(itemgetter(0), facts), map(len, map(itemgetter(1), facts))))
+
+
 def fact(relation: str, *args: str) -> Fact:
     """Shorthand: ``fact("R", "a", "b") == Fact("R", ("a", "b"))``."""
     return Fact(relation, tuple(args))
@@ -235,7 +240,10 @@ class Instance:
     """A database whose facts are partitioned into endogenous and exogenous.
 
     A fact lives in exactly one part; overlap is rejected.  Every fact
-    must conform to a declared relation schema.
+    must conform to a declared relation schema: the set of the facts'
+    (relation, arity) pairs, gathered in C, must lie within the declared
+    ones.  An error names the smallest offender in canonical order, so
+    its text does not depend on set iteration order.
     """
 
     schemas: frozenset[RelationSchema]
@@ -246,23 +254,24 @@ class Instance:
         object.__setattr__(self, "schemas", frozenset(self.schemas))
         object.__setattr__(self, "endogenous", frozenset(self.endogenous))
         object.__setattr__(self, "exogenous", frozenset(self.exogenous))
-        arities: dict[str, int] = {}
-        for s in self.schemas:
-            if s.name in arities:
-                raise ValueError(f"relation {s.name!r} is declared twice")
-            arities[s.name] = s.arity
+        arities = {s.name: s.arity for s in self.schemas}
+        if len(arities) < len(self.schemas):
+            names = sorted(s.name for s in self.schemas)
+            twice = next(a for a, b in zip(names, names[1:]) if a == b)
+            raise ValueError(f"relation {twice!r} is declared twice")
         overlap = self.endogenous & self.exogenous
         if overlap:
             listing = ", ".join(str(f) for f in sorted(overlap))
             raise ValueError(f"facts cannot be both endogenous and exogenous: {listing}")
-        for f in self.endogenous | self.exogenous:
+        facts = self.endogenous | self.exogenous
+        if not _signatures(facts).issubset(arities.items()):
+            f = min(f for f in facts if arities.get(f.relation) != f.arity)
             declared = arities.get(f.relation)
             if declared is None:
                 raise SchemaError(f"fact {f} uses the undeclared relation {f.relation!r}")
-            if declared != f.arity:
-                raise SchemaError(
-                    f"fact {f} has arity {f.arity}, but {f.relation!r} is declared with arity {declared}"
-                )
+            raise SchemaError(
+                f"fact {f} has arity {f.arity}, but {f.relation!r} is declared with arity {declared}"
+            )
 
     @property
     def facts(self) -> frozenset[Fact]:
@@ -281,20 +290,17 @@ class Instance:
 
     @classmethod
     def infer(cls, endogenous: Iterable[Fact] = (), exogenous: Iterable[Fact] = ()) -> "Instance":
-        """Build an instance inferring the schemas from the facts given."""
+        """Build an instance inferring the schemas from the facts given.
+
+        A relation used with several arities is an error that names the
+        smallest such relation and its two smallest arities."""
         endo = frozenset(endogenous)
         exo = frozenset(exogenous)
-        arities: dict[str, int] = {}
-        for f in endo | exo:
-            seen = arities.get(f.relation)
-            if seen is None:
-                arities[f.relation] = f.arity
-            elif seen != f.arity:
-                raise SchemaError(
-                    f"relation {f.relation!r} is used with arities {seen} and {f.arity}"
-                )
-        schemas = frozenset(RelationSchema(name, arity) for name, arity in arities.items())
-        return cls(schemas, endo, exo)
+        used = sorted(_signatures(endo | exo))
+        for (name, arity), (other, other_arity) in zip(used, used[1:]):
+            if name == other:
+                raise SchemaError(f"relation {name!r} is used with arities {arity} and {other_arity}")
+        return cls(frozenset(RelationSchema(name, arity) for name, arity in used), endo, exo)
 
 
 def check_query_schema(query: ConjunctiveQuery, schemas: frozenset[RelationSchema] | None) -> None:

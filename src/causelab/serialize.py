@@ -20,11 +20,17 @@ set first.  :func:`dumps` prints a payload as
 each fact replaced by its flat list, byte for byte; it builds each
 fact's text once per indent depth, since facts recur across thousands
 of sets.
+
+:func:`instance_from_dict` loads an instance with no per-fact Python
+check: each part's rows are checked in whole-list passes that run in C
+and each fact is built once.  Only a failed pass walks the rows one by
+one, with :func:`fact_from_list`, to raise the first bad row's error.
 """
 from __future__ import annotations
 
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from .causality import CauseSet, responsibility_of
@@ -64,9 +70,37 @@ def fact_to_list(f: Fact) -> list[str]:
 
 
 def fact_from_list(data: Any) -> Fact:
+    """One row ``[relation, arg...]`` as a fact, every check made on the
+    row alone: the reference for :func:`instance_from_dict`'s bulk checks."""
     if not isinstance(data, list) or not data or not all(isinstance(x, str) for x in data):
         raise ParseError(f"a fact must be a nonempty list of strings, got {data!r}")
     return Fact(data[0], tuple(data[1:]))
+
+
+_FIRST = itemgetter(0)
+_REST = itemgetter(slice(1, None))
+
+
+def _rows_valid(rows: list[Any]) -> bool:
+    """Whether every row passes :func:`fact_from_list`, asked in
+    whole-list passes that run in C."""
+    if not (all(map(isinstance, rows, repeat(list))) and all(rows)):
+        return False
+    try:
+        "".join(chain.from_iterable(rows))
+    except TypeError:  # an element that is not a string
+        return False
+    return all(map(_FIRST, rows))
+
+
+def _facts_from_rows(rows: list[Any]) -> frozenset[Fact]:
+    if not _rows_valid(rows):
+        # the first bad row raises its own error
+        for row in rows:
+            fact_from_list(row)
+    # the rows passed Fact.__new__'s checks above, so each fact is built once
+    pairs = zip(map(_FIRST, rows), map(tuple, map(_REST, rows)))
+    return frozenset(map(tuple.__new__, repeat(Fact), pairs))
 
 
 def family_to_list(families: Iterable[Iterable[Fact]]) -> list[list[Fact]]:
@@ -86,6 +120,20 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
 
 
 def instance_from_dict(data: Any) -> Instance:
+    """The instance a parsed JSON document describes.
+
+    The fields are checked first, then each schema in order.  The fact
+    rows of each part, endogenous first, are checked in whole-list passes:
+    every row a list (``isinstance`` mapped over the rows), none empty
+    (``all``), every element a string (one ``str.join`` over all of them)
+    and every relation name nonempty (``all`` over the first elements).
+    Only when a pass fails are that part's rows walked with
+    :func:`fact_from_list`, so the error raised is the first bad row's in
+    document order, with the type and message the per-row check gives.
+    Each fact is built once, with ``tuple.__new__``, and :class:`Instance`
+    then checks the declared schemas, the parts' overlap and the set of
+    the facts' (relation, arity) pairs.
+    """
     if not isinstance(data, dict):
         raise ParseError("an instance must be a JSON object")
     if "schemas" not in data:
@@ -104,8 +152,8 @@ def instance_from_dict(data: Any) -> Instance:
         ):
             raise ParseError(f"a schema needs a string 'name' and an integer 'arity', got {s!r}")
         schemas.add(RelationSchema(s["name"], s["arity"]))
-    endo = frozenset(fact_from_list(f) for f in fields["endogenous"])
-    exo = frozenset(fact_from_list(f) for f in fields["exogenous"])
+    endo = _facts_from_rows(fields["endogenous"])
+    exo = _facts_from_rows(fields["exogenous"])
     return Instance(frozenset(schemas), endo, exo)
 
 

@@ -338,6 +338,43 @@ def test_overlapping_parts_exit_2(in_data_dir, tmp_path, capsys):
     assert run(capsys, "causes", "-i", str(broken), "-q", Q0)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (
+            {"schemas": [], "endogenous": [["Q", "a"], ["P", "b"], ["Z", "c"], ["X", "d"]]},
+            "schema error: fact P(b) uses the undeclared relation 'P'",
+        ),
+        (
+            {
+                "schemas": [{"name": n, "arity": k} for n in "QPZX" for k in (1, 2)],
+                "endogenous": [],
+            },
+            "validation error: relation 'P' is declared twice",
+        ),
+    ],
+    ids=["undeclared", "declared-twice"],
+)
+def test_instance_errors_do_not_depend_on_the_hash_seed(in_data_dir, tmp_path, document, message):
+    # each error names its smallest offender in canonical order, not the
+    # first one met in set iteration order
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(document))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    results = set()
+    for seed in "1234":
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "causelab.cli", "causes", "-i", str(broken), "-q", Q0],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        results.add((proc.returncode, proc.stderr))
+    assert results == {(2, f"causelab: {message}\n")}
+
+
 def test_undeclared_query_relation_exits_2(in_data_dir, tmp_path, capsys):
     query = tmp_path / "alien.dl"
     query.write_text("q() :- Z(X).")

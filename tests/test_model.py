@@ -104,6 +104,13 @@ def test_infer_builds_schemas_from_facts():
     assert inst.facts == facts("R(a,b)", "S(a)")
 
 
+def test_infer_names_the_smallest_relation_used_with_two_arities():
+    # the error does not depend on the order in which the sets iterate
+    used = facts("Q(a)", "Q(a,b)", "P(a,b,c)", "P(a)", "P(a,b)", "Z(a)", "Z(a,b)")
+    with pytest.raises(SchemaError, match=r"^relation 'P' is used with arities 1 and 2$"):
+        Instance.infer(endogenous=used)
+
+
 # ------------------------------------------------------------- evaluation
 
 
