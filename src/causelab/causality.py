@@ -87,9 +87,8 @@ def is_counterfactual_cause(instance: Instance, query: ConjunctiveQuery, t: Fact
     """True iff the query holds and deleting ``t`` alone falsifies it."""
     require_endogenous(instance, t)
     facts = instance.facts
-    return eval_bcq(facts, query, instance.schemas) and not eval_bcq(
-        facts - {t}, query, instance.schemas
-    )
+    # the first evaluation checks the query's schema for both
+    return eval_bcq(facts, query, instance.schemas) and not eval_bcq(facts - {t}, query)
 
 
 def endogenous_parts(instance: Instance, query: ConjunctiveQuery) -> frozenset[frozenset[Fact]]:

@@ -71,11 +71,11 @@ from .oracles import (
     causes_by_enumeration,
     datalog_causes_by_enumeration,
     diagnoses_by_enumeration,
+    holds_by_nested_loops,
     naive_datalog_model,
     necessary_sets_by_enumeration,
     s_repair_removals_by_enumeration,
     solutions_by_enumeration,
-    valuations_by_nested_loops,
     witnesses_by_enumeration,
 )
 from .parsing import parse_program, parse_query
@@ -324,17 +324,13 @@ def _cause_rho(item: CorpusItem, t: Fact) -> Fraction:
 
 # ----------------------------------------------------------- the properties
 
-def _nested_loop_match(facts: frozenset[Fact], query: ConjunctiveQuery) -> bool:
-    return next(valuations_by_nested_loops(facts, query.atoms), None) is not None
-
-
 def _prop_constraint_duality(item: CorpusItem, rng: random.Random) -> str | None:
     # the nested-loop join shares no code with satisfies_dc's join engine
     facts, q = item.instance.facts, item.query
     samples = [facts, _random_subset(rng, facts), _random_subset(rng, facts)]
     return _differ(
         "subsets where satisfies_dc and the nested-loop join disagree",
-        {s for s in samples if satisfies_dc(s, q) == _nested_loop_match(s, q)},
+        {s for s in samples if satisfies_dc(s, q) == holds_by_nested_loops(s, q)},
         set(),
     )
 

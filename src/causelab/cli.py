@@ -133,11 +133,10 @@ def _fact_sets(family: list[list[Fact]]) -> str:
 def _cmd_causes(args: argparse.Namespace) -> dict[str, Any]:
     instance = load_instance(args.instance)
     query = parse_query(_read(args.query))
-    holds = eval_bcq(instance.facts, query, instance.schemas)
-    payload: dict[str, Any] = {
-        "query_holds": holds,
-        "causes": cause_set_to_list(actual_causes(instance, query)),
-    }
+    causes = actual_causes(instance, query)
+    # a query with a cause holds; only one without runs a second join
+    holds = bool(causes) or eval_bcq(instance.facts, query, instance.schemas)
+    payload: dict[str, Any] = {"query_holds": holds, "causes": cause_set_to_list(causes)}
     if not holds:
         payload["note"] = "the query is false in this instance; there is no answer to explain"
     return payload

@@ -23,6 +23,11 @@ closure chain of n edges that is n ``T`` facts, not n(n+1)/2.  Its
 derivations, with the magic guards stripped, feed the minimal-support
 computation, a fixpoint over antichains of base-fact sets restricted to
 the derived atoms the goals depend on.
+
+A derived head is built from a rule's parsed constants and the
+arguments of matched facts, all checked when they entered, so the
+engine builds it with ``tuple.__new__`` and skips
+:class:`~causelab.model.Fact`'s field check.
 """
 from __future__ import annotations
 
@@ -47,6 +52,7 @@ __all__ = [
 
 #: The zero-ary predicate whose atom is a program's default observation.
 ANSWER_PREDICATE = "ans"
+_ANSWER_ATOM = Fact(ANSWER_PREDICATE, ())
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,7 @@ class DatalogProgram:
         return frozenset(r.head.relation for r in self.rules)
 
     def answer_atom(self) -> Fact:
-        return Fact(ANSWER_PREDICATE, ())
+        return _ANSWER_ATOM
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rules)
@@ -121,9 +127,8 @@ def _seminaive(
                 ):
                     continue
                 for m in matches(full, r.body, meter, (i, delta_index, delta)):
-                    derived = Fact(
-                        r.head.relation, tuple(p if k < 0 else m[k].args[p] for k, p in head)
-                    )
+                    args = tuple(p if k < 0 else m[k].args[p] for k, p in head)
+                    derived = tuple.__new__(Fact, (r.head.relation, args))
                     derivations.setdefault(derived, set()).add(frozenset(m))
                     if derived not in model:
                         fresh.add(derived)
@@ -221,7 +226,9 @@ def _demanded(
     with the goals' magic facts.  The magic facts are dropped, from the
     derivations and from their bodies, where each is a guard."""
     rewritten, magic = _demand_program(program, frozenset((g.relation, g.arity) for g in goals))
-    seeds = (Fact(_magic_name(g.relation, "b" * g.arity), g.args) for g in goals)
+    seeds = (
+        tuple.__new__(Fact, (_magic_name(g.relation, "b" * g.arity), g.args)) for g in goals
+    )
     start = base.union(s for s in seeds if s.relation in magic) if magic else base
     model, derivations = _seminaive(rewritten, start, meter)
     # the program derives no fact on a magic predicate, so only a base

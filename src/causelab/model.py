@@ -33,7 +33,7 @@ meter, which is per thread and per task, so concurrent use is safe.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, TypeAlias
@@ -108,6 +108,12 @@ class Fact(_FactFields):
     A fact is its plain ``(relation, args)`` tuple: it hashes, compares
     and sorts as that tuple does, in C, so ``sorted`` gives the canonical
     order (relation name, then constants, lexicographically).
+
+    Each value is checked once, where it enters: ``Fact(...)``,
+    :func:`fact` and :func:`ground_atom` check their fields, because
+    they take outside input.  Code that builds a fact from parts already
+    checked (the loader's rows, a parsed atom, a derived rule head)
+    calls ``tuple.__new__(Fact, (relation, args))`` and skips the check.
     """
 
     __slots__ = ()
@@ -249,6 +255,9 @@ class Instance:
     schemas: frozenset[RelationSchema]
     endogenous: frozenset[Fact] = frozenset()
     exogenous: frozenset[Fact] = frozenset()
+    #: The full instance: endogenous and exogenous facts together, built
+    #: once; it takes no part in ``==``, ``hash`` or ``repr``.
+    facts: frozenset[Fact] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schemas", frozenset(self.schemas))
@@ -264,6 +273,7 @@ class Instance:
             listing = ", ".join(str(f) for f in sorted(overlap))
             raise ValueError(f"facts cannot be both endogenous and exogenous: {listing}")
         facts = self.endogenous | self.exogenous
+        object.__setattr__(self, "facts", facts)
         if not _signatures(facts).issubset(arities.items()):
             f = min(f for f in facts if arities.get(f.relation) != f.arity)
             declared = arities.get(f.relation)
@@ -273,14 +283,9 @@ class Instance:
                 f"fact {f} has arity {f.arity}, but {f.relation!r} is declared with arity {declared}"
             )
 
-    @property
-    def facts(self) -> frozenset[Fact]:
-        """The full instance: endogenous and exogenous facts together."""
-        return self.endogenous | self.exogenous
-
     def all_endogenous(self) -> "Instance":
         """The same facts with the whole instance treated as endogenous."""
-        return Instance(self.schemas, self.endogenous | self.exogenous, frozenset())
+        return Instance(self.schemas, self.facts, frozenset())
 
     def with_endogenous(self, f: Fact) -> "Instance":
         return Instance(self.schemas, self.endogenous | {f}, self.exogenous)

@@ -5,11 +5,15 @@ naive fixpoints, and exist so the optimized engines can be checked
 against something that is obviously right.  They are independent of the
 hitting-set search, the semi-naive fixpoint and the indexed join engine:
 queries and rule bodies are evaluated by the plain nested-loop join
-below.  The only code they share with the engines is the antichain
-filters :func:`~causelab.hitting.minimize_family` and
+below, whose :func:`holds_by_nested_loops` is also the cross-check
+harness's independent evaluator.  The only code they share with the
+engines is the antichain filters
+:func:`~causelab.hitting.minimize_family` and
 :func:`~causelab.hitting.maximize_family`, which
 ``tests/test_hitting_differential.py`` checks against the pairwise
-definition.  They only make sense at small sizes.
+definition.  Each oracle checks its query's schema once per call,
+before its subset walk, not once per subset.  They only make sense at
+small sizes.
 """
 from __future__ import annotations
 
@@ -28,7 +32,6 @@ from .model import (
     DenialConstraint,
     Fact,
     Instance,
-    RelationSchema,
     Variable,
     check_query_schema,
     ground_atom,
@@ -85,10 +88,8 @@ def valuations_by_nested_loops(
     return extend(0, {})
 
 
-def _eval_bcq(
-    facts: Iterable[Fact], query: ConjunctiveQuery, schemas: frozenset[RelationSchema] | None = None
-) -> bool:
-    check_query_schema(query, schemas)
+def holds_by_nested_loops(facts: Iterable[Fact], query: ConjunctiveQuery) -> bool:
+    """Whether the query holds on ``facts``, by the nested-loop join."""
     return next(valuations_by_nested_loops(facts, query.atoms), None) is not None
 
 
@@ -98,7 +99,7 @@ def witnesses_by_enumeration(
     """Minimal support sets found by walking the subset lattice."""
     pool = frozenset(facts)
     _guard(len(pool), LATTICE_CAP, "witness")
-    return minimize_family(w for w in subsets_of(pool) if _eval_bcq(w, query))
+    return minimize_family(w for w in subsets_of(pool) if holds_by_nested_loops(w, query))
 
 
 def _contingency_sets(
@@ -121,7 +122,8 @@ def causes_by_enumeration(
     """Actual causes, each mapped to its minimal contingency sets, found by
     trying every contingency candidate."""
     _guard(len(instance.endogenous), LATTICE_CAP, "cause")
-    holds = cache(lambda fs: _eval_bcq(fs, query, instance.schemas))
+    check_query_schema(query, instance.schemas)
+    holds = cache(lambda fs: holds_by_nested_loops(fs, query))
     causes = {}
     for t in sorted(instance.endogenous):
         gammas = list(_contingency_sets(instance, t, holds))
@@ -137,10 +139,12 @@ def s_repair_removals_by_enumeration(
     facts = instance.facts
     _guard(len(facts), LATTICE_CAP, "repair")
     constraint_list = list(constraints)
+    for c in constraint_list:
+        check_query_schema(c, instance.schemas)
     consistent = [
         kept
         for kept in subsets_of(facts)
-        if not any(_eval_bcq(kept, c, instance.schemas) for c in constraint_list)
+        if not any(holds_by_nested_loops(kept, c) for c in constraint_list)
     ]
     return frozenset(facts - kept for kept in maximize_family(consistent))
 
@@ -149,10 +153,11 @@ def diagnoses_by_enumeration(problem: DiagnosisProblem) -> frozenset[frozenset[F
     """Minimal falsifying deletion sets, by trying every endogenous subset."""
     instance = problem.instance
     _guard(len(problem.abnormal_scope), LATTICE_CAP, "diagnosis")
+    check_query_schema(problem.query, instance.schemas)
     falsifying = [
         delta
         for delta in subsets_of(problem.abnormal_scope)
-        if not _eval_bcq(instance.facts - delta, problem.query, instance.schemas)
+        if not holds_by_nested_loops(instance.facts - delta, problem.query)
     ]
     return minimize_family(falsifying)
 

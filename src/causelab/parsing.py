@@ -195,4 +195,5 @@ def parse_ground_atom(text: str) -> Fact:
     p.finish("atom")
     if not a.is_ground():
         raise ParseError(f"expected a ground atom, got variables in {a}")
-    return Fact(a.relation, a.terms)  # type: ignore[arg-type]
+    # the atom has checked its relation and terms
+    return tuple.__new__(Fact, (a.relation, a.terms))

@@ -7,14 +7,18 @@ import pytest
 from causelab import (
     AbductionProblem,
     BudgetError,
+    DiagnosisProblem,
     DomainError,
     Instance,
     Meter,
+    SchemaError,
     abductive_solutions,
+    build_problem,
     datalog_actual_causes,
     datalog_responsibility,
     fact,
     necessary_sets,
+    parse_query,
     problem_for_instance,
     relevant_hypotheses,
     responsibility,
@@ -24,7 +28,9 @@ from causelab.oracles import (
     LATTICE_CAP,
     causes_by_enumeration,
     datalog_causes_by_enumeration,
+    diagnoses_by_enumeration,
     necessary_sets_by_enumeration,
+    s_repair_removals_by_enumeration,
     solutions_by_enumeration,
 )
 
@@ -233,7 +239,7 @@ def test_exogenous_edges_do_not_appear_in_solutions(t0_prog):
 def test_oracles_evaluate_each_fact_set_once(d0, q0, prog0, monkeypatch):
     # a dropped memo changes no answer, only how often a fact set is evaluated
     evaluated = []
-    eval_bcq, naive_model = oracles._eval_bcq, oracles.naive_datalog_model
+    eval_bcq, naive_model = oracles.holds_by_nested_loops, oracles.naive_datalog_model
 
     def recorded_bcq(facts, *rest):
         evaluated.append(facts)
@@ -243,7 +249,7 @@ def test_oracles_evaluate_each_fact_set_once(d0, q0, prog0, monkeypatch):
         evaluated.append(facts)
         return naive_model(program, facts)
 
-    monkeypatch.setattr(oracles, "_eval_bcq", recorded_bcq)
+    monkeypatch.setattr(oracles, "holds_by_nested_loops", recorded_bcq)
     monkeypatch.setattr(oracles, "naive_datalog_model", recorded_model)
     problem = problem_for_instance(prog0, d0)
     for call in (
@@ -255,3 +261,38 @@ def test_oracles_evaluate_each_fact_set_once(d0, q0, prog0, monkeypatch):
         evaluated.clear()
         call()
         assert evaluated and len(set(evaluated)) == len(evaluated)
+
+
+def test_oracles_check_each_query_schema_once(d0, q0, k0, monkeypatch):
+    # the check runs before the subset walk, not once per subset
+    checked = []
+    check = oracles.check_query_schema
+
+    def recorded(query, schemas):
+        checked.append(query)
+        return check(query, schemas)
+
+    problem = build_problem(d0, q0)
+    monkeypatch.setattr(oracles, "check_query_schema", recorded)
+    for call, expected in (
+        (lambda: causes_by_enumeration(d0, q0), [q0]),
+        (lambda: diagnoses_by_enumeration(problem), [q0]),
+        (lambda: s_repair_removals_by_enumeration(d0, [k0, q0]), [k0, q0]),
+    ):
+        checked.clear()
+        call()
+        assert checked == expected
+
+
+def test_oracles_reject_an_undeclared_relation(d0, k0):
+    bad = parse_query("q() :- Z(X).")
+    undeclared = r"query atom Z\(X\) uses the undeclared relation 'Z'"
+    for call in (
+        lambda: causes_by_enumeration(d0, bad),
+        # with no endogenous fact there is no subset to walk
+        lambda: causes_by_enumeration(Instance(d0.schemas, exogenous=d0.facts), bad),
+        lambda: diagnoses_by_enumeration(DiagnosisProblem(d0, bad, frozenset())),
+        lambda: s_repair_removals_by_enumeration(d0, [k0, bad]),
+    ):
+        with pytest.raises(SchemaError, match=undeclared):
+            call()

@@ -52,6 +52,25 @@ def test_causes_flags_unanswered_query(in_data_dir, tmp_path, capsys):
     }
 
 
+def test_causes_holds_through_an_exogenous_witness(tmp_path, capsys):
+    # no cause, yet the query holds: the second join answers query_holds
+    instance = tmp_path / "exo.json"
+    instance.write_text(
+        json.dumps(
+            {
+                "schemas": [{"name": "R", "arity": 2}, {"name": "S", "arity": 1}],
+                "endogenous": [["R", "a1", "a4"]],
+                "exogenous": [["R", "a2", "a1"], ["S", "a1"]],
+            }
+        )
+    )
+    query = tmp_path / "q.dl"
+    query.write_text("q() :- R(X, Y), S(Y).\n")
+    code, out, _ = run(capsys, "causes", "-i", str(instance), "-q", str(query))
+    assert code == 0
+    assert json.loads(out) == {"query_holds": True, "causes": []}
+
+
 def test_responsibility_verb(in_data_dir, capsys):
     code, out, _ = run(capsys, "responsibility", "-i", D0, "-q", Q0, "--tuple", "S(a1)")
     assert code == 0
@@ -115,6 +134,22 @@ def test_diagnose_runs_one_join(in_data_dir, capsys, monkeypatch):
     monkeypatch.setattr(model, "matches", counted)
     code, _, _ = run(capsys, "diagnose", "-i", D0, "-q", Q0)
     assert code == 0
+    assert len(calls) == 1
+
+
+def test_causes_runs_one_join(in_data_dir, capsys, monkeypatch):
+    # a query with a cause holds, so the witnesses answer query_holds too
+    calls = []
+    matches = model.matches
+
+    def counted(*args):
+        calls.append(args)
+        return matches(*args)
+
+    monkeypatch.setattr(model, "matches", counted)
+    code, out, _ = run(capsys, "causes", "-i", D0, "-q", Q0)
+    assert code == 0
+    assert json.loads(out)["query_holds"] is True
     assert len(calls) == 1
 
 

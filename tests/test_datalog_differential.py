@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from causelab import DatalogProgram, entails, fact, minimal_supports, parse_program
+from causelab import DatalogProgram, Fact, entails, evaluate, fact, minimal_supports, parse_program
 from causelab import datalog
 from causelab.oracles import naive_datalog_model
 
@@ -155,6 +155,26 @@ def test_goal_directed_work_is_linear_on_a_chain(monkeypatch):
     demand, full = derived
     assert full == n * (n + 1) // 2 + 1
     assert demand <= 2 * n + 2
+
+
+def test_derived_facts_skip_the_field_check(monkeypatch):
+    # a derived head is built from checked parts, so Fact.__new__ never runs
+    program, edges = _chain(20)
+    goal = {fact("ans")}
+    built = []
+    new = Fact.__new__
+
+    def counted(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(Fact, "__new__", staticmethod(counted))
+    supports = minimal_supports(program, edges, goal)
+    model = evaluate(program, edges)
+    assert built == []
+    assert supports == {frozenset(edges)}
+    assert len(model) == len(edges) + 20 * 21 // 2 + 1
+    assert {type(f) for f in model.union(*supports)} == {Fact}
 
 
 def test_rewrite_adds_one_guard_last_to_each_rule():

@@ -104,6 +104,21 @@ def test_infer_builds_schemas_from_facts():
     assert inst.facts == facts("R(a,b)", "S(a)")
 
 
+def test_instance_keeps_its_fact_set():
+    inst = Instance.infer(endogenous=[fact("R", "a", "b")], exogenous=[fact("S", "a")])
+    assert inst.facts is inst.facts
+    assert inst.facts == facts("R(a,b)", "S(a)")
+    everything = inst.all_endogenous()
+    assert (everything.endogenous, everything.exogenous) == (inst.facts, frozenset())
+    assert everything.facts == inst.facts
+    grown = inst.with_endogenous(fact("S", "b"))
+    assert grown.facts == facts("R(a,b)", "S(a)", "S(b)")
+    assert grown.endogenous == facts("R(a,b)", "S(b)")
+    # the kept set takes no part in equality, hashing or the repr
+    same = Instance(inst.schemas, inst.endogenous, inst.exogenous)
+    assert same == inst and hash(same) == hash(inst) and "facts" not in repr(inst)
+
+
 def test_infer_names_the_smallest_relation_used_with_two_arities():
     # the error does not depend on the order in which the sets iterate
     used = facts("Q(a)", "Q(a,b)", "P(a,b,c)", "P(a)", "P(a,b)", "Z(a)", "Z(a,b)")
