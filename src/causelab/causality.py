@@ -22,6 +22,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, TypeAlias
 
+from .budget import current_meter
 from .errors import DomainError
 from .hitting import minimal_hitting_sets
 from .model import ConjunctiveQuery, Fact, Instance, eval_bcq, witnesses
@@ -63,9 +64,13 @@ def cause_set_from_hitting_sets(sets: Iterable[frozenset[Fact]]) -> CauseSet:
     contingency sets are those sets minus itself.  The hitting sets of
     witness parts, the endogenous repair removal sets, the minimal
     diagnoses and the necessary hypothesis sets all yield causes this way.
+    Each set H is charged ``|H|(|H| - 1)`` units, the size of the
+    contingency sets built from it, before any of them is built.
     """
+    meter = current_meter()
     containing: dict[Fact, list[frozenset[Fact]]] = {}
     for h in sets:
+        meter.charge(len(h) * (len(h) - 1))
         for t in h:
             containing.setdefault(t, []).append(h)
     return MappingProxyType(

@@ -331,7 +331,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"causelab: validation error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (BudgetError, RecursionError) as exc:
-        # the hitting-set search recurses once per element of a hitting set
+        # the join recurses once per query atom, so a query of about a
+        # thousand atoms exceeds Python's recursion limit
         print(f"causelab: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except DomainError as exc:

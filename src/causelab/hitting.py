@@ -16,11 +16,15 @@ pivot, the pivot elements tried after it are not candidates, so no leaf
 is reached twice.  Together these replace any comparison with the sets
 already found and any closing antichain filter.
 
-Elements are numbered once per call in sorted order, so member sets,
-the unhit members and the candidates are Python int bitmasks.  Two
-arrays, each member's sole chosen hitter and each chosen element's
-count of critical members, are updated in place; each branch logs what
-it changed and undoes it on the way back, so a node copies nothing.
+Elements and members are numbered once per call in sorted order, so
+every set the search keeps is a Python int bitmask, and a search node
+is five of them on an explicit stack: the unhit members, the
+candidates, the branch elements (set only at a forced root), the chosen
+elements, and the members hit by exactly one chosen element.  A chosen
+element's critical members are its members among the last, and the
+sole chosen hitter of such a member is the one bit of the member's
+elements that is chosen.  A node shares nothing with its siblings, so
+nothing is undone, and the search depth is bounded by memory alone.
 
 Asked for the sets that contain one element t (``forced=t``), the
 search starts with t as the root's only branch.  The critical-member cut
@@ -28,26 +32,17 @@ then keeps t critical, so every leaf is a minimal hitting set containing
 t, reached once, and no subtree without t is entered: the per-tuple
 questions (t's contingency sets, the S-repairs removing t, the diagnoses
 flagging t) cost only the sets that contain t.
-
-The search recurses once per chosen element.  A family of about a
-thousand singletons therefore exceeds Python's default recursion limit
-and raises :class:`RecursionError` (the CLI exits ``3``).  The limit is
-kept on purpose: with it raised, the CLI answer to 1,060 counterfactual
-causes is 72 MB of JSON, and holding that text in memory takes several
-times the peak memory of the benchmark workload that sends the request,
-far past the 15% bound on that metric.
 """
 from __future__ import annotations
 
+from itertools import compress
 from typing import Hashable, Iterable, TypeVar
 
 from .budget import current_meter
 
 T = TypeVar("T", bound=Hashable)
 
-# owner[] markers for a member no chosen element hits, or two or more do
-_UNHIT = -1
-_SEVERAL = -2
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def minimize_family(sets: Iterable[Iterable[T]]) -> frozenset[frozenset[T]]:
@@ -99,11 +94,7 @@ def minimal_hitting_sets(
     ``(len, sorted)`` (so a first shortest one), trying its candidate
     elements in sorted order, and cuts a branch whose element leaves a
     chosen element with no critical member (see the module docstring).
-    ``owner[j]`` is member j's sole chosen hitter, or ``_UNHIT`` or
-    ``_SEVERAL``; ``crit[e]`` counts the members chosen element e alone
-    hits.  Each search node is charged to the current meter.  The
-    recursion is one frame per chosen element, so a hitting set of about
-    a thousand elements raises :class:`RecursionError`.
+    Each search node is charged to the current meter.
     """
     meter = current_meter()
     base = sorted(minimize_family(family), key=lambda s: (len(s), sorted(s)))
@@ -115,53 +106,36 @@ def minimal_hitting_sets(
         return frozenset({frozenset()})
 
     members = [sum(1 << index[x] for x in s) for s in base]
-    containing: list[list[int]] = [[] for _ in elements]
+    hits = [0] * len(elements)
     for j, s in enumerate(base):
         for x in s:
-            containing[index[x]].append(j)
-    hits = [sum(1 << j for j in js) for js in containing]
-    owner = [_UNHIT] * len(base)
-    crit = [0] * len(elements)
-    chosen: list[int] = []
-    result: list[frozenset[T]] = []
-
-    def walk(unhit: int, candidates: int, branch: int = 0) -> None:
+            hits[index[x]] |= 1 << j
+    found: list[int] = []
+    root = 0 if forced is None else 1 << index[forced]
+    stack = [((1 << len(base)) - 1, (1 << len(elements)) - 1, root, 0, 0)]
+    while stack:
+        unhit, candidates, branch, chosen, once = stack.pop()
         meter.charge()
         if not unhit:
-            result.append(frozenset(elements[e] for e in chosen))
-            return
+            found.append(chosen)
+            continue
         branch = branch or candidates & members[(unhit & -unhit).bit_length() - 1]
         candidates &= ~branch
+        # highest element first, so the lowest is popped first; each
+        # child may still add the branch elements below its own
         while branch:
-            bit = branch & -branch
-            branch ^= bit
-            e = bit.bit_length() - 1
-            log = []
-            minimal = True
-            for j in containing[e]:
-                o = owner[j]
-                if o == _UNHIT:
-                    owner[j] = e
-                    crit[e] += 1
-                elif o != _SEVERAL:
-                    owner[j] = _SEVERAL
-                    crit[o] -= 1
-                    if not crit[o]:
-                        minimal = False
-                else:
-                    continue
-                log.append((j, o))
-            if minimal:
-                chosen.append(e)
-                walk(unhit & ~hits[e], candidates)
-                chosen.pop()
-            for j, o in log:
-                owner[j] = o
-                if o != _UNHIT:
-                    crit[o] += 1
-            crit[e] = 0
-            candidates |= bit
-
-    root = 0 if forced is None else 1 << index[forced]
-    walk((1 << len(base)) - 1, (1 << len(elements)) - 1, root)
-    return frozenset(result)
+            e = branch.bit_length() - 1
+            branch ^= 1 << e
+            shared = once & hits[e]
+            now_once = (once ^ shared) | (unhit & hits[e])
+            while shared:
+                o = (members[(shared & -shared).bit_length() - 1] & chosen).bit_length() - 1
+                if not hits[o] & now_once:
+                    break
+                shared &= ~hits[o]
+            else:
+                stack.append((unhit & ~hits[e], candidates | branch, 0, chosen | (1 << e), now_once))
+    # bin(h)[:1:-1] spells h's bits lowest first; as bytes 0/1 they select elements
+    return frozenset(
+        frozenset(compress(elements, bin(h)[:1:-1].encode().translate(_BITS))) for h in found
+    )

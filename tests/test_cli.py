@@ -487,10 +487,9 @@ def test_check_honours_the_budget(capsys):
     assert "budget" in err
 
 
-@pytest.mark.parametrize("verb", ["causes", "diagnose"])
-def test_recursion_limit_exits_3(tmp_path, capsys, verb):
-    # 1060 counterfactual causes: the hitting-set search recurses once per
-    # cause, past Python's default recursion limit
+def _singleton_request(tmp_path):
+    # 1060 counterfactual causes: every witness is one exogenous R fact and
+    # its own endogenous S fact, so the one minimal hitting set holds all
     n = 1060
     instance = tmp_path / "singletons.json"
     instance.write_text(
@@ -504,7 +503,39 @@ def test_recursion_limit_exits_3(tmp_path, capsys, verb):
     )
     query = tmp_path / "q.dl"
     query.write_text("q() :- R(X, Y), S(Y).\n")
-    code, out, err = run(capsys, verb, "-i", str(instance), "-q", str(query))
+    return "-i", str(instance), "-q", str(query)
+
+
+def test_a_thousand_causes_exit_3_on_the_budget(tmp_path, capsys):
+    # 1060 causes with 1059-fact contingency sets: 1060 * 1059 units for
+    # the contingency sets alone, charged before any is built
+    code, out, err = run(capsys, "causes", *_singleton_request(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("causelab: budget exceeded: ")
+    assert " work units " in err
+    assert err.count("\n") == 1
+
+
+def test_a_thousand_fact_diagnosis_exits_0(tmp_path, capsys):
+    # the search has no depth cap: the one diagnosis flags all 1060 S facts
+    code, out, err = run(capsys, "diagnose", *_singleton_request(tmp_path))
+    assert code == 0 and err == ""
+    diagnoses = json.loads(out)["diagnoses"]
+    assert len(diagnoses) == 1
+    assert sorted(diagnoses[0]["abnormal"]) == sorted(["S", f"c{i}"] for i in range(1060))
+
+
+def test_a_thousand_atom_query_exits_3(tmp_path, capsys):
+    # the join recurses once per query atom, past Python's recursion limit
+    n = 1200
+    instance = tmp_path / "one.json"
+    instance.write_text(
+        json.dumps({"schemas": [{"name": "S", "arity": 1}], "endogenous": [["S", "a"]]})
+    )
+    query = tmp_path / "q.dl"
+    query.write_text("q() :- " + ", ".join(f"S(X{i})" for i in range(n)) + ".\n")
+    code, out, err = run(capsys, "causes", "-i", str(instance), "-q", str(query))
     assert code == 3
     assert out == ""
     assert err.startswith("causelab: budget exceeded: maximum recursion depth exceeded")

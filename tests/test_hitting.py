@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from causelab.budget import Meter
+from causelab.causality import actual_causes, endogenous_parts
 from causelab.checks import demo_instance, demo_query
 from causelab.errors import BudgetError
 from causelab.oracles import minimal_hitting_sets_by_enumeration, subsets_of
@@ -13,7 +14,8 @@ from causelab.hitting import (
     minimal_hitting_sets,
     minimize_family,
 )
-from causelab.model import witnesses
+from causelab.model import Instance, fact, witnesses
+from causelab.parsing import parse_query
 
 
 def fsets(*groups):
@@ -149,3 +151,33 @@ def test_hitting_work_on_a_path_is_pinned():
         assert minimal_hitting_sets(path) == fsets({0, 1}, {0, 3}, {1, 2})
     assert meter.used == 6
 
+
+def test_a_thousand_singletons_have_no_depth_cap():
+    # one node per chosen element and the root: 1060 deep, one leaf; the
+    # forced search takes the same path with the forced element first
+    singletons = [{i} for i in range(1060)]
+    for forced in (None, 530):
+        with Meter() as meter:
+            assert minimal_hitting_sets(singletons, forced=forced) == fsets(range(1060))
+        assert meter.used == 1061
+
+
+def test_a_deep_search_fails_on_the_budget():
+    # the first leaf lies 1200 nodes deep; the search runs out of budget,
+    # not out of call stack
+    pairs = [{2 * i, 2 * i + 1} for i in range(1200)]
+    with pytest.raises(BudgetError), Meter(10_000):
+        minimal_hitting_sets(pairs)
+
+
+def test_contingency_sets_are_charged_before_they_are_built():
+    # 300 counterfactual causes, each with the other 299 as its one
+    # contingency set: 300 * 299 units on top of the join and the search
+    n = 300
+    instance = Instance.infer(endogenous=[fact("S", f"c{i}") for i in range(n)])
+    query = parse_query("q() :- S(X).")
+    with Meter() as search:
+        minimal_hitting_sets(endogenous_parts(instance, query))
+    with Meter() as causes:
+        assert len(actual_causes(instance, query)) == n
+    assert causes.used - search.used == n * (n - 1)
