@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, TypeAlias
 
-from .causality import require_endogenous, responsibility_of
+from .causality import require_endogenous
 from .errors import DomainError
-from .hitting import minimal_hitting_sets, minimize_family
+from .hitting import min_hitting_size, minimal_hitting_sets, minimize_family
 from .model import Fact, Instance
 from .datalog import DatalogProgram, minimal_supports
 
@@ -154,7 +154,9 @@ def datalog_actual_causes(program: DatalogProgram, instance: Instance) -> frozen
 def datalog_responsibility(program: DatalogProgram, instance: Instance, t: Fact) -> Fraction:
     """1/|N| for the smallest necessary hypothesis set N containing ``t``
     in the instance's canonical abduction problem; 0 when ``t`` is in no
-    necessary set or the answer is not derived at all."""
+    necessary set or the answer is not derived at all.  |N| is found by
+    branch and bound, as the least set containing ``t`` in its component
+    plus every other component's minimum; no necessary set is listed."""
     require_endogenous(instance, t)
-    parts = _endogenous_support_parts(program, instance)
-    return responsibility_of(h - {t} for h in minimal_hitting_sets(parts, forced=t))
+    size = min_hitting_size(_endogenous_support_parts(program, instance), forced=t)
+    return Fraction(0) if size is None else Fraction(1, size)

@@ -1,8 +1,9 @@
 """One work budget per request.
 
 Every search that can blow up (the join, witness enumeration, the
-Datalog fixpoint, minimal supports, hitting sets, contingency sets)
-charges its work to the current :class:`Meter` and raises
+Datalog fixpoint, minimal supports, hitting sets and their product
+across components, contingency sets) charges its work to the current
+:class:`Meter` and raises
 :class:`~causelab.errors.BudgetError` when the meter's cap is hit, never
 truncating output silently.
 

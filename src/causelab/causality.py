@@ -11,9 +11,19 @@ k is the size of the smallest contingency set, computed by
 Causes reduce to minimal hitting sets of the endogenous parts of the
 query's witnesses: the minimal contingency sets of t are exactly H minus
 {t} for the minimal hitting sets H that contain t, and the search
-enumerates only those when asked for t.  The definition-level search
-over contingency candidates lives in :mod:`causelab.oracles`, which the
-cross-check harness compares against.
+enumerates only those when asked for t.  The parts split into
+components that share no fact, and a minimal hitting set is one per
+component, so t's smallest contingency set has size
+
+    k = (the least hitting set of t's component containing t) - 1
+        + (the sum of every other component's least hitting set),
+
+which :func:`responsibility` finds with no set enumerated (Meliou,
+Gatterbauer, Moore & Suciu, PVLDB 2010: responsibility needs only the
+smallest contingency set).  The most responsible causes are the tuples
+in a least hitting set of their own component.  The definition-level
+search over contingency candidates lives in :mod:`causelab.oracles`,
+which the cross-check harness compares against.
 """
 from __future__ import annotations
 
@@ -24,7 +34,7 @@ from typing import Iterable, TypeAlias
 
 from .budget import current_meter
 from .errors import DomainError
-from .hitting import minimal_hitting_sets
+from .hitting import components, min_hitting_size, minimal_hitting_sets, smallest_hitting_sets
 from .model import ConjunctiveQuery, Fact, Instance, eval_bcq, witnesses
 
 __all__ = [
@@ -122,13 +132,26 @@ def actual_causes(instance: Instance, query: ConjunctiveQuery) -> CauseSet:
 
 
 def responsibility(instance: Instance, query: ConjunctiveQuery, t: Fact) -> Fraction:
-    """The responsibility of ``t`` from its minimal contingency sets; 0 when
-    ``t`` is not an actual cause (also when the query does not hold)."""
-    return responsibility_of(minimal_contingency_sets(instance, query, t))
+    """The responsibility of ``t`` from its smallest contingency set; 0 when
+    ``t`` is not an actual cause (also when the query does not hold).
+
+    With k that set's size, 1 + k is the least size of a minimal hitting
+    set containing ``t``: the least such set in t's component plus every
+    other component's minimum, found with no set enumerated.
+    """
+    require_endogenous(instance, t)
+    size = min_hitting_size(endogenous_parts(instance, query), forced=t)
+    return Fraction(0) if size is None else Fraction(1, size)
 
 
 def most_responsible_causes(instance: Instance, view: ConjunctiveQuery) -> frozenset[Fact]:
-    """The actual causes with maximal responsibility; empty iff there are none."""
-    rho = {t: responsibility_of(gammas) for t, gammas in actual_causes(instance, view).items()}
-    top = max(rho.values(), default=None)
-    return frozenset(t for t, r in rho.items() if r == top)
+    """The actual causes with maximal responsibility; empty iff there are none.
+
+    A cause's smallest contingency set is its component's least set
+    containing it, less itself, plus every other component's minimum, so
+    the most responsible causes are the tuples in a smallest set of their
+    own component: each component's smallest sets are searched alone and
+    no product is built.
+    """
+    parts = components(endogenous_parts(instance, view))
+    return frozenset().union(*(h for part in parts for h in smallest_hitting_sets(part)))

@@ -11,12 +11,13 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
 from .abduction import abductive_solutions, necessary_sets, problem_for_instance
 from .budget import Meter, budget_from_env
-from .causality import actual_causes, cause_set_from_hitting_sets, responsibility, responsibility_of
+from .causality import actual_causes, responsibility
 from .checks import cross_check, fixture_checks
 from .diagnosis import build_problem, minimal_diagnoses
 from .errors import BudgetError, DomainError, ParseError, SchemaError
@@ -197,13 +198,13 @@ def _cmd_abduce(args: argparse.Namespace) -> dict[str, Any]:
         observations = [parse_ground_atom(o) for o in args.obs]
     problem = problem_for_instance(program, instance, observations)
     # The solutions form an antichain, so every relevant hypothesis is in a
-    # necessary set and gets its responsibility from them.
+    # necessary set and its responsibility is 1/|N| for the smallest such
+    # N.  The necessary sets are listed anyway, so the least size is read
+    # off them: visited largest first, each tuple keeps the last, least one.
     solutions = abductive_solutions(problem)
     necessary = necessary_sets(problem)
-    rho = {
-        t: responsibility_of(gammas)
-        for t, gammas in cause_set_from_hitting_sets(necessary).items()
-    }
+    least = {t: len(n) for n in sorted(necessary, key=len, reverse=True) for t in n}
+    rho = {t: Fraction(1, k) for t, k in least.items()}
     return {
         "observations": sorted(problem.obs),
         "solutions": family_to_list(solutions),

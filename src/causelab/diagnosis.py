@@ -6,7 +6,11 @@ endogenous tuples whose removal falsifies the query, i.e. restores the
 expected behaviour.  The first-order encoding with abnormality
 predicates is represented semantically: flagging a set of tuples
 abnormal is consistent with the observation exactly when deleting them
-falsifies the query, so that is the test used here.
+falsifies the query, so that is the test used here.  The smallest
+diagnoses containing t are t's least ones in its own component of the
+witness parts, each joined with a least diagnosis of every other
+component: their size is the least containing t there plus the sum of
+the other components' minima.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from typing import TypeAlias
 
 from .causality import CauseSet, cause_set_from_hitting_sets, endogenous_parts, require_endogenous
-from .hitting import minimal_hitting_sets
+from .hitting import minimal_hitting_sets, smallest_hitting_sets
 from .model import ConjunctiveQuery, Fact, Instance
 
 __all__ = [
@@ -84,10 +88,11 @@ def diagnoses_containing(problem: DiagnosisProblem, t: Fact) -> frozenset[Diagno
 
 
 def smallest_diagnoses_containing(problem: DiagnosisProblem, t: Fact) -> frozenset[Diagnosis]:
-    """Among the diagnoses containing ``t``, those of minimum cardinality."""
-    containing = diagnoses_containing(problem, t)
-    best = min(map(len, containing), default=0)
-    return frozenset(d for d in containing if len(d) == best)
+    """Among the diagnoses containing ``t``, those of minimum cardinality:
+    the smallest sets containing ``t`` in its own component, times every
+    other component's smallest sets, with no other diagnosis enumerated."""
+    require_endogenous(problem.instance, t)
+    return smallest_hitting_sets(problem.parts, forced=t)
 
 
 def causes_via_diagnosis(problem: DiagnosisProblem) -> CauseSet:

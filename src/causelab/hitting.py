@@ -4,21 +4,35 @@ The hitting-set enumeration is the workhorse behind repairs, diagnoses,
 contingency sets and necessary hypothesis sets.  Elements must be
 hashable and totally ordered (ground facts are).
 
-:func:`minimal_hitting_sets` is MMCS (Murakami & Uno, "Efficient
-algorithms for dualizing large-scale hypergraphs", DAM 2014), a
-depth-first refinement of Reiter's HS-tree.  A chosen element's
-*critical* members are those it alone hits, and a hitting set is
-minimal iff each of its elements has one.  So a branch whose new
-element takes the last critical member of an earlier one is cut on the
-spot, and every leaf is a minimal hitting set.  The *candidates* are
-the elements a branch may still add: below each element of a node's
-pivot, the pivot elements tried after it are not candidates, so no leaf
-is reached twice.  Together these replace any comparison with the sets
-already found and any closing antichain filter.
+The search is MMCS (Murakami & Uno, "Efficient algorithms for
+dualizing large-scale hypergraphs", DAM 2014), a depth-first refinement
+of Reiter's HS-tree.  A chosen element's *critical* members are those it
+alone hits, and a hitting set is minimal iff each of its elements has
+one.  So a branch whose new element takes the last critical member of
+an earlier one is cut on the spot, and every leaf is a minimal hitting
+set.  The *candidates* are the elements a branch may still add: below
+each element of a node's pivot, the pivot elements tried after it are
+not candidates, so no leaf is reached twice.  Together these replace any
+comparison with the sets already found and any closing antichain filter.
 
-Elements and members are numbered once per call in sorted order, so
-every set the search keeps is a Python int bitmask, and a search node
-is five of them on an explicit stack: the unhit members, the
+The family is first factored into its *components*: two subset-minimal
+members are connected when they share an element (a union-find over
+the elements).  When a family splits into parts sharing no element, its
+minimal hitting sets are exactly the unions of one minimal hitting set
+per part (Eiter & Gottlob, "Identifying the minimal transversals of a
+hypergraph and related problems", SIAM J. Comput. 1995).  So
+:func:`minimal_hitting_sets` runs the search once per component and
+returns the product; a set of least size is the union of one least set
+per component, so :func:`min_hitting_size` adds the components' minima
+and :func:`smallest_hitting_sets` takes the product of their least sets,
+each found by branch and bound.  A member of one element is a component
+of its own whose element is in every hitting set: those *essential*
+elements join every set with no search.  A family of one component gets
+exactly the unfactored search.
+
+Elements are numbered once per call, in sorted order within their
+component, so every set the search keeps is a Python int bitmask.  A
+search node is five ints on an explicit stack: the unhit members, the
 candidates, the branch elements (set only at a forced root), the chosen
 elements, and the members hit by exactly one chosen element.  A chosen
 element's critical members are its members among the last, and the
@@ -27,22 +41,37 @@ elements that is chosen.  A node shares nothing with its siblings, so
 nothing is undone, and the search depth is bounded by memory alone.
 
 Asked for the sets that contain one element t (``forced=t``), the
-search starts with t as the root's only branch.  The critical-member cut
-then keeps t critical, so every leaf is a minimal hitting set containing
-t, reached once, and no subtree without t is entered: the per-tuple
-questions (t's contingency sets, the S-repairs removing t, the diagnoses
-flagging t) cost only the sets that contain t.
+search of t's component starts with t as the root's only branch.  The
+critical-member cut then keeps t critical, so every leaf is a minimal
+hitting set containing t, reached once, and no subtree without t is
+entered: the per-tuple questions (t's contingency sets, the S-repairs
+removing t, the diagnoses flagging t) cost only the sets that contain t.
+
+Work is charged to the current meter: one unit per search node (the
+essential elements as the search over their members would be, a root
+and one node per member), and, for a family of several components, one
+unit per set of the product, all charged before any product set is
+built, so a product too large for the budget fails on it instead of
+filling memory.
 """
 from __future__ import annotations
 
-from itertools import compress
-from typing import Hashable, Iterable, TypeVar
+from bisect import bisect_right
+from itertools import compress, product, starmap
+from math import prod
+from typing import Callable, Hashable, Iterable, TypeVar
 
-from .budget import current_meter
+from .budget import Meter, current_meter
 
 T = TypeVar("T", bound=Hashable)
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
+_EMPTY: frozenset = frozenset()
+
+#: One component: its elements in sorted order, its members and each
+#: element's members as bitmasks over them, and the root branch of its
+#: search (the forced element's bit, or 0).
+_Part = tuple[list[T], list[int], list[int], int]
 
 
 def minimize_family(sets: Iterable[Iterable[T]]) -> frozenset[frozenset[T]]:
@@ -78,45 +107,134 @@ def _antichain(sets: Iterable[Iterable[T]], reverse: bool) -> frozenset[frozense
     return frozenset(settled + level)
 
 
-def minimal_hitting_sets(
-    family: Iterable[Iterable[T]], forced: T | None = None
-) -> frozenset[frozenset[T]]:
-    """All subset-minimal sets that intersect every member of ``family``;
-    with ``forced``, only those that contain it.
+def _bits(h: int) -> bytes:
+    # bin(h)[:1:-1] spells h's bits lowest first; as bytes 0/1 they select elements
+    return bin(h)[:1:-1].encode().translate(_BITS)
 
-    The empty family is hit by the empty set alone, so the result is
-    ``{frozenset()}``; a family containing the empty set has no hitting
-    sets at all and the result is empty.  A ``forced`` element in no
-    subset-minimal member is in no minimal hitting set: the result is
-    empty and nothing is charged.
 
-    Branches on the lowest-indexed unhit member of the family, sorted by
-    ``(len, sorted)`` (so a first shortest one), trying its candidate
-    elements in sorted order, and cuts a branch whose element leaves a
-    chosen element with no critical member (see the module docstring).
-    Each search node is charged to the current meter.
+def _root(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
+
+
+def _split(
+    family: Iterable[Iterable[T]], forced: T | None
+) -> tuple[frozenset[T], list[_Part]] | None:
+    """The minimized family, numbered once and cut into components.
+
+    A member of one element is a component of its own whose element is in
+    every hitting set, so those elements come back as one set, the
+    *essential* elements.  The rest come back as one :data:`_Part` per
+    component, ordered by smallest element; within a component elements
+    keep their sorted order and members their ``(len, sorted)`` order, so
+    a one-component family is numbered as by a search of the whole.  None
+    when nothing qualifies: the family holds the empty set, or ``forced``
+    is in no subset-minimal member.
+    """
+    base = sorted(minimize_family(family), key=lambda s: (len(s), sorted(s)))
+    if not base:
+        return None if forced is not None else (_EMPTY, [])
+    if not base[0]:
+        return None
+    singletons = bisect_right(base, 1, key=len)
+    essential = _EMPTY.union(*base[:singletons])
+    base = base[singletons:]
+    elements = sorted(_EMPTY.union(*base))
+    index = {x: i for i, x in enumerate(elements)}
+    if forced is not None and forced not in index and forced not in essential:
+        return None
+    if not base:
+        return essential, []
+    rows = [[index[x] for x in s] for s in base]
+    n = len(elements)
+    parent = list(range(n))
+    merged = 0
+    for row in rows:
+        a = _root(parent, row[0])
+        for i in row:
+            if parent[i] != a:
+                b = _root(parent, i)
+                if b != a:
+                    parent[b] = a
+                    merged += 1
+    if merged == n - 1:
+        root = 1 << index[forced] if forced in index else 0
+        return essential, [(elements, *_masks(rows, n), root)]
+    # renumber: components by smallest element, each element by its rank
+    # within its component
+    number: dict[int, int] = {}
+    comp: list[int] = []
+    rank: list[int] = []
+    groups: list[list[T]] = []
+    for i, x in enumerate(elements):
+        c = number.setdefault(_root(parent, i), len(groups))
+        if c == len(groups):
+            groups.append([])
+        comp.append(c)
+        rank.append(len(groups[c]))
+        groups[c].append(x)
+    local: list[list[list[int]]] = [[] for _ in groups]
+    for row in rows:
+        local[comp[row[0]]].append([rank[i] for i in row])
+    roots = [0] * len(groups)
+    if forced in index:
+        roots[comp[index[forced]]] = 1 << rank[index[forced]]
+    return essential, [
+        (group, *_masks(part, len(group)), root)
+        for group, part, root in zip(groups, local, roots)
+    ]
+
+
+def _masks(rows: list[list[int]], width: int) -> tuple[list[int], list[int]]:
+    """Each row of element numbers as a bitmask, and each element's rows."""
+    members: list[int] = []
+    hits = [0] * width
+    for j, row in enumerate(rows):
+        bit = 1 << j
+        mask = 0
+        for i in row:
+            mask |= 1 << i
+            hits[i] |= bit
+        members.append(mask)
+    return members, hits
+
+
+def _mmcs(
+    members: list[int], hits: list[int], root: int, bound: int | None = None, ties: bool = False
+) -> list[int]:
+    """The leaves of the search over one component, as local bitmasks.
+
+    Branches on the lowest-indexed unhit member (a first shortest one),
+    trying its candidate elements in sorted order, and cuts a branch whose
+    element leaves a chosen element with no critical member.  With a
+    ``bound`` it is branch and bound for the smallest leaves: a node is cut
+    when its chosen elements and the disjoint unhit members :func:`_packs`
+    finds exceed the bound, and each leaf lowers the bound to its own size, or
+    below it when ``ties`` is false; the last leaf found is a smallest
+    one, and with ``ties`` the leaves kept are all the smallest.
+    Each node is charged to the current meter, and so is each member the
+    bound looks at.
     """
     meter = current_meter()
-    base = sorted(minimize_family(family), key=lambda s: (len(s), sorted(s)))
-    elements = sorted(frozenset().union(*base))
-    index = {x: i for i, x in enumerate(elements)}
-    if (base and not base[0]) or (forced is not None and forced not in index):
-        return frozenset()
-    if not base:
-        return frozenset({frozenset()})
-
-    members = [sum(1 << index[x] for x in s) for s in base]
-    hits = [0] * len(elements)
-    for j, s in enumerate(base):
-        for x in s:
-            hits[index[x]] |= 1 << j
-    found: list[int] = []
-    root = 0 if forced is None else 1 << index[forced]
-    stack = [((1 << len(base)) - 1, (1 << len(elements)) - 1, root, 0, 0)]
+    if len(members) == 1:
+        # each element alone is a leaf, and every child of the root is one
+        found = [root] if root else [1 << e for e in range(len(hits))]
+        meter.charge(1 + len(found))
+        return found
+    found = []
+    stack = [((1 << len(members)) - 1, (1 << len(hits)) - 1, root, 0, 0)]
     while stack:
         unhit, candidates, branch, chosen, once = stack.pop()
         meter.charge()
+        if bound is not None and _packs(unhit, members, bound - chosen.bit_count(), meter):
+            continue
         if not unhit:
+            if bound is not None:
+                size = chosen.bit_count()
+                if size < bound:
+                    found.clear()
+                bound = size if ties else size - 1
             found.append(chosen)
             continue
         branch = branch or candidates & members[(unhit & -unhit).bit_length() - 1]
@@ -135,7 +253,118 @@ def minimal_hitting_sets(
                 shared &= ~hits[o]
             else:
                 stack.append((unhit & ~hits[e], candidates | branch, 0, chosen | (1 << e), now_once))
-    # bin(h)[:1:-1] spells h's bits lowest first; as bytes 0/1 they select elements
-    return frozenset(
-        frozenset(compress(elements, bin(h)[:1:-1].encode().translate(_BITS))) for h in found
-    )
+    return found
+
+
+def _packs(unhit: int, members: list[int], room: int, meter: Meter) -> bool:
+    """True when a greedy set of pairwise-disjoint members among
+    ``unhit``, taken shortest first, grows past ``room``: each needs an
+    element of its own, so no hitting set adds ``room`` or fewer.  Each
+    member looked at is charged to ``meter``."""
+    used = seen = 0
+    while unhit and room >= 0:
+        low = unhit & -unhit
+        member = members[low.bit_length() - 1]
+        if not member & used:
+            used |= member
+            room -= 1
+        unhit ^= low
+        seen += 1
+    meter.charge(seen)
+    return room < 0
+
+
+def _factored(
+    family: Iterable[Iterable[T]], forced: T | None, search: Callable[..., list[int]]
+) -> tuple[frozenset[T], list[tuple[list[T], list[int]]]] | None:
+    """The essential elements, and each component's elements with the
+    leaves ``search`` finds there; None as for :func:`_split`.
+
+    The essential elements are charged as the search would charge their
+    members alone: a root and one node per member, for its one leaf.
+    """
+    split = _split(family, forced)
+    if split is None:
+        return None
+    essential, parts = split
+    if essential:
+        current_meter().charge(len(essential) + 1)
+    return essential, [(elements, search(m, h, root)) for elements, m, h, root in parts]
+
+
+def _product(
+    essential: frozenset[T], parts: list[tuple[list[T], list[int]]]
+) -> frozenset[frozenset[T]]:
+    """Every union of the essential elements and one leaf per component.
+
+    Each leaf becomes a frozenset once; with several parts, one unit per
+    union is charged before any is built, and the unions are set unions,
+    which reuse the elements' stored hashes.
+    """
+    sets = [[frozenset(compress(elements, _bits(h))) for h in leaves] for elements, leaves in parts]
+    if essential:
+        sets.append([essential])
+    if len(sets) == 1:
+        return frozenset(sets[0])
+    if sets:
+        current_meter().charge(prod(map(len, sets)))
+    return frozenset(starmap(_EMPTY.union, product(*sets)))
+
+
+def components(family: Iterable[Iterable[T]]) -> list[frozenset[frozenset[T]]]:
+    """The subset-minimal members of ``family`` grouped into connected
+    components, two members being connected when they share an element;
+    ordered by smallest element.  A family holding the empty set minimizes
+    to ``{frozenset()}``, its one component."""
+    split = _split(family, None)
+    if split is None:
+        return [frozenset({_EMPTY})]
+    essential, parts = split
+    found = [frozenset({frozenset({x})}) for x in essential] + [
+        frozenset(frozenset(compress(elements, _bits(m))) for m in members)
+        for elements, members, _, _ in parts
+    ]
+    return sorted(found, key=lambda c: min(_EMPTY.union(*c)))
+
+
+def minimal_hitting_sets(
+    family: Iterable[Iterable[T]], forced: T | None = None
+) -> frozenset[frozenset[T]]:
+    """All subset-minimal sets that intersect every member of ``family``;
+    with ``forced``, only those that contain it.
+
+    The empty family is hit by the empty set alone, so the result is
+    ``{frozenset()}``; a family containing the empty set has no hitting
+    sets at all and the result is empty.  A ``forced`` element in no
+    subset-minimal member is in no minimal hitting set: the result is
+    empty and nothing is charged.  Otherwise each component is searched
+    alone (``forced`` only in its own) and the result is the product.
+    """
+    found = _factored(family, forced, _mmcs)
+    return frozenset() if found is None else _product(*found)
+
+
+def smallest_hitting_sets(
+    family: Iterable[Iterable[T]], forced: T | None = None
+) -> frozenset[frozenset[T]]:
+    """The minimal hitting sets of least size (with ``forced``, of least
+    size among those containing it): the product of each component's
+    smallest sets, each found by branch and bound.  Empty exactly when
+    :func:`minimal_hitting_sets` is."""
+    found = _factored(family, forced, lambda m, h, root: _mmcs(m, h, root, len(m), ties=True))
+    return frozenset() if found is None else _product(*found)
+
+
+def min_hitting_size(family: Iterable[Iterable[T]], forced: T | None = None) -> int | None:
+    """The size of a smallest minimal hitting set (with ``forced``, of one
+    containing it), or None when there is none; no set is enumerated.
+
+    The number of essential elements plus each component's minimum, each
+    found by branch and bound in the search's order; the empty family's
+    is 0.
+    """
+    found = _factored(family, forced, lambda m, h, root: _mmcs(m, h, root, len(m)))
+    if found is None:
+        return None
+    essential, parts = found
+    return len(essential) + sum(leaves[-1].bit_count() for _, leaves in parts)

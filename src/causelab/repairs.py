@@ -11,7 +11,10 @@ it goes to the witness and cause engines unchanged.  Removal sets of
 S-repairs are exactly the minimal hitting sets of its witnesses;
 multiple constraints pool their witnesses.  A repair is represented by
 its removal set: the repaired instance is the original minus those
-facts.
+facts.  The witnesses split into components that share no fact, so a
+C-repair removes a least hitting set of every component: the C-repairs
+are the product of each component's least removal sets, and their size
+is the sum of the components' minima.
 
 A ground atom is consistently true, kept by every S-repair, iff it lies
 in no witness of the constraint, so :func:`consistently_true` reads the
@@ -34,7 +37,7 @@ from .causality import (
     require_endogenous,
 )
 from .errors import DomainError
-from .hitting import minimal_hitting_sets
+from .hitting import minimal_hitting_sets, smallest_hitting_sets
 from .model import ConjunctiveQuery, DenialConstraint, Fact, Instance, witnesses
 
 __all__ = [
@@ -53,23 +56,34 @@ __all__ = [
 Repair: TypeAlias = frozenset[Fact]
 
 
+def _violations(
+    instance: Instance, constraints: Iterable[DenialConstraint]
+) -> set[frozenset[Fact]]:
+    """The witnesses of every constraint's violation view, pooled."""
+    pooled: set[frozenset[Fact]] = set()
+    for constraint in constraints:
+        pooled |= witnesses(instance.facts, constraint, instance.schemas)
+    return pooled
+
+
 def s_repairs(
     instance: Instance, constraints: Iterable[DenialConstraint]
 ) -> frozenset[Repair]:
     """The removal sets of all subset-maximal consistent sub-instances."""
-    pooled: set[frozenset[Fact]] = set()
-    for constraint in constraints:
-        pooled |= witnesses(instance.facts, constraint, instance.schemas)
-    return minimal_hitting_sets(pooled)
+    return minimal_hitting_sets(_violations(instance, constraints))
 
 
 def c_repairs(
     instance: Instance, constraints: Iterable[DenialConstraint]
 ) -> frozenset[Repair]:
-    """The S-repairs removing the fewest facts."""
-    removals = s_repairs(instance, constraints)
-    best = min(len(r) for r in removals)
-    return frozenset(r for r in removals if len(r) == best)
+    """The S-repairs removing the fewest facts.
+
+    A removal set of least size is the union of a least one per component
+    of the violations, so these are the product of each component's
+    smallest removal sets, found by branch and bound; the S-repairs are
+    not enumerated.
+    """
+    return smallest_hitting_sets(_violations(instance, constraints))
 
 
 def removal_sets_containing(

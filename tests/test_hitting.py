@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -9,13 +12,19 @@ from causelab.causality import actual_causes, endogenous_parts
 from causelab.checks import demo_instance, demo_query
 from causelab.errors import BudgetError
 from causelab.oracles import minimal_hitting_sets_by_enumeration, subsets_of
+from causelab import hitting
 from causelab.hitting import (
+    components,
     maximize_family,
+    min_hitting_size,
     minimal_hitting_sets,
     minimize_family,
+    smallest_hitting_sets,
 )
 from causelab.model import Instance, fact, witnesses
-from causelab.parsing import parse_query
+from causelab.parsing import parse_denial_constraint, parse_query
+from causelab.repairs import c_repairs
+from causelab.causality import responsibility
 
 
 def fsets(*groups):
@@ -100,36 +109,43 @@ def _charged(family) -> int:
 
 def test_hitting_search_charges_are_pinned():
     # the node counts pin the search order: a different pivot or branch
-    # order would in general visit a different number of nodes
-    assert _charged([{2 * i, 2 * i + 1} for i in range(10)]) == 2047
+    # order would in general visit a different number of nodes; ten
+    # disjoint pairs are ten components of 3 nodes each, then 2^10 product
+    # sets
+    assert _charged([{2 * i, 2 * i + 1} for i in range(10)]) == 10 * 3 + 1024
+    # the demo's two witness parts share no fact: two components of one
+    # pair each, and 4 product sets
     instance = demo_instance()
     parts = [
         w & instance.endogenous
         for w in witnesses(instance.facts, demo_query(), instance.schemas)
     ]
-    assert _charged(parts) == 7
+    assert len(components(parts)) == 2
+    assert _charged(parts) == 2 * 3 + 4
 
 
 def test_forced_search_work_is_pinned():
-    # forcing 0 on ten disjoint pairs: the root, its one branch {0}, then
-    # one node per prefix of choices over the other nine pairs, 2^10 - 2;
-    # an element in no member is answered before the search starts
+    # forcing 0 on ten disjoint pairs: 0's component takes the root and its
+    # one branch {0}, the nine others 3 nodes each, and the product 2^9
+    # sets; an element in no member is answered before the search starts
     pairs = [{2 * i, 2 * i + 1} for i in range(10)]
     with Meter() as meter:
         got = minimal_hitting_sets(pairs, forced=0)
     assert len(got) == 512 and all(0 in h for h in got)
-    assert meter.used == 1024
+    assert meter.used == 2 + 9 * 3 + 512
     with Meter() as meter:
         assert minimal_hitting_sets(pairs, forced=20) == frozenset()
     assert meter.used == 0
 
 
 def test_hitting_work_on_disjoint_pairs_is_pinned():
-    # one node per prefix of choices: 2^14 - 1 nodes for 2^13 leaves
+    # each pair is searched alone (3 nodes), and the product is charged
+    # one unit per set: 39 + 2^13, where the whole-family search took one
+    # node per prefix of choices, 2^14 - 1
     pairs = [{2 * i, 2 * i + 1} for i in range(13)]
     with Meter() as meter:
         assert len(minimal_hitting_sets(pairs)) == 8192
-    assert meter.used == 16_383
+    assert meter.used == 13 * 3 + 8192
 
 
 def test_hitting_work_on_a_star_is_pinned():
@@ -153,8 +169,9 @@ def test_hitting_work_on_a_path_is_pinned():
 
 
 def test_a_thousand_singletons_have_no_depth_cap():
-    # one node per chosen element and the root: 1060 deep, one leaf; the
-    # forced search takes the same path with the forced element first
+    # 1060 singleton members: every element is essential, set aside with no
+    # search and charged as the search over them would be, a root and one
+    # node per member, with or without the forced element
     singletons = [{i} for i in range(1060)]
     for forced in (None, 530):
         with Meter() as meter:
@@ -162,12 +179,16 @@ def test_a_thousand_singletons_have_no_depth_cap():
         assert meter.used == 1061
 
 
-def test_a_deep_search_fails_on_the_budget():
-    # the first leaf lies 1200 nodes deep; the search runs out of budget,
-    # not out of call stack
+def test_a_deep_search_fails_on_the_budget(monkeypatch):
+    # 1200 components of 3 nodes each, then 2^1200 product sets: the
+    # product is charged in one step, before any of its sets is built
+    built = []
+    monkeypatch.setattr(hitting, "product", lambda *sets: built.append(sets))
     pairs = [{2 * i, 2 * i + 1} for i in range(1200)]
-    with pytest.raises(BudgetError), Meter(10_000):
+    with pytest.raises(BudgetError), Meter(10_000) as meter:
         minimal_hitting_sets(pairs)
+    assert meter.used == 1200 * 3 + 2**1200
+    assert built == []
 
 
 def test_contingency_sets_are_charged_before_they_are_built():
@@ -181,3 +202,126 @@ def test_contingency_sets_are_charged_before_they_are_built():
     with Meter() as causes:
         assert len(actual_causes(instance, query)) == n
     assert causes.used - search.used == n * (n - 1)
+
+
+@pytest.mark.parametrize("route", [minimal_hitting_sets, smallest_hitting_sets, min_hitting_size])
+@pytest.mark.parametrize(
+    "family, forced",
+    [([], 1), ([set()], 1), ([{1}, set()], 1), ([{1}, {1, 2}], 2), ([{1}], 3)],
+    ids=["empty-family", "only-the-empty-set", "holds-the-empty-set", "non-minimal", "absent"],
+)
+def test_forced_element_with_no_minimal_member_gets_nothing(route, family, forced):
+    # checked before any search or product, in this order: an element in
+    # no subset-minimal member is in no minimal hitting set, even where the
+    # empty family alone would be hit by the empty set
+    with Meter() as meter:
+        got = route(family, forced=forced)
+    assert got == (None if route is min_hitting_size else frozenset())
+    assert meter.used == 0
+
+
+def test_empty_family_and_empty_member_without_forcing():
+    for route in (minimal_hitting_sets, smallest_hitting_sets):
+        with Meter() as meter:
+            assert route([]) == fsets(())
+            assert route([{1}, set()]) == frozenset()
+        assert meter.used == 0
+    with Meter() as meter:
+        assert min_hitting_size([]) == 0
+        assert min_hitting_size([{1}, set()]) is None
+    assert meter.used == 0
+    assert components([]) == []
+    assert components([{1}, set(), {2, 3}]) == [fsets(())]
+
+
+def test_components_split_minimized_members_by_shared_elements():
+    family = [{5, 6}, {1, 2}, {2, 3}, {1, 2, 9}, {7}, {3, 4}]
+    # {1, 2, 9} is not minimal, so 9 joins nothing; ordered by smallest element
+    assert components(family) == [
+        fsets({1, 2}, {2, 3}, {3, 4}),
+        fsets({5, 6}),
+        fsets({7}),
+    ]
+
+
+def test_one_component_costs_the_whole_family_search():
+    # a path 0-1-2-3-4 is one component: the factored search charges exactly
+    # the nodes of one kernel run over the whole family, and no product
+    path = [{i, i + 1} for i in range(4)]
+    essential, (part,) = hitting._split(path, None)
+    assert not essential
+    with Meter() as kernel:
+        leaves = hitting._mmcs(*part[1:])
+    with Meter() as meter:
+        got = minimal_hitting_sets(path)
+    assert got == fsets({1, 3}, {0, 2, 3}, {1, 2, 4}, {0, 2, 4})
+    assert len(leaves) == 4
+    assert meter.used == kernel.used
+
+
+def test_smallest_sets_and_minimum_size():
+    # a star with hub 0 and a disjoint pair: the least sets take the hub
+    family = [{0, leaf} for leaf in range(1, 4)] + [{7, 8}]
+    assert smallest_hitting_sets(family) == fsets({0, 7}, {0, 8})
+    assert min_hitting_size(family) == 2
+    # forcing a leaf: the other leaves must come too
+    assert smallest_hitting_sets(family, forced=2) == fsets({1, 2, 3, 7}, {1, 2, 3, 8})
+    assert min_hitting_size(family, forced=2) == 4
+
+
+def test_minimum_size_charges_no_product():
+    # 1200 disjoint pairs: the minimum is one element per pair, found with
+    # a bounded search per pair and nothing enumerated across them
+    pairs = [{2 * i, 2 * i + 1} for i in range(1200)]
+    with Meter(10_000) as meter:
+        assert min_hitting_size(pairs) == 1200
+        assert min_hitting_size(pairs, forced=7) == 1200
+    assert meter.used <= 2 * 1200 * 3
+
+
+@given(
+    st.lists(
+        st.sets(st.integers(0, 8), min_size=0, max_size=4),
+        max_size=7,
+    )
+)
+def test_smallest_sets_match_the_least_minimal_sets(family):
+    full = minimal_hitting_sets(family)
+    for x in [None] + sorted(set().union(*family)):
+        sets = full if x is None else frozenset(h for h in full if x in h)
+        least = min(map(len, sets), default=None)
+        assert min_hitting_size(family, forced=x) == least
+        assert smallest_hitting_sets(family, forced=x) == frozenset(
+            h for h in sets if len(h) == least
+        )
+
+
+def _baseline(n: int) -> Instance:
+    # n distinct all-endogenous facts over n/2 constants: R(ci, cj) with
+    # probability 0.6, else S(ci)
+    rng = random.Random(0)
+    consts = [f"c{i}" for i in range(n // 2)]
+    chosen: set = set()
+    while len(chosen) < n:
+        if rng.random() < 0.6:
+            chosen.add(fact("R", rng.choice(consts), rng.choice(consts)))
+        else:
+            chosen.add(fact("S", rng.choice(consts)))
+    return Instance.infer(endogenous=sorted(chosen))
+
+
+def test_minimum_answers_on_the_baseline_do_not_enumerate():
+    # at n = 60 the witness parts fall into 17 components of at most 5
+    # facts; enumerating the whole family took 226,402 units for the
+    # responsibility and 419,713 for the C-repairs (131,072 S-repairs)
+    instance = _baseline(60)
+    query = parse_query("q() :- R(X, Y), S(Y).")
+    parts = endogenous_parts(instance, query)
+    assert len(components(parts)) == 17
+    first = min(frozenset().union(*minimize_family(parts)))
+    with Meter() as meter:
+        assert responsibility(instance, query, first) == Fraction(1, 19)
+    assert meter.used < 5_000
+    with Meter() as meter:
+        assert len(c_repairs(instance, [parse_denial_constraint(":- R(X, Y), S(Y).")])) == 128
+    assert meter.used < 10_000
