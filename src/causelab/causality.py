@@ -34,7 +34,7 @@ from typing import Iterable, TypeAlias
 
 from .budget import current_meter
 from .errors import DomainError
-from .hitting import components, min_hitting_size, minimal_hitting_sets, smallest_hitting_sets
+from .hitting import min_hitting_size, minimal_hitting_sets, smallest_set_elements
 from .model import ConjunctiveQuery, Fact, Instance, eval_bcq, witnesses
 
 __all__ = [
@@ -153,5 +153,4 @@ def most_responsible_causes(instance: Instance, view: ConjunctiveQuery) -> froze
     own component: each component's smallest sets are searched alone and
     no product is built.
     """
-    parts = components(endogenous_parts(instance, view))
-    return frozenset().union(*(h for part in parts for h in smallest_hitting_sets(part)))
+    return smallest_set_elements(endogenous_parts(instance, view))

@@ -27,8 +27,9 @@ per component, so :func:`min_hitting_size` adds the components' minima
 and :func:`smallest_hitting_sets` takes the product of their least sets,
 each found by branch and bound.  A member of one element is a component
 of its own whose element is in every hitting set: those *essential*
-elements join every set with no search.  A family of one component gets
-exactly the unfactored search.
+elements join every set with no search.  A family of one component,
+beside any essential elements, gets exactly the unfactored search and
+its charges.
 
 Elements are numbered once per call, in sorted order within their
 component, so every set the search keeps is a Python int bitmask.  A
@@ -47,9 +48,11 @@ hitting set containing t, reached once, and no subtree without t is
 entered: the per-tuple questions (t's contingency sets, the S-repairs
 removing t, the diagnoses flagging t) cost only the sets that contain t.
 
-Work is charged to the current meter: one unit per search node (the
-essential elements as the search over their members would be, a root
-and one node per member), and, for a family of several components, one
+Work is charged to the current meter: one unit per search node,
+bounded or not, so branch and bound never charges more than the plain
+search of the same component (the essential elements as the search of
+the whole family charges their members: one node each, and a root when
+nothing else is searched), and, for a family of several components, one
 unit per set of the product, all charged before any product set is
 built, so a product too large for the budget fails on it instead of
 filling memory.
@@ -57,11 +60,13 @@ filling memory.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import reduce
 from itertools import compress, product, starmap
 from math import prod
+from operator import or_
 from typing import Callable, Hashable, Iterable, TypeVar
 
-from .budget import Meter, current_meter
+from .budget import current_meter
 
 T = TypeVar("T", bound=Hashable)
 
@@ -149,18 +154,11 @@ def _split(
     rows = [[index[x] for x in s] for s in base]
     n = len(elements)
     parent = list(range(n))
-    merged = 0
     for row in rows:
         a = _root(parent, row[0])
         for i in row:
             if parent[i] != a:
-                b = _root(parent, i)
-                if b != a:
-                    parent[b] = a
-                    merged += 1
-    if merged == n - 1:
-        root = 1 << index[forced] if forced in index else 0
-        return essential, [(elements, *_masks(rows, n), root)]
+                parent[_root(parent, i)] = a
     # renumber: components by smallest element, each element by its rank
     # within its component
     number: dict[int, int] = {}
@@ -213,21 +211,16 @@ def _mmcs(
     finds exceed the bound, and each leaf lowers the bound to its own size, or
     below it when ``ties`` is false; the last leaf found is a smallest
     one, and with ``ties`` the leaves kept are all the smallest.
-    Each node is charged to the current meter, and so is each member the
-    bound looks at.
+    Each node is charged to the current meter, bound or not, so a bounded
+    search never charges more than the plain one.
     """
     meter = current_meter()
-    if len(members) == 1:
-        # each element alone is a leaf, and every child of the root is one
-        found = [root] if root else [1 << e for e in range(len(hits))]
-        meter.charge(1 + len(found))
-        return found
     found = []
     stack = [((1 << len(members)) - 1, (1 << len(hits)) - 1, root, 0, 0)]
     while stack:
         unhit, candidates, branch, chosen, once = stack.pop()
         meter.charge()
-        if bound is not None and _packs(unhit, members, bound - chosen.bit_count(), meter):
+        if bound is not None and _packs(unhit, members, hits, bound - chosen.bit_count()):
             continue
         if not unhit:
             if bound is not None:
@@ -256,22 +249,30 @@ def _mmcs(
     return found
 
 
-def _packs(unhit: int, members: list[int], room: int, meter: Meter) -> bool:
+def _packs(unhit: int, members: list[int], hits: list[int], room: int) -> bool:
     """True when a greedy set of pairwise-disjoint members among
     ``unhit``, taken shortest first, grows past ``room``: each needs an
     element of its own, so no hitting set adds ``room`` or fewer.  Each
-    member looked at is charged to ``meter``."""
-    used = seen = 0
+    member taken drops every member sharing an element with it, so the
+    work is one step per element of a member taken."""
     while unhit and room >= 0:
-        low = unhit & -unhit
-        member = members[low.bit_length() - 1]
-        if not member & used:
-            used |= member
-            room -= 1
-        unhit ^= low
-        seen += 1
-    meter.charge(seen)
+        member = members[(unhit & -unhit).bit_length() - 1]
+        while member:
+            e = member.bit_length() - 1
+            unhit &= ~hits[e]
+            member ^= 1 << e
+        room -= 1
     return room < 0
+
+
+def _smallest(members: list[int], hits: list[int], root: int) -> list[int]:
+    """Every least leaf of one component's search."""
+    return _mmcs(members, hits, root, len(members), ties=True)
+
+
+def _first_smallest(members: list[int], hits: list[int], root: int) -> list[int]:
+    """Leaves of one component's search, the last of them a least one."""
+    return _mmcs(members, hits, root, len(members))
 
 
 def _factored(
@@ -280,15 +281,17 @@ def _factored(
     """The essential elements, and each component's elements with the
     leaves ``search`` finds there; None as for :func:`_split`.
 
-    The essential elements are charged as the search would charge their
-    members alone: a root and one node per member, for its one leaf.
+    The essential elements are charged as the whole-family search would
+    charge their members, which come first: one node per member below a
+    root, the last of them the root of the rest of the search, so the
+    root is charged here only when no component is searched.
     """
     split = _split(family, forced)
     if split is None:
         return None
     essential, parts = split
     if essential:
-        current_meter().charge(len(essential) + 1)
+        current_meter().charge(len(essential) + (not parts))
     return essential, [(elements, search(m, h, root)) for elements, m, h, root in parts]
 
 
@@ -297,17 +300,18 @@ def _product(
 ) -> frozenset[frozenset[T]]:
     """Every union of the essential elements and one leaf per component.
 
-    Each leaf becomes a frozenset once; with several parts, one unit per
-    union is charged before any is built, and the unions are set unions,
-    which reuse the elements' stored hashes.
+    Each leaf becomes a frozenset once.  With several components, one unit
+    per union is charged before any is built; one component's unions are
+    no more than its leaves, each charged as a search node.  The unions
+    are set unions, which reuse the elements' stored hashes.
     """
+    if len(parts) > 1:
+        current_meter().charge(prod(len(leaves) for _, leaves in parts))
     sets = [[frozenset(compress(elements, _bits(h))) for h in leaves] for elements, leaves in parts]
     if essential:
         sets.append([essential])
     if len(sets) == 1:
         return frozenset(sets[0])
-    if sets:
-        current_meter().charge(prod(map(len, sets)))
     return frozenset(starmap(_EMPTY.union, product(*sets)))
 
 
@@ -351,8 +355,26 @@ def smallest_hitting_sets(
     size among those containing it): the product of each component's
     smallest sets, each found by branch and bound.  Empty exactly when
     :func:`minimal_hitting_sets` is."""
-    found = _factored(family, forced, lambda m, h, root: _mmcs(m, h, root, len(m), ties=True))
+    found = _factored(family, forced, _smallest)
     return frozenset() if found is None else _product(*found)
+
+
+def smallest_set_elements(family: Iterable[Iterable[T]]) -> frozenset[T]:
+    """The elements in a least hitting set of their own component, the
+    essential elements among them; empty when there is no hitting set.
+
+    These are the elements in a least hitting set containing them of the
+    smallest size overall: a least set is one least set per component.
+    Each component's least sets are found by branch and bound and no
+    product is built.
+    """
+    found = _factored(family, None, _smallest)
+    if found is None:
+        return frozenset()
+    essential, parts = found
+    return essential.union(
+        *(compress(elements, _bits(reduce(or_, leaves))) for elements, leaves in parts)
+    )
 
 
 def min_hitting_size(family: Iterable[Iterable[T]], forced: T | None = None) -> int | None:
@@ -363,7 +385,7 @@ def min_hitting_size(family: Iterable[Iterable[T]], forced: T | None = None) -> 
     found by branch and bound in the search's order; the empty family's
     is 0.
     """
-    found = _factored(family, forced, lambda m, h, root: _mmcs(m, h, root, len(m)))
+    found = _factored(family, forced, _first_smallest)
     if found is None:
         return None
     essential, parts = found

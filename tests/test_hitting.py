@@ -20,6 +20,7 @@ from causelab.hitting import (
     minimal_hitting_sets,
     minimize_family,
     smallest_hitting_sets,
+    smallest_set_elements,
 )
 from causelab.model import Instance, fact, witnesses
 from causelab.parsing import parse_denial_constraint, parse_query
@@ -257,6 +258,12 @@ def test_one_component_costs_the_whole_family_search():
     assert got == fsets({1, 3}, {0, 2, 3}, {1, 2, 4}, {0, 2, 4})
     assert len(leaves) == 4
     assert meter.used == kernel.used
+    # essential elements 7 and 8 come first in the whole-family search, one
+    # node each above the path's root, and build no product
+    with Meter() as meter:
+        got = minimal_hitting_sets(path + [{7}, {8}])
+    assert got == frozenset(h | {7, 8} for h in fsets({1, 3}, {0, 2, 3}, {1, 2, 4}, {0, 2, 4}))
+    assert meter.used == kernel.used + 2
 
 
 def test_smallest_sets_and_minimum_size():
@@ -267,16 +274,26 @@ def test_smallest_sets_and_minimum_size():
     # forcing a leaf: the other leaves must come too
     assert smallest_hitting_sets(family, forced=2) == fsets({1, 2, 3, 7}, {1, 2, 3, 8})
     assert min_hitting_size(family, forced=2) == 4
+    # the elements of some least set of their own component, essential ones
+    # included; none when nothing hits the family
+    assert smallest_set_elements(family + [{9}]) == {0, 7, 8, 9}
+    assert smallest_set_elements([]) == frozenset()
+    assert smallest_set_elements([{1}, set()]) == frozenset()
 
 
 def test_minimum_size_charges_no_product():
     # 1200 disjoint pairs: the minimum is one element per pair, found with
-    # a bounded search per pair and nothing enumerated across them
+    # a bounded search per pair and nothing enumerated across them.  Each
+    # pair takes the root, its first element (a leaf of size 1, which
+    # lowers the bound to 0) and its second, cut by the bound: 3 nodes.
+    # Forcing 7 leaves its pair the root and the one branch {7}.
     pairs = [{2 * i, 2 * i + 1} for i in range(1200)]
     with Meter(10_000) as meter:
         assert min_hitting_size(pairs) == 1200
+    assert meter.used == 1200 * 3
+    with Meter(10_000) as meter:
         assert min_hitting_size(pairs, forced=7) == 1200
-    assert meter.used <= 2 * 1200 * 3
+    assert meter.used == 1199 * 3 + 2
 
 
 @given(
