@@ -8,6 +8,12 @@ contingency sets.  Responsibility is the exact rational 1/(1 + k) where
 k is the size of the smallest contingency set, computed by
 :func:`responsibility_of`; non-causes get responsibility 0.
 
+The cause sets this module returns are :class:`HittingCauseSet`
+mappings: each holds the minimal hitting sets it is read off, its causes
+are their members, and a cause's contingency sets are built only when
+that value is read, so a report printed straight from the hitting sets
+(:func:`causelab.serialize.cause_set_to_list`) builds none of them.
+
 Causes reduce to minimal hitting sets of the endogenous parts of the
 query's witnesses: the minimal contingency sets of t are exactly H minus
 {t} for the minimal hitting sets H that contain t, and the search
@@ -27,10 +33,10 @@ which the cross-check harness compares against.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Collection, Iterator, Mapping
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, TypeAlias
+from itertools import chain
+from typing import Any, Iterable, TypeAlias
 
 from .budget import current_meter
 from .errors import DomainError
@@ -40,6 +46,7 @@ from .model import ConjunctiveQuery, Fact, Instance, eval_bcq, witnesses
 __all__ = [
     "ContingencySet",
     "CauseSet",
+    "HittingCauseSet",
     "cause_set_from_hitting_sets",
     "responsibility_of",
     "require_endogenous",
@@ -66,7 +73,36 @@ def responsibility_of(contingencies: Iterable[ContingencySet]) -> Fraction:
     return Fraction(0) if k is None else Fraction(1, 1 + k)
 
 
-def cause_set_from_hitting_sets(sets: Iterable[frozenset[Fact]]) -> CauseSet:
+class HittingCauseSet(Mapping[Fact, frozenset[ContingencySet]]):
+    """A read-only cause set held as the minimal hitting sets it is read
+    off: its causes are their members, and a cause's contingency sets,
+    the sets containing it less itself, are built when that value is
+    first read and kept for the next read."""
+
+    __slots__ = ("hitting_sets", "_gammas")
+
+    def __init__(self, hitting_sets: Collection[frozenset[Fact]]) -> None:
+        self.hitting_sets = hitting_sets
+        # every cause, mapped to None until its contingency sets are read
+        self._gammas: dict[Fact, Any] = dict.fromkeys(chain.from_iterable(hitting_sets))
+
+    def __getitem__(self, t: Fact) -> frozenset[ContingencySet]:
+        gammas = self._gammas[t]
+        if gammas is None:
+            gammas = self._gammas[t] = frozenset(h - {t} for h in self.hitting_sets if t in h)
+        return gammas
+
+    def __contains__(self, t: object) -> bool:
+        return t in self._gammas
+
+    def __iter__(self) -> Iterator[Fact]:
+        return iter(self._gammas)
+
+    def __len__(self) -> int:
+        return len(self._gammas)
+
+
+def cause_set_from_hitting_sets(sets: Iterable[frozenset[Fact]]) -> HittingCauseSet:
     """Causes read off a family of minimal hitting sets drawn from the
     candidates (the endogenous tuples, or the abducibles).
 
@@ -75,17 +111,15 @@ def cause_set_from_hitting_sets(sets: Iterable[frozenset[Fact]]) -> CauseSet:
     witness parts, the endogenous repair removal sets, the minimal
     diagnoses and the necessary hypothesis sets all yield causes this way.
     Each set H is charged ``|H|(|H| - 1)`` units, the size of the
-    contingency sets built from it, before any of them is built.
+    contingency sets built from it, before any of them is built; the
+    cause set keeps the sets and builds a cause's contingency sets only
+    when they are read.
     """
-    meter = current_meter()
-    containing: dict[Fact, list[frozenset[Fact]]] = {}
-    for h in sets:
-        meter.charge(len(h) * (len(h) - 1))
-        for t in h:
-            containing.setdefault(t, []).append(h)
-    return MappingProxyType(
-        {t: frozenset(h - {t} for h in hs) for t, hs in containing.items()}
-    )
+    sets = frozenset(sets)
+    charge = current_meter().charge
+    for n in map(len, sets):
+        charge(n * (n - 1))
+    return HittingCauseSet(sets)
 
 
 def require_endogenous(instance: Instance, t: Fact) -> None:

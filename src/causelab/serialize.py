@@ -10,16 +10,30 @@ strings such as ``"1/2"``.
 
 The payload builders (``cause_set_to_list``, ``family_to_list``,
 ``repair_to_dict``, ``diagnosis_to_dict``) put every collection in
-canonical order and keep its facts as :class:`Fact` objects.  A family is
-ordered by ranks: the union of its facts is sorted once, and each set is
-keyed by the tuple of its members' sorted ranks.  That is the order of
+canonical order and keep its facts as :class:`Fact` objects.  A family
+is built in rank form, as a :class:`RankedFamily`: the union of its
+facts is sorted once, each set becomes the sorted tuple of its members'
+ranks, and the tuples are sorted once.  That is the order of
 ``sorted(family, key=sorted)``: each set's sorted facts, compared
 lexicographically, so a set comes before its extensions and the empty
-set first.  :func:`dumps` prints a payload as
-``json.dumps(plain, indent=2)`` would, ``plain`` being the payload with
-each fact replaced by its flat list, byte for byte; it builds each
-fact's text once per indent depth, since facts recur across thousands
-of sets.
+set first.  The value reads as a list of lists of facts.
+
+A cause set is printed from the minimal hitting sets it is read off,
+ranked and sorted once for all its causes: cause t's minimal
+contingency sets are the sorted tuples that contain t, in that order,
+each with t's rank skipped, and they need no sort of their own.  The
+hitting sets form an antichain, and removing a shared element t from
+two sorted tuples A < B cannot flip their order: a flip needs B less t
+to be a prefix of A less t, which makes B a subset of A.  A plain
+mapping (an oracle's dict, say) is printed the same way, from its sets
+Gamma plus t.
+
+:func:`dumps` prints a payload as ``json.dumps(plain, indent=2)`` would,
+``plain`` being the payload with each fact replaced by its flat list
+and each ranked family by its list of lists, byte for byte; it builds
+each fact's text once per indent depth, since facts recur across
+thousands of sets, and each set of a ranked family with one
+``str.join``.
 
 :func:`instance_from_dict` loads an instance with no per-fact Python
 check: each part's rows are checked in whole-list passes that run in C
@@ -28,20 +42,20 @@ one, with :func:`fact_from_list`, to raise the first bad row's error.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable, Iterator
 
-from .causality import CauseSet, responsibility_of
-from .diagnosis import Diagnosis
+from .causality import CauseSet, HittingCauseSet, responsibility_of
 from .errors import ParseError
 from .model import Fact, Instance, RelationSchema
-from .repairs import Repair
 
 __all__ = [
     "fact_to_list",
     "fact_from_list",
+    "RankedFamily",
     "family_to_list",
     "instance_to_dict",
     "instance_from_dict",
@@ -52,17 +66,37 @@ __all__ = [
 ]
 
 
-def _family_sorter(order: list[Fact]) -> Callable[[Iterable[Iterable[Fact]]], list[list[Fact]]]:
-    """Sorts families drawn from ``order``, a list of facts in canonical
-    order, into canonical family order, each set a sorted list."""
+class RankedFamily(Sequence[list[Fact]]):
+    """A family of fact sets in canonical order, held as rank tuples over
+    ``order``, a list of facts in canonical order; it reads as the list
+    of its sets, each a list of facts."""
+
+    __slots__ = ("order", "ranks")
+
+    def __init__(self, order: list[Fact], ranks: list[tuple[int, ...]]) -> None:
+        self.order = order
+        self.ranks = ranks
+
+    def __iter__(self) -> Iterator[list[Fact]]:
+        return map(list, map(map, repeat(self.order.__getitem__), self.ranks))
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, i):  # type: ignore[override]
+        if isinstance(i, slice):
+            return list(RankedFamily(self.order, self.ranks[i]))
+        return list(map(self.order.__getitem__, self.ranks[i]))
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == other if isinstance(other, (list, RankedFamily)) else NotImplemented
+
+
+def _ranked(order: list[Fact], family: Iterable[Iterable[Fact]]) -> RankedFamily:
+    """A family drawn from ``order`` in rank form: each set the sorted
+    tuple of its members' ranks, the tuples sorted once."""
     rank = dict(zip(order, range(len(order)))).__getitem__
-    at = order.__getitem__
-
-    def sort(family: Iterable[Iterable[Fact]]) -> list[list[Fact]]:
-        keys = sorted([tuple(sorted(map(rank, s))) for s in family])
-        return [list(map(at, key)) for key in keys]
-
-    return sort
+    return RankedFamily(order, sorted([tuple(sorted(map(rank, s))) for s in family]))
 
 
 def fact_to_list(f: Fact) -> list[str]:
@@ -103,10 +137,10 @@ def _facts_from_rows(rows: list[Any]) -> frozenset[Fact]:
     return frozenset(map(tuple.__new__, repeat(Fact), pairs))
 
 
-def family_to_list(families: Iterable[Iterable[Fact]]) -> list[list[Fact]]:
+def family_to_list(families: Iterable[Iterable[Fact]]) -> RankedFamily:
     """A family as a payload: its sets in canonical order."""
     sets = list(map(tuple, families))
-    return _family_sorter(sorted(set().union(*sets)))(sets)
+    return _ranked(sorted(set().union(*sets)), sets)
 
 
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
@@ -159,27 +193,36 @@ def instance_from_dict(data: Any) -> Instance:
 
 def cause_set_to_list(cause_set: CauseSet) -> list[dict[str, Any]]:
     """The causes in canonical order, each with its responsibility and its
-    minimal contingency sets in canonical family order."""
-    causes = sorted(cause_set)
-    members = set(causes).union(*chain.from_iterable(cause_set.values()))
-    family_order = _family_sorter(sorted(members))
+    minimal contingency sets in canonical family order, all read off the
+    cause set's hitting sets ranked and sorted once; a mapping that does
+    not keep them is read through its sets Gamma plus t."""
+    if not isinstance(cause_set, HittingCauseSet):
+        cause_set = HittingCauseSet({g | {t} for t, gammas in cause_set.items() for g in gammas})
+    order = sorted(cause_set)
+    contingencies: list[list[tuple[int, ...]]] = [[] for _ in order]
+    for key in _ranked(order, cause_set.hitting_sets).ranks:
+        for i, r in enumerate(key):
+            contingencies[r].append(key[:i] + key[i + 1 :])
     return [
         {
             "tuple": t,
-            "responsibility": str(responsibility_of(cause_set[t])),
-            "min_contingencies": family_order(cause_set[t]),
+            "responsibility": str(responsibility_of(gammas)),
+            "min_contingencies": RankedFamily(order, gammas),
         }
-        for t in causes
+        for t, gammas in zip(order, contingencies)
     ]
 
 
-def repair_to_dict(repair: Repair, kind: str) -> dict[str, Any]:
-    """A repair as its kind ("S" or "C") and the facts it removes."""
-    return {"kind": kind, "removed": sorted(repair)}
+def repair_to_dict(repair: Iterable[Fact], kind: str) -> dict[str, Any]:
+    """A repair as its kind ("S" or "C") and the facts it removes; a list
+    is taken to be in canonical order already, as the sets of a
+    :class:`RankedFamily` are, and any other collection is sorted."""
+    return {"kind": kind, "removed": repair if isinstance(repair, list) else sorted(repair)}
 
 
-def diagnosis_to_dict(diagnosis: Diagnosis) -> dict[str, Any]:
-    return {"abnormal": sorted(diagnosis)}
+def diagnosis_to_dict(diagnosis: Iterable[Fact]) -> dict[str, Any]:
+    """A diagnosis as its abnormal facts, ordered as :func:`repair_to_dict` orders them."""
+    return {"abnormal": diagnosis if isinstance(diagnosis, list) else sorted(diagnosis)}
 
 
 class _FactTexts(dict):
@@ -198,18 +241,31 @@ class _FactTexts(dict):
 
 def dumps(payload: Any) -> str:
     """The canonical JSON text for a payload of dicts with string keys,
-    lists, strings, bools, ints, None and facts: two-space indent, key
-    order as constructed, ASCII only, trailing newline.  Any other type
-    raises :class:`TypeError`."""
+    lists, ranked families, strings, bools, ints, None and facts:
+    two-space indent, key order as constructed, ASCII only, trailing
+    newline.  Any other type raises :class:`TypeError`."""
     chunks: list[str] = []
     emit = chunks.append
     fact_texts: dict[int, _FactTexts] = {}
+    # the texts of a rank order's facts at one depth, by the order's id:
+    # the families of one cause set share their order
+    rank_texts: dict[tuple[int, int], list[str]] = {}
 
     def texts_at(depth: int) -> _FactTexts:
         texts = fact_texts.get(depth)
         if texts is None:
             texts = fact_texts[depth] = _FactTexts(depth)
         return texts
+
+    def write_family(family: RankedFamily, depth: int) -> None:
+        key = (id(family.order), depth)
+        if key not in rank_texts:
+            rank_texts[key] = list(map(texts_at(depth + 2).__getitem__, family.order))
+        at = rank_texts[key].__getitem__
+        inner = "\n" + "  " * (depth + 1)
+        open_set, sep, close = "[" + inner + "  ", "," + inner + "  ", "\n" + "  " * depth + "]"
+        sets = [open_set + sep.join(map(at, k)) + inner + "]" if k else "[]" for k in family.ranks]
+        emit("[" + inner + ("," + inner).join(sets) + close if sets else "[]")
 
     def write(value: Any, depth: int) -> None:
         # a container's items are written one level deeper, each followed
@@ -246,6 +302,8 @@ def dumps(payload: Any) -> str:
             chunks[-1] = "\n" + "  " * depth + "}"
         elif isinstance(value, Fact):
             emit(texts_at(depth)[value])
+        elif isinstance(value, RankedFamily):
+            write_family(value, depth)
         elif value is None:
             emit("null")
         elif value is True:

@@ -22,6 +22,7 @@ from causelab import (
     responsibility_of,
     smallest_diagnoses_containing,
 )
+from causelab.causality import cause_set_from_hitting_sets
 from causelab.checks import closure_instance, demo_instance
 from causelab.model import ConjunctiveQuery, atom
 from causelab.oracles import LATTICE_CAP, causes_by_enumeration
@@ -231,3 +232,56 @@ def test_per_tuple_routes_share_the_endogenous_check(d0, q0, prog0, route, t, me
     with pytest.raises(DomainError) as raised:
         PER_TUPLE_ROUTES[route](instance, q0, prog0, t)
     assert str(raised.value) == message
+
+
+class _CountingSet(frozenset):
+    """A hitting set that counts the contingency sets built from it."""
+
+    built = 0
+
+    def __sub__(self, other):
+        _CountingSet.built += 1
+        return frozenset.__sub__(self, other)
+
+
+def test_cause_set_builds_contingency_sets_only_when_read(monkeypatch):
+    monkeypatch.setattr(_CountingSet, "built", 0)
+    sets = [_CountingSet({R21, R33}), _CountingSet({R21, S3}), _CountingSet({S1, S3})]
+    causes = cause_set_from_hitting_sets(sets)
+    assert len(causes) == 4 and sorted(causes) == sorted([R21, R33, S1, S3])
+    assert R21 in causes and S2 not in causes and "not a fact" not in causes
+    # a report prints every cause from the sets and reads no value
+    text = dumps(cause_set_to_list(causes))
+    assert _CountingSet.built == 0
+    assert json.loads(text)[0]["min_contingencies"] == [[["R", "a3", "a3"]], [["S", "a3"]]]
+    assert causes[R21] == {frozenset({R33}), frozenset({S3})}
+    assert _CountingSet.built == 2
+    # a value is built once
+    assert causes[R21] is causes[R21] and causes.get(R21) is causes[R21]
+    assert _CountingSet.built == 2
+    with pytest.raises(KeyError):
+        causes[S2]
+    assert causes.get(S2) is None and _CountingSet.built == 2
+
+
+def test_cause_set_equals_its_dict_both_ways(d0, q0):
+    causes = actual_causes(d0, q0)
+    materialized = {t: causes[t] for t in causes}
+    assert causes == materialized and materialized == causes
+    assert causes == cause_set_from_hitting_sets(list(causes.hitting_sets))
+    assert dict(causes.items()) == materialized
+    other = dict(materialized)
+    other[R21] = frozenset({frozenset()})
+    assert causes != other and other != causes
+    assert causes != {t: g for t, g in materialized.items() if t != R21}
+
+
+def test_cause_set_cannot_be_assigned_to(d0, q0):
+    causes = actual_causes(d0, q0)
+    with pytest.raises(TypeError):
+        causes[R21] = frozenset()
+    with pytest.raises(TypeError):
+        del causes[R21]
+    with pytest.raises(AttributeError):
+        causes.update({})
+    assert R21 in causes

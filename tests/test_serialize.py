@@ -7,7 +7,9 @@ import pytest
 from causelab import Instance, ParseError, actual_causes, fact, s_repairs
 from causelab.abduction import abductive_solutions, problem_for_instance
 from causelab.serialize import (
+    RankedFamily,
     cause_set_to_list,
+    diagnosis_to_dict,
     dumps,
     fact_from_list,
     fact_to_list,
@@ -110,3 +112,23 @@ def test_families_are_canonically_ordered(d0, prog0):
 def test_dumps_is_deterministic(d0):
     assert dumps(instance_to_dict(d0)) == dumps(instance_to_dict(d0))
     assert dumps(instance_to_dict(d0)).endswith("\n")
+
+
+def test_a_family_reads_as_a_list_of_fact_lists():
+    a, b, c = fact("R", "a"), fact("R", "b"), fact("S", "a")
+    family = family_to_list([{c}, {b, a}, {a, c}])
+    assert isinstance(family, RankedFamily)
+    expected = [[a, b], [a, c], [c]]
+    assert family == expected and expected == family and family != expected[:2]
+    assert list(family) == expected and len(family) == 3
+    assert all(type(s) is list for s in family)
+    assert family[0] == [a, b] and family[-1] == [c] and family[1:] == expected[1:]
+    assert [a, c] in family and family.index([c]) == 2
+    assert family_to_list([]) == [] and family_to_list([set()]) == [[]]
+
+
+def test_a_listed_repair_is_kept_in_its_order():
+    a, b = fact("R", "a"), fact("R", "b")
+    assert repair_to_dict(frozenset({b, a}), "S") == {"kind": "S", "removed": [a, b]}
+    assert repair_to_dict([a, b], "C")["removed"] == [a, b]
+    assert diagnosis_to_dict({b, a}) == {"abnormal": [a, b]}

@@ -15,6 +15,7 @@ import pytest
 from causelab import actual_causes, fact
 from causelab.model import ConjunctiveQuery, Fact, Instance, RelationSchema, atom
 from causelab.serialize import (
+    RankedFamily,
     cause_set_to_list,
     dumps,
     fact_to_list,
@@ -30,10 +31,11 @@ ALPHABET = ['a', 'b', 'Z', ' ', "'", '"', '\\', '/', '\n', '\t', '\r', '\x00', '
 
 
 def plain(value: Any) -> Any:
-    """The payload with every fact replaced by its flat list."""
+    """The payload with every fact replaced by its flat list and every
+    ranked family by its list of sets."""
     if isinstance(value, Fact):
         return fact_to_list(value)
-    if isinstance(value, list):
+    if isinstance(value, (list, RankedFamily)):
         return [plain(v) for v in value]
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
