@@ -14,9 +14,14 @@ A meter is made current by a ``with`` block, the way
         causes = actual_causes(instance, query)  # join and hitting sets share 10^4 units
 
 Every phase run inside the block charges that one meter, so the cap
-bounds the whole computation.  Outside any block each metered call gets
-a fresh meter at :data:`DEFAULT_BUDGET`.  The current meter lives in a
-:class:`contextvars.ContextVar`, so it is per thread and per asyncio task.
+bounds the whole computation.  Outside any block each phase gets a
+fresh meter of its own at :data:`DEFAULT_BUDGET`: one join, one
+hitting-set call (every component's search and their product), the
+contingency-set charge, one fixpoint, one supports computation.  So
+outside a block ``actual_causes`` is capped per phase, not as a whole;
+the CLI runs each request inside one block.  The current meter lives in
+a :class:`contextvars.ContextVar`, so it is per thread and per asyncio
+task.
 """
 from __future__ import annotations
 

@@ -31,15 +31,15 @@ elements join every set with no search.  A family of one component,
 beside any essential elements, gets exactly the unfactored search and
 its charges.
 
-Elements are numbered once per call, in sorted order within their
-component, so every set the search keeps is a Python int bitmask.  A
-search node is five ints on an explicit stack: the unhit members, the
-candidates, the branch elements (set only at a forced root), the chosen
-elements, and the members hit by exactly one chosen element.  A chosen
-element's critical members are its members among the last, and the
-sole chosen hitter of such a member is the one bit of the member's
-elements that is chosen.  A node shares nothing with its siblings, so
-nothing is undone, and the search depth is bounded by memory alone.
+Each component is numbered once, its elements in sorted order, so
+every set the search keeps is a Python int bitmask.  A search node is
+five ints on an explicit stack: the unhit members, the candidates, the
+branch elements (set only at a forced root), the chosen elements, and
+the members hit by exactly one chosen element.  A chosen element's
+critical members are its members among the last, and the sole chosen
+hitter of such a member is the one bit of the member's elements that
+is chosen.  A node shares nothing with its siblings, so nothing is
+undone, and the search depth is bounded by memory alone.
 
 Asked for the sets that contain one element t (``forced=t``), the
 search of t's component starts with t as the root's only branch.  The
@@ -48,14 +48,16 @@ hitting set containing t, reached once, and no subtree without t is
 entered: the per-tuple questions (t's contingency sets, the S-repairs
 removing t, the diagnoses flagging t) cost only the sets that contain t.
 
-Work is charged to the current meter: one unit per search node,
-bounded or not, so branch and bound never charges more than the plain
-search of the same component (the essential elements as the search of
-the whole family charges their members: one node each, and a root when
-nothing else is searched), and, for a family of several components, one
-unit per set of the product, all charged before any product set is
-built, so a product too large for the budget fails on it instead of
-filling memory.
+Each call reads the current meter once and charges all its work to
+it, so outside a ``with Meter`` block one fresh meter at the default
+cap bounds the whole call, not each component alone.  A search node
+costs one unit, bounded or not, so branch and bound never charges more
+than the plain search of the same component.  The essential elements
+cost what the search of the whole family charges for their members: one
+node each, and a root when nothing else is searched.  A family of
+several components costs one unit per set of the product, all charged
+before any product set is built, so a product too large for the budget
+fails on it instead of filling memory.
 """
 from __future__ import annotations
 
@@ -64,9 +66,9 @@ from functools import reduce
 from itertools import compress, product, starmap
 from math import prod
 from operator import or_
-from typing import Callable, Hashable, Iterable, TypeVar
+from typing import Hashable, Iterable, TypeVar
 
-from .budget import current_meter
+from .budget import Meter, current_meter
 
 T = TypeVar("T", bound=Hashable)
 
@@ -117,16 +119,16 @@ def _bits(h: int) -> bytes:
     return bin(h)[:1:-1].encode().translate(_BITS)
 
 
-def _root(parent: list[int], i: int) -> int:
-    while parent[i] != i:
-        parent[i] = i = parent[parent[i]]
-    return i
+def _root(parent: dict[T, T], x: T) -> T:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def _split(
     family: Iterable[Iterable[T]], forced: T | None
 ) -> tuple[frozenset[T], list[_Part]] | None:
-    """The minimized family, numbered once and cut into components.
+    """The minimized family cut into components, each numbered once.
 
     A member of one element is a component of its own whose element is in
     every hitting set, so those elements come back as one set, the
@@ -137,7 +139,7 @@ def _split(
     when nothing qualifies: the family holds the empty set, or ``forced``
     is in no subset-minimal member.
     """
-    base = sorted(minimize_family(family), key=lambda s: (len(s), sorted(s)))
+    base = sorted(map(sorted, minimize_family(family)), key=lambda s: (len(s), s))
     if not base:
         return None if forced is not None else (_EMPTY, [])
     if not base[0]:
@@ -145,43 +147,26 @@ def _split(
     singletons = bisect_right(base, 1, key=len)
     essential = _EMPTY.union(*base[:singletons])
     base = base[singletons:]
-    elements = sorted(_EMPTY.union(*base))
-    index = {x: i for i, x in enumerate(elements)}
-    if forced is not None and forced not in index and forced not in essential:
+    parent = {x: x for s in base for x in s}
+    if forced is not None and forced not in parent and forced not in essential:
         return None
-    if not base:
-        return essential, []
-    rows = [[index[x] for x in s] for s in base]
-    n = len(elements)
-    parent = list(range(n))
-    for row in rows:
-        a = _root(parent, row[0])
-        for i in row:
-            if parent[i] != a:
-                parent[_root(parent, i)] = a
-    # renumber: components by smallest element, each element by its rank
-    # within its component
-    number: dict[int, int] = {}
-    comp: list[int] = []
-    rank: list[int] = []
-    groups: list[list[T]] = []
-    for i, x in enumerate(elements):
-        c = number.setdefault(_root(parent, i), len(groups))
-        if c == len(groups):
-            groups.append([])
-        comp.append(c)
-        rank.append(len(groups[c]))
-        groups[c].append(x)
-    local: list[list[list[int]]] = [[] for _ in groups]
-    for row in rows:
-        local[comp[row[0]]].append([rank[i] for i in row])
-    roots = [0] * len(groups)
-    if forced in index:
-        roots[comp[index[forced]]] = 1 << rank[index[forced]]
-    return essential, [
-        (group, *_masks(part, len(group)), root)
-        for group, part, root in zip(groups, local, roots)
-    ]
+    # a union-find over the elements: each member joins the root of its
+    # smallest element
+    for s in base:
+        a = _root(parent, s[0])
+        for x in s:
+            parent[_root(parent, x)] = a
+    groups: dict[T, list[list[T]]] = {}
+    for s in base:
+        groups.setdefault(_root(parent, s[0]), []).append(s)
+    parts = []
+    for rows in groups.values():
+        elements = sorted(_EMPTY.union(*rows))
+        index = {x: i for i, x in enumerate(elements)}
+        members, hits = _masks([[index[x] for x in s] for s in rows], len(elements))
+        parts.append((elements, members, hits, 1 << index[forced] if forced in index else 0))
+    # components share no element, so their first elements decide the order
+    return essential, sorted(parts)
 
 
 def _masks(rows: list[list[int]], width: int) -> tuple[list[int], list[int]]:
@@ -199,35 +184,36 @@ def _masks(rows: list[list[int]], width: int) -> tuple[list[int], list[int]]:
 
 
 def _mmcs(
-    members: list[int], hits: list[int], root: int, bound: int | None = None, ties: bool = False
+    members: list[int], hits: list[int], root: int, meter: Meter, least: str = ""
 ) -> list[int]:
     """The leaves of the search over one component, as local bitmasks.
 
     Branches on the lowest-indexed unhit member (a first shortest one),
     trying its candidate elements in sorted order, and cuts a branch whose
-    element leaves a chosen element with no critical member.  With a
-    ``bound`` it is branch and bound for the smallest leaves: a node is cut
-    when its chosen elements and the disjoint unhit members :func:`_packs`
-    finds exceed the bound, and each leaf lowers the bound to its own size, or
-    below it when ``ties`` is false; the last leaf found is a smallest
-    one, and with ``ties`` the leaves kept are all the smallest.
-    Each node is charged to the current meter, bound or not, so a bounded
-    search never charges more than the plain one.
+    element leaves a chosen element with no critical member.  With
+    ``least`` set it is branch and bound for the smallest leaves, from a
+    bound of one element per member: a node is cut when its chosen
+    elements and the disjoint unhit members :func:`_packs` finds exceed
+    the bound.  Each leaf lowers the bound to its own size for
+    ``"all"``, whose leaves kept are all the smallest, or below it for
+    ``"last"``, whose last leaf found is a smallest one.  Each node is
+    charged to ``meter``, bound or not, so a bounded search never charges
+    more than the plain one.
     """
-    meter = current_meter()
+    bound = len(members)
     found = []
     stack = [((1 << len(members)) - 1, (1 << len(hits)) - 1, root, 0, 0)]
     while stack:
         unhit, candidates, branch, chosen, once = stack.pop()
         meter.charge()
-        if bound is not None and _packs(unhit, members, hits, bound - chosen.bit_count()):
+        if least and _packs(unhit, members, hits, bound - chosen.bit_count()):
             continue
         if not unhit:
-            if bound is not None:
+            if least:
                 size = chosen.bit_count()
                 if size < bound:
                     found.clear()
-                bound = size if ties else size - 1
+                bound = size if least == "all" else size - 1
             found.append(chosen)
             continue
         branch = branch or candidates & members[(unhit & -unhit).bit_length() - 1]
@@ -265,21 +251,12 @@ def _packs(unhit: int, members: list[int], hits: list[int], room: int) -> bool:
     return room < 0
 
 
-def _smallest(members: list[int], hits: list[int], root: int) -> list[int]:
-    """Every least leaf of one component's search."""
-    return _mmcs(members, hits, root, len(members), ties=True)
-
-
-def _first_smallest(members: list[int], hits: list[int], root: int) -> list[int]:
-    """Leaves of one component's search, the last of them a least one."""
-    return _mmcs(members, hits, root, len(members))
-
-
 def _factored(
-    family: Iterable[Iterable[T]], forced: T | None, search: Callable[..., list[int]]
-) -> tuple[frozenset[T], list[tuple[list[T], list[int]]]] | None:
-    """The essential elements, and each component's elements with the
-    leaves ``search`` finds there; None as for :func:`_split`.
+    family: Iterable[Iterable[T]], forced: T | None, least: str = ""
+) -> tuple[frozenset[T], list[tuple[list[T], list[int]]], Meter] | None:
+    """The essential elements, each component's elements with the leaves
+    of its search in mode ``least``, and the one meter they were charged
+    to; None as for :func:`_split`.
 
     The essential elements are charged as the whole-family search would
     charge their members, which come first: one node per member below a
@@ -290,23 +267,25 @@ def _factored(
     if split is None:
         return None
     essential, parts = split
+    meter = current_meter()
     if essential:
-        current_meter().charge(len(essential) + (not parts))
-    return essential, [(elements, search(m, h, root)) for elements, m, h, root in parts]
+        meter.charge(len(essential) + (not parts))
+    leaves = [(elements, _mmcs(m, h, root, meter, least)) for elements, m, h, root in parts]
+    return essential, leaves, meter
 
 
 def _product(
-    essential: frozenset[T], parts: list[tuple[list[T], list[int]]]
+    essential: frozenset[T], parts: list[tuple[list[T], list[int]]], meter: Meter
 ) -> frozenset[frozenset[T]]:
     """Every union of the essential elements and one leaf per component.
 
     Each leaf becomes a frozenset once.  With several components, one unit
-    per union is charged before any is built; one component's unions are
-    no more than its leaves, each charged as a search node.  The unions
-    are set unions, which reuse the elements' stored hashes.
+    per union is charged to ``meter`` before any is built; one component's
+    unions are no more than its leaves, each charged as a search node.  The
+    unions are set unions, which reuse the elements' stored hashes.
     """
     if len(parts) > 1:
-        current_meter().charge(prod(len(leaves) for _, leaves in parts))
+        meter.charge(prod(len(leaves) for _, leaves in parts))
     sets = [[frozenset(compress(elements, _bits(h))) for h in leaves] for elements, leaves in parts]
     if essential:
         sets.append([essential])
@@ -344,7 +323,7 @@ def minimal_hitting_sets(
     empty and nothing is charged.  Otherwise each component is searched
     alone (``forced`` only in its own) and the result is the product.
     """
-    found = _factored(family, forced, _mmcs)
+    found = _factored(family, forced)
     return frozenset() if found is None else _product(*found)
 
 
@@ -355,7 +334,7 @@ def smallest_hitting_sets(
     size among those containing it): the product of each component's
     smallest sets, each found by branch and bound.  Empty exactly when
     :func:`minimal_hitting_sets` is."""
-    found = _factored(family, forced, _smallest)
+    found = _factored(family, forced, "all")
     return frozenset() if found is None else _product(*found)
 
 
@@ -368,10 +347,10 @@ def smallest_set_elements(family: Iterable[Iterable[T]]) -> frozenset[T]:
     Each component's least sets are found by branch and bound and no
     product is built.
     """
-    found = _factored(family, None, _smallest)
+    found = _factored(family, None, "all")
     if found is None:
         return frozenset()
-    essential, parts = found
+    essential, parts, _ = found
     return essential.union(
         *(compress(elements, _bits(reduce(or_, leaves))) for elements, leaves in parts)
     )
@@ -385,8 +364,8 @@ def min_hitting_size(family: Iterable[Iterable[T]], forced: T | None = None) -> 
     found by branch and bound in the search's order; the empty family's
     is 0.
     """
-    found = _factored(family, forced, _first_smallest)
+    found = _factored(family, forced, "last")
     if found is None:
         return None
-    essential, parts = found
+    essential, parts, _ = found
     return len(essential) + sum(leaves[-1].bit_count() for _, leaves in parts)

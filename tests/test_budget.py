@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from causelab import BudgetError, Meter, eval_bcq, witnesses
+from causelab import BudgetError, Meter, budget, eval_bcq, witnesses
 from causelab.budget import DEFAULT_BUDGET, current_meter
+from causelab.hitting import min_hitting_size, smallest_hitting_sets, smallest_set_elements
 from causelab.model import valuations
 
 
@@ -51,3 +52,34 @@ def test_valuations_charge_the_meter_current_at_the_call(d0, q0):
         found = valuations(d0.facts, q0)
     assert list(found)
     assert m.used > 0
+
+
+# 40 disjoint paths of 13 elements, 40 components of 12 members each; one
+# path's minimum costs 27 units
+PATHS = [{13 * p + i, 13 * p + i + 1} for p in range(40) for i in range(12)]
+
+
+@pytest.mark.parametrize(
+    "route, spent",
+    [(min_hitting_size, 1080), (smallest_set_elements, 3560), (smallest_hitting_sets, 3561)],
+)
+def test_a_hitting_set_call_outside_a_block_is_capped_as_a_whole(monkeypatch, route, spent):
+    # outside a block the call's one fresh meter takes every component's
+    # search and the product, so it fails exactly where a block of the
+    # same cap fails
+    with Meter() as meter:
+        route(PATHS)
+    assert meter.used == spent
+    for cap in (54, spent - 1, spent):
+        monkeypatch.setattr(budget, "DEFAULT_BUDGET", cap)
+        try:
+            with Meter(cap):
+                inside = route(PATHS)
+        except BudgetError as error:
+            inside = str(error)
+        try:
+            outside = route(PATHS)
+        except BudgetError as error:
+            outside = str(error)
+        assert outside == inside
+        assert isinstance(inside, str) == (cap < spent)

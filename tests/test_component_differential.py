@@ -40,7 +40,7 @@ from causelab import (
     smallest_diagnoses_containing,
 )
 from causelab import hitting
-from causelab.budget import Meter
+from causelab.budget import Meter, current_meter
 from causelab.causality import endogenous_parts
 from causelab.hitting import (
     components,
@@ -88,7 +88,7 @@ def _whole(family, forced=None) -> frozenset[frozenset]:
     index = {x: i for i, x in enumerate(elements)}
     members, hits = hitting._masks([[index[x] for x in s] for s in base], len(elements))
     root = 0 if forced is None else 1 << index[forced]
-    leaves = hitting._mmcs(members, hits, root)
+    leaves = hitting._mmcs(members, hits, root, current_meter())
     return frozenset(frozenset(x for i, x in enumerate(elements) if h >> i & 1) for h in leaves)
 
 
@@ -268,7 +268,7 @@ def test_one_component_costs_what_the_whole_search_costs(kind, seed, case):
 PROBE = """
 import sys
 sys.path[:0] = [{src!r}, {tests!r}]
-from causelab.budget import Meter
+from causelab.budget import Meter, current_meter
 from causelab.hitting import min_hitting_size, minimal_hitting_sets, smallest_hitting_sets
 from test_component_differential import CASES, _family
 for kind, seed, case in CASES[::7]:

@@ -245,6 +245,45 @@ def test_components_split_minimized_members_by_shared_elements():
     ]
 
 
+def _reference_split(family, forced):
+    """The numbering of ``_split`` restated from its definition."""
+    minimal = {frozenset(s) for s in family}
+    minimal = [s for s in minimal if not any(o < s for o in minimal)]
+    if frozenset() in minimal or (forced is not None and not any(forced in s for s in minimal)):
+        return None
+    essential = frozenset().union(*(s for s in minimal if len(s) == 1))
+    # connected components: each member merges every group it meets
+    groups: list[list[frozenset]] = []
+    for s in (s for s in minimal if len(s) > 1):
+        met = [g for g in groups if any(s & m for m in g)]
+        groups = [g for g in groups if g not in met] + [[s, *(m for g in met for m in g)]]
+    parts = []
+    for g in sorted(groups, key=lambda g: min(frozenset().union(*g))):
+        elements = sorted(frozenset().union(*g))
+        rows = sorted(g, key=lambda s: (len(s), sorted(s)))
+        members = [sum(1 << i for i, x in enumerate(elements) if x in s) for s in rows]
+        hits = [sum(1 << j for j, s in enumerate(rows) if x in s) for x in elements]
+        root = 1 << elements.index(forced) if forced in elements else 0
+        parts.append((elements, members, hits, root))
+    return essential, parts
+
+
+@given(
+    st.lists(st.frozensets(st.integers(0, 11), max_size=3), max_size=9),
+    st.none() | st.integers(0, 12),
+)
+@example([{1, 2}, {2, 1}, {1, 2, 3}, {4}, {4}, {5, 6}, {3, 5}], 6)
+@example([{5, 6}, {1, 2, 3}], 2)
+@example([{1, 2}, set(), {3}], None)
+@example([], None)
+@example([], 1)
+def test_split_numbers_each_component_once(family, forced):
+    # every pinned node count depends on this numbering: essential
+    # elements apart, components by smallest element, each with its
+    # elements sorted and its members in (len, sorted) order
+    assert hitting._split(family, forced) == _reference_split(family, forced)
+
+
 def test_one_component_costs_the_whole_family_search():
     # a path 0-1-2-3-4 is one component: the factored search charges exactly
     # the nodes of one kernel run over the whole family, and no product
@@ -252,7 +291,7 @@ def test_one_component_costs_the_whole_family_search():
     essential, (part,) = hitting._split(path, None)
     assert not essential
     with Meter() as kernel:
-        leaves = hitting._mmcs(*part[1:])
+        leaves = hitting._mmcs(*part[1:], kernel)
     with Meter() as meter:
         got = minimal_hitting_sets(path)
     assert got == fsets({1, 3}, {0, 2, 3}, {1, 2, 4}, {0, 2, 4})
