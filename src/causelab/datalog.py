@@ -7,12 +7,15 @@ semi-naive: each iteration joins the facts first derived in the previous
 round against everything older, so no ground rule instance fires twice.
 The joins run on the engine of :mod:`causelab.model`: one
 :class:`~causelab.model.FactIndex` over the model grows with each round,
-each round's delta gets a small index of its own, and the "old" pool is
-the full index with the delta facts skipped.  A rule position is skipped
-when its delta has no facts for its atom or when an earlier atom has no
-old facts.  The current meter (:func:`causelab.budget.current_meter`)
-is charged per candidate fact an index probe returns, not per fact
-scanned, and per support combination.
+and the "old" pool is the full index with the delta facts skipped.  Each
+round groups its delta by relation and arity in a plain dict and visits,
+in (rule, position) order, only the positions whose group the delta
+holds and whose earlier atoms have old facts.  A delta atom's rows are
+its group's delta facts, filtered on its constants; a position's join
+plan is looked up once per fixpoint.  The current meter
+(:func:`causelab.budget.current_meter`) is charged per candidate fact an
+index probe or the delta filter returns, not per fact scanned, and per
+support combination.
 
 :func:`evaluate` and :func:`ground_derivations` compute the whole model.
 :func:`entails` and :func:`minimal_supports` are goal-directed: they
@@ -22,7 +25,8 @@ evaluate the magic-sets rewrite of the program for their goals
 closure chain of n edges that is n ``T`` facts, not n(n+1)/2.  Its
 derivations, with the magic guards stripped, feed the minimal-support
 computation, a fixpoint over antichains of base-fact sets restricted to
-the derived atoms the goals depend on.
+the derived atoms the goals depend on; each set is an int bitset over
+the base facts, numbered as they are first met.
 
 A derived head is built from a rule's parsed constants and the
 arguments of matched facts, all checked when they entered, so the
@@ -32,13 +36,14 @@ engine builds it with ``tuple.__new__`` and skips
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, product
+from functools import lru_cache, reduce
+from itertools import chain, compress, product
+from operator import or_
 from typing import Iterable, Iterator
 
 from .budget import Meter, current_meter
-from .hitting import minimize_family
-from .model import Atom, Fact, FactIndex, Variable, matches, variable_positions
+from .hitting import _bits
+from .model import Atom, Fact, FactIndex, Variable, _plan, matches, variable_positions
 
 __all__ = [
     "DatalogRule",
@@ -109,29 +114,35 @@ def _seminaive(
     full = FactIndex(model)
     delta: set[Fact] = set(model)
     derivations: dict[Fact, set[frozenset[Fact]]] = {}
-    compiled = []
+    # One entry per (rule, position), in order: the rule, its head terms as
+    # (atom, position) of a body match or (-1, constant), the position, its
+    # group, the groups before it, and its plan once the position is visited.
+    positions = []
     for r in program.rules:
         sources = variable_positions(r.body)
-        # Head terms as (atom, position) of a body match; constants as (-1, value).
         head = tuple(sources[t] if isinstance(t, Variable) else (-1, t) for t in r.head.terms)
-        compiled.append((r, head, [(a.relation, a.arity) for a in r.body]))
+        groups = [(a.relation, a.arity) for a in r.body]
+        positions += [[r, head, i, g, groups[:i], None] for i, g in enumerate(groups)]
     while delta:
-        delta_index = FactIndex(delta)
+        by_group: dict[tuple[str, int], list[Fact]] = {}
+        for f in delta:
+            by_group.setdefault((f.relation, len(f.args)), []).append(f)
         fresh: set[Fact] = set()
-        for r, head, groups in compiled:
-            for i, group in enumerate(groups):
-                # skip when the delta has no facts for atom i, or an earlier
-                # atom has no facts outside the delta
-                if not delta_index.size(group) or any(
-                    full.size(g) == delta_index.size(g) for g in groups[:i]
-                ):
-                    continue
-                for m in matches(full, r.body, meter, (i, delta_index, delta)):
-                    args = tuple(p if k < 0 else m[k].args[p] for k, p in head)
-                    derived = tuple.__new__(Fact, (r.head.relation, args))
-                    derivations.setdefault(derived, set()).add(frozenset(m))
-                    if derived not in model:
-                        fresh.add(derived)
+        for position in positions:
+            r, head, i, group, earlier, plan = position
+            rows = by_group.get(group)
+            # skip when the delta has no facts for atom i, or an earlier
+            # atom has no facts outside the delta
+            if rows is None or any(full.size(g) == len(by_group.get(g, ())) for g in earlier):
+                continue
+            if plan is None:
+                plan = position[5] = _plan(r.body, i)
+            for m in matches(full, r.body, meter, (plan, rows, delta)):
+                args = tuple([p if k < 0 else m[k].args[p] for k, p in head])
+                derived = tuple.__new__(Fact, (r.head.relation, args))
+                derivations.setdefault(derived, set()).add(frozenset(m))
+                if derived not in model:
+                    fresh.add(derived)
         model |= fresh
         full.add(fresh)
         delta = fresh
@@ -243,13 +254,24 @@ def _demanded(
     return entailed, derivations
 
 
-def _combine(
-    antichains: list[frozenset[frozenset[Fact]]], meter: Meter
-) -> Iterator[frozenset[Fact]]:
+def _combine(antichains: list[frozenset[int]], meter: Meter) -> Iterator[int]:
     """Unions of one support per factor; nothing when a factor is empty."""
     for combo in product(*antichains):
         meter.charge()
-        yield frozenset().union(*combo)
+        yield reduce(or_, combo, 0)
+
+
+def _minimal(supports: Iterable[int]) -> frozenset[int]:
+    """The subset-minimal bitsets, kept smallest first: a set is dropped
+    when a kept one is inside it."""
+    kept: list[int] = []
+    for c in sorted(set(supports), key=int.bit_count):
+        for k in kept:
+            if k & c == k:
+                break
+        else:
+            kept.append(c)
+    return frozenset(kept)
 
 
 def minimal_supports(
@@ -263,8 +285,10 @@ def minimal_supports(
     true body atoms for each fact the goals demand: a base fact supports
     itself, a derived atom is supported by any union of supports of the
     atoms in one of its derivation bodies, and a fixpoint over these
-    antichains handles recursion.  Empty when the goals are not entailed
-    by the full fact set.
+    antichains handles recursion.  Each base fact is numbered as it is
+    first met, so a support is an int bitset: a union is ``|`` and
+    containment ``k & c == k``; supports become fact sets only in the
+    answer.  Empty when the goals are not entailed by the full fact set.
     """
     base = frozenset(facts)
     goal_set = frozenset(goals)
@@ -281,24 +305,26 @@ def minimal_supports(
         if head not in needed:
             needed.add(head)
             stack.extend(b for body in derivations[head] for b in body if b in derivations)
-    heads = [h for h in derivations if h in needed]
+    bodies = {h: [sorted(body) for body in derivations[h]] for h in derivations if h in needed}
+    goal_list = sorted(goal_set)
 
-    supports: dict[Fact, frozenset[frozenset[Fact]]] = {
-        f: frozenset({frozenset({f})}) for f in base
-    }
-    for head in heads:
-        supports.setdefault(head, frozenset())
+    # Each base fact met (a needed head, a body member or a goal) supports
+    # itself; its bit is its place in the order first met.
+    met = chain(bodies, chain.from_iterable(chain.from_iterable(bodies.values())), goal_list)
+    members = list(dict.fromkeys(f for f in met if f in base))
+    supports: dict[Fact, frozenset[int]] = dict.fromkeys(bodies, frozenset())
+    supports.update((f, frozenset({1 << k})) for k, f in enumerate(members))
 
     changed = True
     while changed:
         changed = False
-        for head in heads:
+        for head, rows in bodies.items():
             old = supports[head]
             combos = chain.from_iterable(
-                _combine([supports[b] for b in sorted(body)], meter) for body in derivations[head]
+                _combine([supports[b] for b in body], meter) for body in rows
             )
-            new = supports[head] = minimize_family(chain(old, combos))
+            new = supports[head] = _minimal(chain(old, combos))
             changed = changed or new != old
 
-    goal_factors = [supports.get(g, frozenset()) for g in sorted(goal_set)]
-    return minimize_family(_combine(goal_factors, meter))
+    found = _minimal(_combine([supports[g] for g in goal_list], meter))
+    return frozenset(frozenset(compress(members, _bits(s))) for s in found)

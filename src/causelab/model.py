@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, TypeAlias
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeAlias
 
 from .budget import Meter, current_meter
 from .errors import SchemaError
@@ -369,7 +369,8 @@ class FactIndex:
         for group, new in fresh.items():
             self.groups.setdefault(group, []).extend(new)
         for (group, positions), table in self._tables.items():
-            _fill(table, positions, fresh.get(group, ()))
+            if group in fresh:
+                _fill(table, positions, fresh[group])
 
     def size(self, group: _Group) -> int:
         return len(self.groups.get(group, ()))
@@ -433,7 +434,7 @@ def matches(
     index: FactIndex,
     atoms: tuple[Atom, ...],
     meter: Meter,
-    delta: tuple[int, FactIndex, AbstractSet[Fact]] | None = None,
+    delta: tuple[tuple[tuple, tuple], Sequence[Fact], AbstractSet[Fact]] | None = None,
 ) -> Iterator[tuple[Fact, ...]]:
     """The join engine: every tuple of facts from ``index``, one per atom
     and in atom order, onto which one valuation maps the atoms.
@@ -441,19 +442,26 @@ def matches(
     Each step of the cached plan probes the index on its bound positions
     and binds the free ones.  ``meter`` is charged once per candidate
     fact a probe returns, so facts the index never hands out cost
-    nothing.  With ``delta = (i, delta_index, delta_facts)`` atom ``i``
-    matches only delta facts, atoms before it only facts outside the
-    delta, and atoms after it any fact: one semi-naive term.
+    nothing.  With ``delta = (plan, rows, skip)``, where ``plan`` is
+    ``_plan(atoms, i)``, resolved once by the caller, atom ``i`` matches
+    only ``rows`` (the delta facts of its relation and arity), atoms
+    before it only facts outside the delta ``skip``, and atoms after it
+    any fact: one semi-naive term.  Filtering ``rows`` on atom ``i``'s
+    constants costs what a probe of an index over the delta would.
     """
-    first = None if delta is None else delta[0]
-    steps, init = _plan(atoms, first)
+    (steps, init), rows, skip = delta or (_plan(atoms, None), (), frozenset())
+    first = None if delta is None else steps[0][0]
     vals = list(init)
     matched: list[Fact | None] = [None] * len(atoms)
-    skip: AbstractSet[Fact] = delta[2] if delta is not None else frozenset()
     resolved = []
     for k, group, positions, key_of, binds, checks in steps:
-        source = delta[1] if k == first else index
-        rows = source.table(group, positions) if positions else source.groups.get(group, ())
+        if k != first:
+            rows = index.table(group, positions) if positions else index.groups.get(group, ())
+        elif positions:  # atom i leads with only constants bound: filter its rows
+            want, key, key_of = key_of(vals), itemgetter(*positions), None
+            rows = [f for f in rows if key(f.args) == want]
+        if not (rows or resolved):  # the leading atom has no candidate: no match, no charge
+            return iter(())
         resolved.append((k, rows, key_of, binds, checks, first is not None and k < first))
     last = len(resolved) - 1
 

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from causelab import datalog, model
-from causelab.cli import build_parser, main
+from causelab import Meter, datalog, model, necessary_sets, parse_program, problem_for_instance
+from causelab.cli import build_parser, load_instance, main
 from causelab.oracles import LATTICE_CAP
 
 D0 = "d0.json"
@@ -476,9 +476,18 @@ def test_budget_caps_the_whole_request(tmp_path, capsys):
     # spends 227 units and the hitting sets 21: each fits in 240, the
     # request not.
     _, instance, program = _chain(tmp_path, 20)
+    parsed, loaded = parse_program(Path(program).read_text()), load_instance(instance)
+    with Meter() as meter:
+        problem = problem_for_instance(parsed, loaded)
+    assert meter.used == 227
+    with Meter() as meter:
+        necessary_sets(problem)
+    assert meter.used == 21
     code, _, err = run(capsys, "abduce", "-i", instance, "-p", program, "--budget", "240")
     assert code == 3
     assert "budget of 240" in err
+    code, _, _ = run(capsys, "abduce", "-i", instance, "-p", program, "--budget", "248")
+    assert code == 0
 
 
 def test_check_honours_the_budget(capsys):

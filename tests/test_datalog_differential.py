@@ -5,15 +5,26 @@ derivable fact, and ``entails`` with the naive fixpoint of
 :mod:`causelab.oracles`.  Seeded programs cover linear, left-linear and
 non-linear transitive closure, same-generation, constants in heads and
 bodies, repeated variables, several goals at once, goals that are base
-facts or not entailed, and head predicates among the facts."""
+facts or not entailed, and head predicates among the facts.
+
+The fixpoint and the support fixpoint are also checked against short
+reference engines kept here in their earlier form (a fresh delta index
+per round, every rule position tried, frozenset supports): same model,
+same derivations in the same order, same meter units.  Minimal supports
+are checked against a brute-force search over subsets of the base facts
+where there are at most 12, and on chains and ladders above the corpus
+sizes."""
 from __future__ import annotations
 
 import random
+from itertools import chain, combinations, product
 
 import pytest
 
-from causelab import DatalogProgram, Fact, entails, evaluate, fact, minimal_supports, parse_program
+from causelab import DatalogProgram, Fact, Meter, entails, evaluate, fact, minimal_supports, parse_program
 from causelab import datalog
+from causelab.hitting import minimize_family
+from causelab.model import FactIndex, Variable, _plan, variable_positions
 from causelab.oracles import naive_datalog_model
 
 pytestmark = pytest.mark.differential
@@ -197,3 +208,185 @@ def test_rewrite_is_the_identity_with_nothing_bound(text):
     # right-linear TC would bind Z in T(Z, Y) from E(X, Z)
     program = parse_program(text)
     assert datalog._demand_program(program, frozenset({("ans", 0)})) == (program, frozenset())
+
+
+def _reference_join(index, atoms, meter, first, delta_index, delta):
+    """The semi-naive join term as the engine once ran it: atom ``first``
+    probes an index of the delta, earlier atoms skip delta facts."""
+    steps, init = _plan(atoms, first)
+    vals = list(init)
+    matched = [None] * len(atoms)
+
+    def extend(i):
+        if i == len(steps):
+            yield tuple(matched)
+            return
+        k, group, positions, key_of, binds, checks = steps[i]
+        source = delta_index if k == first else index
+        rows = source.table(group, positions) if positions else source.groups.get(group, ())
+        candidates = rows if key_of is None else rows.get(key_of(vals), ())
+        meter.charge(len(candidates))
+        for f in candidates:
+            if (k < first and f in delta) or any(f.args[p] != f.args[q] for p, q in checks):
+                continue
+            for p, slot in binds:
+                vals[slot] = f.args[p]
+            matched[k] = f
+            yield from extend(i + 1)
+
+    return extend(0)
+
+
+def _reference_seminaive(program, facts, meter):
+    """The fixpoint as it was: a fresh delta index each round and every
+    (rule, position) tried in order."""
+    model = set(facts)
+    full = FactIndex(model)
+    delta = set(model)
+    derivations = {}
+    while delta:
+        delta_index = FactIndex(delta)
+        fresh = set()
+        for r in program.rules:
+            sources = variable_positions(r.body)
+            head = [sources[t] if isinstance(t, Variable) else (-1, t) for t in r.head.terms]
+            groups = [(a.relation, a.arity) for a in r.body]
+            for i, group in enumerate(groups):
+                if not delta_index.size(group) or any(
+                    full.size(g) == delta_index.size(g) for g in groups[:i]
+                ):
+                    continue
+                for m in _reference_join(full, r.body, meter, i, delta_index, delta):
+                    derived = Fact(r.head.relation, [p if k < 0 else m[k].args[p] for k, p in head])
+                    derivations.setdefault(derived, set()).add(frozenset(m))
+                    if derived not in model:
+                        fresh.add(derived)
+        model |= fresh
+        full.add(fresh)
+        delta = fresh
+    return frozenset(model), derivations
+
+
+def _reference_supports(program, facts, goals, meter):
+    """Minimal supports as they were: a fixpoint over frozensets of facts."""
+    base, goals = frozenset(facts), frozenset(goals)
+    entailed, derivations = datalog._demanded(program, base, goals, meter)
+    if not entailed:
+        return frozenset()
+    needed, stack = set(), [g for g in goals if g in derivations]
+    while stack:
+        head = stack.pop()
+        if head not in needed:
+            needed.add(head)
+            stack.extend(b for body in derivations[head] for b in body if b in derivations)
+    heads = [h for h in derivations if h in needed]
+
+    def combine(factors):
+        for combo in product(*factors):
+            meter.charge()
+            yield frozenset().union(*combo)
+
+    supports = {f: frozenset({frozenset({f})}) for f in base}
+    for head in heads:
+        supports.setdefault(head, frozenset())
+    changed = True
+    while changed:
+        changed = False
+        for head in heads:
+            old = supports[head]
+            combos = (combine([supports[b] for b in sorted(body)]) for body in derivations[head])
+            supports[head] = minimize_family(chain(old, *combos))
+            changed = changed or supports[head] != old
+    return minimize_family(combine([supports.get(g, frozenset()) for g in sorted(goals)]))
+
+
+def _supports_by_subsets(program, facts, goals):
+    """Minimal supports by brute force: subsets of the base facts by
+    increasing size under the naive fixpoint, supersets of a support skipped."""
+    base = sorted(facts)
+    found = []
+    for size in range(len(base) + 1):
+        for combo in combinations(range(len(base)), size):
+            mask = sum(1 << i for i in combo)
+            if not any(f & mask == f for f in found) and goals <= naive_datalog_model(
+                program, [base[i] for i in combo]
+            ):
+                found.append(mask)
+    return {frozenset(base[i] for i in range(len(base)) if m >> i & 1) for m in found}
+
+
+def _check_against_reference(program, facts, goals, monkeypatch):
+    calls = []
+    seminaive = datalog._seminaive
+
+    def recorded(rules, start, meter):
+        calls.append((rules, start))
+        return seminaive(rules, start, meter)
+
+    with monkeypatch.context() as m:
+        m.setattr(datalog, "_seminaive", recorded)
+        evaluate(program, facts)
+        with Meter() as meter:
+            supports = minimal_supports(program, facts, goals)
+    with Meter() as reference:
+        assert supports == _reference_supports(program, facts, goals, reference)
+    assert meter.used == reference.used
+    assert len(calls) == 2
+    for rules, start in calls:
+        got, want = Meter(), Meter()
+        model, derivations = seminaive(rules, start, got)
+        ref_model, ref_derivations = _reference_seminaive(rules, start, want)
+        assert model == ref_model
+        assert list(derivations.items()) == list(ref_derivations.items())
+        assert got.used == want.used
+
+
+@pytest.mark.parametrize("name, program, facts, goals", CASES, ids=IDS)
+def test_engines_match_the_reference(name, program, facts, goals, monkeypatch):
+    _check_against_reference(program, facts, goals, monkeypatch)
+    if len(facts) <= 12:
+        assert minimal_supports(program, facts, goals) == _supports_by_subsets(program, facts, goals)
+
+
+def test_engines_match_the_reference_on_more_seeds(monkeypatch):
+    for seed in range(len(SEEDS), 400):
+        _, program, facts, goals = _case(seed)
+        _check_against_reference(program, facts, goals, monkeypatch)
+
+
+def test_brute_force_runs_on_small_cases():
+    small = [name for name, _, facts, _ in CASES if len(facts) <= 12]
+    assert len(small) >= 20 and set(small) == set(NAMES)
+
+
+@pytest.mark.parametrize("n", [20, 40, 80, 160])
+def test_a_long_chain_has_one_support_at_linear_cost(n):
+    program, edges = _chain(n)
+    with Meter() as meter:
+        assert minimal_supports(program, edges, {fact("ans")}) == {frozenset(edges)}
+    assert meter.used == 11 * n + 7
+
+
+def _ladder(rungs: int) -> tuple[DatalogProgram, list]:
+    """Two rails of ``rungs - 1`` edges joined by a rung each way at every
+    position; the goal runs from the start of one rail to the end of the
+    other."""
+    upper = [f"u{i}" for i in range(rungs)]
+    lower = [f"l{i}" for i in range(rungs)]
+    pairs = list(zip(upper, upper[1:])) + list(zip(lower, lower[1:]))
+    pairs += list(zip(upper, lower)) + list(zip(lower, upper))
+    program = parse_program(TC + f"T(X, Y) :- E(X, Z), T(Z, Y).\nans :- T(u0, l{rungs - 1}).")
+    return program, [fact("E", a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("rungs, units", [(4, 295), (5, 489), (6, 1041)])
+def test_ladders_match_the_full_model(rungs, units, monkeypatch):
+    # a support is a path that may take the rung at each position and
+    # takes an odd number in all: 2 ** (rungs - 1) of them
+    program, edges = _ladder(rungs)
+    goal = {fact("ans")}
+    with Meter() as meter:
+        supports = minimal_supports(program, edges, goal)
+    assert meter.used == units
+    assert supports == _full_model(monkeypatch, minimal_supports, program, edges, goal)
+    assert len(supports) == 2 ** (rungs - 1)
