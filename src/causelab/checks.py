@@ -68,14 +68,12 @@ from .model import (
     witnesses,
 )
 from .oracles import (
+    FixpointLattice,
     causes_by_enumeration,
-    datalog_causes_by_enumeration,
     diagnoses_by_enumeration,
     holds_by_nested_loops,
     naive_datalog_model,
-    necessary_sets_by_enumeration,
     s_repair_removals_by_enumeration,
-    solutions_by_enumeration,
     witnesses_by_enumeration,
 )
 from .parsing import parse_program, parse_query
@@ -164,6 +162,14 @@ class CorpusItem:
     def program(self) -> DatalogProgram:
         """The query as the single rule ``ans() :- body``."""
         return DatalogProgram((DatalogRule(Atom("ans", ()), self.query.atoms),))
+
+    @cached_property
+    def lattice(self) -> FixpointLattice:
+        """The naive fixpoints of the program over the exogenous facts and
+        each subset of the endogenous ones: the lattice of the item's
+        abduction problem, which the three Datalog oracles read."""
+        instance, goal = self.instance, frozenset({self.program.answer_atom()})
+        return FixpointLattice(self.program, instance.exogenous, instance.endogenous, goal)
 
     @cached_property
     def problem(self) -> AbductionProblem | None:
@@ -496,9 +502,7 @@ def _prop_relevant_equal_causes(item: CorpusItem, rng: random.Random) -> str | N
     causes = datalog_actual_causes(item.program, item.instance)
     relevant = frozenset() if item.problem is None else relevant_hypotheses(item.problem)
     return _differ("program causes vs relevant hypotheses", causes, relevant) or _differ(
-        "program causes vs enumeration",
-        causes,
-        datalog_causes_by_enumeration(item.program, item.instance),
+        "program causes vs enumeration", causes, item.lattice.causes()
     )
 
 
@@ -566,13 +570,13 @@ PROPERTIES: dict[str, Property] = {
     "datalog.solutions-match-enumeration": _needs_problem(_agree(
         "solutions vs enumeration",
         lambda i: abductive_solutions(i.problem),
-        lambda i: solutions_by_enumeration(i.problem),
+        lambda i: i.lattice.solutions(),
     )),
     "datalog.solutions-valid-and-minimal": _needs_problem(_prop_solutions_valid_and_minimal),
     "datalog.necessary-sets-match-enumeration": _needs_problem(_agree(
         "necessary sets vs enumeration",
         lambda i: necessary_sets(i.problem),
-        lambda i: necessary_sets_by_enumeration(i.problem),
+        lambda i: i.lattice.necessary_sets(),
     )),
     "datalog.necessary-sets-equal-diagnoses": _needs_problem(_agree(
         "necessary sets vs diagnoses", lambda i: necessary_sets(i.problem), lambda i: i.diagnoses

@@ -167,7 +167,7 @@ def ground_derivations(
 def entails(program: DatalogProgram, facts: Iterable[Fact], goals: Iterable[Fact]) -> bool:
     """True iff every goal atom is in the least fixpoint.  Evaluates the
     demand program of the goals, not the whole model."""
-    entailed, _ = _demanded(program, frozenset(facts), frozenset(goals), current_meter())
+    entailed, _, _ = _demand_fixpoint(program, frozenset(facts), frozenset(goals), current_meter())
     return entailed
 
 
@@ -229,13 +229,12 @@ def _demand_program(
     return DatalogProgram(tuple(rules)), frozenset(_magic_name(*p) for p in seen)
 
 
-def _demanded(
+def _demand_fixpoint(
     program: DatalogProgram, base: frozenset[Fact], goals: frozenset[Fact], meter: Meter
-) -> tuple[bool, dict[Fact, set[frozenset[Fact]]]]:
-    """Whether the goals are entailed, and the ground derivations of the
-    facts the goals demand: one fixpoint of the demand program, seeded
-    with the goals' magic facts.  The magic facts are dropped, from the
-    derivations and from their bodies, where each is a guard."""
+) -> tuple[bool, dict[Fact, set[frozenset[Fact]]], frozenset[str]]:
+    """Whether the goals are entailed, the ground derivations of the demand
+    program, magic facts included, and the names of its magic predicates:
+    one fixpoint of the demand program, seeded with the goals' magic facts."""
     rewritten, magic = _demand_program(program, frozenset((g.relation, g.arity) for g in goals))
     seeds = (
         tuple.__new__(Fact, (_magic_name(g.relation, "b" * g.arity), g.args)) for g in goals
@@ -245,6 +244,17 @@ def _demanded(
     # the program derives no fact on a magic predicate, so only a base
     # fact can meet a goal there
     entailed = all(g in base if g.relation in magic else g in model for g in goals)
+    return entailed, derivations, magic
+
+
+def _demanded(
+    program: DatalogProgram, base: frozenset[Fact], goals: frozenset[Fact], meter: Meter
+) -> tuple[bool, dict[Fact, set[frozenset[Fact]]]]:
+    """Whether the goals are entailed, and the ground derivations of the
+    facts the goals demand (see :func:`_demand_fixpoint`).  The magic facts
+    are dropped, from the derivations and from their bodies, where each is
+    a guard; :func:`entails` reads no derivation and skips this."""
+    entailed, derivations, magic = _demand_fixpoint(program, base, goals, meter)
     if magic:
         derivations = {
             head: {frozenset(f for f in body if f.relation not in magic) for body in bodies}

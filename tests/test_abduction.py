@@ -239,31 +239,76 @@ def test_exogenous_edges_do_not_appear_in_solutions(t0_prog):
     assert datalog_causes_by_enumeration(t0_prog, inst) == datalog_actual_causes(t0_prog, inst)
 
 
-def test_oracles_evaluate_each_fact_set_once(d0, q0, prog0, monkeypatch):
-    # a dropped memo changes no answer, only how often a fact set is evaluated
-    evaluated = []
-    eval_bcq, naive_model = oracles.holds_by_nested_loops, oracles.naive_datalog_model
+def _record(monkeypatch, name, calls):
+    """Rebind ``oracles.<name>`` to record the fact set of each call."""
+    real = getattr(oracles, name)
 
-    def recorded_bcq(facts, *rest):
-        evaluated.append(facts)
-        return eval_bcq(facts, *rest)
+    def recorded(first, second):
+        # naive_datalog_model(program, facts); the joins take (facts, atoms or query)
+        calls.append(frozenset(second if name == "naive_datalog_model" else first))
+        return real(first, second)
 
-    def recorded_model(program, facts):
-        evaluated.append(facts)
-        return naive_model(program, facts)
+    monkeypatch.setattr(oracles, name, recorded)
 
-    monkeypatch.setattr(oracles, "holds_by_nested_loops", recorded_bcq)
-    monkeypatch.setattr(oracles, "naive_datalog_model", recorded_model)
-    problem = problem_for_instance(prog0, d0)
-    for call in (
-        lambda: causes_by_enumeration(d0, q0),
-        lambda: datalog_causes_by_enumeration(prog0, d0),
-        lambda: solutions_by_enumeration(problem),
-        lambda: necessary_sets_by_enumeration(problem),
+
+def _evaluations(monkeypatch, call):
+    """The joins and the naive fixpoints one oracle call runs, twice over:
+    a second call must run exactly what the first did."""
+    runs = []
+    for _ in range(2):
+        with monkeypatch.context() as m:
+            joins, per_subset, fixpoints = [], [], []
+            _record(m, "valuations_by_nested_loops", joins)
+            _record(m, "holds_by_nested_loops", per_subset)
+            _record(m, "naive_datalog_model", fixpoints)
+            call()
+        runs.append((joins, per_subset, fixpoints))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def test_instance_oracles_run_one_join_per_query(d0, q0, k0, monkeypatch):
+    # one nested-loop join on the whole instance per query or constraint,
+    # and no per-subset evaluation; the lattice walk reads the join's images
+    constraint = parse_query("q() :- R(X, X).")
+    problem = build_problem(d0, q0)
+    for call, queries in (
+        (lambda: oracles.witnesses_by_enumeration(d0.facts, q0), 1),
+        (lambda: causes_by_enumeration(d0, q0), 1),
+        (lambda: diagnoses_by_enumeration(problem), 1),
+        (lambda: s_repair_removals_by_enumeration(d0, [k0]), 1),
+        (lambda: s_repair_removals_by_enumeration(d0, [k0, constraint]), 2),
     ):
-        evaluated.clear()
-        call()
-        assert evaluated and len(set(evaluated)) == len(evaluated)
+        joins, per_subset, fixpoints = _evaluations(monkeypatch, call)
+        assert joins == [d0.facts] * queries
+        assert per_subset == [] and fixpoints == []
+
+
+def test_datalog_oracles_run_one_fixpoint_per_subset(d0, prog0, t0_prog, monkeypatch):
+    # every subset of the abducibles gets exactly one naive fixpoint, over
+    # the background plus that subset, also when one lattice serves all three
+    closure = Instance.infer(endogenous=[EBC, fact("E", "c", "a")], exogenous=[EAB])
+    for program, instance in ((prog0, d0), (t0_prog, closure)):
+        problem = problem_for_instance(program, instance)
+
+        def shared():
+            lattice = oracles.FixpointLattice(
+                program, instance.exogenous, instance.endogenous, problem.obs
+            )
+            return lattice.causes(), lattice.solutions(), lattice.necessary_sets()
+
+        every_subset = sorted(
+            sorted(instance.exogenous | s) for s in oracles.subsets_of(instance.endogenous)
+        )
+        for call in (
+            lambda: datalog_causes_by_enumeration(program, instance),
+            lambda: solutions_by_enumeration(problem),
+            lambda: necessary_sets_by_enumeration(problem),
+            shared,
+        ):
+            _, per_subset, fixpoints = _evaluations(monkeypatch, call)
+            assert sorted(map(sorted, fixpoints)) == every_subset
+            assert per_subset == []
 
 
 def test_oracles_check_each_query_schema_once(d0, q0, k0, monkeypatch):

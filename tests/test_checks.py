@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from causelab import checks
+from causelab import checks, oracles
 from causelab.checks import (
     PROPERTIES,
     build_corpus,
@@ -23,6 +23,7 @@ from causelab.checks import (
     random_query,
 )
 from causelab.model import Fact, eval_bcq, fact
+from causelab.oracles import FixpointLattice
 
 
 def test_zero_trials_give_an_empty_report():
@@ -91,6 +92,32 @@ def test_cross_check_releases_its_corpus(monkeypatch):
     assert refs and all(r() is None for r in refs)
 
 
+def test_the_datalog_oracles_share_one_fixpoint_per_subset(monkeypatch):
+    # the three Datalog oracle properties read one lattice per item: each
+    # subset of the endogenous facts gets one naive fixpoint, however many read it
+    evaluated = []
+    real = oracles.naive_datalog_model
+
+    def recorded(program, facts):
+        evaluated.append(frozenset(facts))
+        return real(program, facts)
+
+    monkeypatch.setattr(oracles, "naive_datalog_model", recorded)
+    readers = [
+        "datalog.relevant-equal-causes",
+        "datalog.solutions-match-enumeration",
+        "datalog.necessary-sets-match-enumeration",
+    ]
+    entailed = 0
+    for item in build_corpus(5, 40, 6):
+        evaluated.clear()
+        for property_id in readers:
+            assert PROPERTIES[property_id](item, random.Random(0)) is None
+        entailed += item.problem is not None
+        assert len(set(evaluated)) == len(evaluated) == 2 ** len(item.instance.endogenous)
+    assert entailed
+
+
 # A fact no route can produce, added to one side of a comparison.
 Z = fact("Z", "z")
 
@@ -106,7 +133,20 @@ def perturbed(value):
     return frozenset(value) | {frozenset({Z})}
 
 
+# The two abduction oracles the harness reads off each item's shared
+# fixpoint lattice, with the lattice method it calls for each.
+LATTICE_READERS = {
+    "solutions_by_enumeration": "solutions",
+    "necessary_sets_by_enumeration": "necessary_sets",
+}
+
+
 def perturb(monkeypatch, name: str) -> None:
+    if name in LATTICE_READERS:
+        method = LATTICE_READERS[name]
+        real = getattr(FixpointLattice, method)
+        monkeypatch.setattr(FixpointLattice, method, lambda self: perturbed(real(self)))
+        return
     real = getattr(checks, name)
     monkeypatch.setattr(checks, name, lambda *args: perturbed(real(*args)))
 
