@@ -2,8 +2,8 @@
 
 Verbs: causes, responsibility, repairs, cqa, diagnose, abduce, check.
 Exit codes: 0 success, 1 usage, 2 parse or validation error, 3 budget
-or recursion limit exceeded, 4 domain error.  Output is canonical JSON
-by default; tables are for humans, the JSON is the contract.
+exceeded, 4 domain error.  Output is canonical JSON by default; tables
+are for humans, the JSON is the contract.
 """
 from __future__ import annotations
 
@@ -58,6 +58,8 @@ def load_instance(path: str) -> Instance:
         raw = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise ParseError(f"{path} nests JSON too deeply to decode") from None
     return instance_from_dict(raw)
 
 
@@ -331,9 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"causelab: validation error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (BudgetError, RecursionError) as exc:
-        # the join recurses once per query atom, so a query of about a
-        # thousand atoms exceeds Python's recursion limit
+    except BudgetError as exc:
         print(f"causelab: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except DomainError as exc:

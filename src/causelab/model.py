@@ -14,7 +14,9 @@ builds a hash table on a tuple of argument positions the first time a
 probe needs it.  Each atom tuple gets a static plan, cached with a bound:
 atoms with the most bound terms go first, and each step probes the index
 on its bound positions, binds the free ones and checks repeated
-variables.  The engine yields the matched facts, so witnesses and
+variables.  The walk over the steps is depth first on an explicit stack
+of candidate iterators, so a body of any length stays within Python's
+recursion limit.  The engine yields the matched facts, so witnesses and
 derivation bodies reuse them instead of grounding new ones.  The
 request's meter (:func:`causelab.budget.current_meter`) is charged per
 candidate fact a probe returns, by evaluation and witness enumeration
@@ -35,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeAlias
 
@@ -403,15 +406,22 @@ def _plan(atoms: tuple[Atom, ...], first: int | None) -> tuple[tuple, tuple]:
     position) pairs that must agree).
     """
     slots: dict[Term, int] = {}
-    pending = list(range(len(atoms)))
     steps = []
-
-    def bound(i: int) -> int:
-        return sum(not isinstance(t, Variable) or t in slots for t in atoms[i].terms)
-
-    while pending:
-        k = first if first is not None and not steps else max(pending, key=lambda i: (bound(i), -i))
-        pending.remove(k)
+    # each atom's count of bound terms, raised as its variables get bound,
+    # and a heap entry (-count, index) per raise: an atom's latest entry
+    # pops before its older ones, so an entry whose atom is placed is stale
+    bound = [sum(not isinstance(t, Variable) for t in a.terms) for a in atoms]
+    occurs: dict[Term, list[int]] = {}
+    for i, a in enumerate(atoms):
+        for t in a.terms:
+            occurs.setdefault(t, []).append(i)
+    heap = sorted((-b, i) for i, b in enumerate(bound))  # a sorted list is a heap
+    placed = [False] * len(atoms)
+    for _ in atoms:
+        k = first if first is not None and not steps else heappop(heap)[1]
+        while placed[k]:
+            k = heappop(heap)[1]
+        placed[k] = True
         a = atoms[k]
         positions, key_slots, binds, checks = [], [], [], []
         fresh: dict[Term, int] = {}
@@ -421,6 +431,9 @@ def _plan(atoms: tuple[Atom, ...], first: int | None) -> tuple[tuple, tuple]:
             elif isinstance(t, Variable) and t not in slots:
                 fresh[t] = p
                 binds.append((p, slots.setdefault(t, len(slots))))
+                for j in occurs[t]:
+                    bound[j] += 1
+                    heappush(heap, (-bound[j], j))
             else:
                 positions.append(p)
                 key_slots.append(slots.setdefault(t, len(slots)))
@@ -465,26 +478,38 @@ def matches(
         resolved.append((k, rows, key_of, binds, checks, first is not None and k < first))
     last = len(resolved) - 1
 
-    def extend(i: int) -> Iterator[tuple[Fact, ...]]:
+    def enter(i: int) -> Iterator[Fact]:
         k, rows, key_of, binds, checks, old = resolved[i]
         candidates = rows if key_of is None else rows.get(key_of(vals), ())
         if candidates:
             meter.charge(len(candidates))
-        for f in candidates:
-            if old and f in skip:
-                continue
-            args = f.args
-            if checks and any(args[p] != args[q] for p, q in checks):
-                continue
-            for p, s in binds:
-                vals[s] = args[p]
-            matched[k] = f
-            if i == last:
-                yield tuple(matched)  # type: ignore[arg-type]
-            else:
-                yield from extend(i + 1)
+        return iter(candidates)
 
-    return extend(0)
+    def walk() -> Iterator[tuple[Fact, ...]]:
+        # depth first, one candidate iterator per entered step: the top one
+        # advances until a fact extends the match, then the next step is entered
+        stack = [enter(0)]
+        while stack:
+            i = len(stack) - 1
+            k, _, _, binds, checks, old = resolved[i]
+            for f in stack[i]:
+                if old and f in skip:
+                    continue
+                args = f.args
+                if checks and any(args[p] != args[q] for p, q in checks):
+                    continue
+                for p, s in binds:
+                    vals[s] = args[p]
+                matched[k] = f
+                if i == last:
+                    yield tuple(matched)  # type: ignore[arg-type]
+                else:
+                    stack.append(enter(i + 1))
+                    break
+            else:
+                stack.pop()
+
+    return walk()
 
 
 def valuations(facts: Iterable[Fact], query: ConjunctiveQuery) -> Iterator[dict[Variable, str]]:

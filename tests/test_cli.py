@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from causelab import Meter, datalog, model, necessary_sets, parse_program, problem_for_instance
+from causelab import (
+    Meter,
+    actual_causes,
+    datalog,
+    model,
+    necessary_sets,
+    parse_program,
+    parse_query,
+    problem_for_instance,
+)
 from causelab.cli import build_parser, load_instance, main
 from causelab.oracles import LATTICE_CAP
 
@@ -535,19 +544,50 @@ def test_a_thousand_fact_diagnosis_exits_0(tmp_path, capsys):
     assert sorted(diagnoses[0]["abnormal"]) == sorted(["S", f"c{i}"] for i in range(1060))
 
 
-def test_a_thousand_atom_query_exits_3(tmp_path, capsys):
-    # the join recurses once per query atom, past Python's recursion limit
-    n = 1200
+def _long_body_request(tmp_path, head: str) -> tuple[str, str]:
+    # one fact and a body of 1200 atoms, each of which it matches
     instance = tmp_path / "one.json"
     instance.write_text(
         json.dumps({"schemas": [{"name": "S", "arity": 1}], "endogenous": [["S", "a"]]})
     )
+    body = tmp_path / "body.dl"
+    body.write_text(f"{head} :- " + ", ".join(f"S(X{i})" for i in range(1200)) + ".\n")
+    return str(instance), str(body)
+
+
+def test_a_1200_atom_query_answers(tmp_path, capsys):
+    # the join walks an explicit stack, so its depth is not Python's
+    instance, query = _long_body_request(tmp_path, "q()")
+    code, out, err = run(capsys, "causes", "-i", instance, "-q", query)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "query_holds": True,
+        "causes": [{"tuple": ["S", "a"], "responsibility": "1", "min_contingencies": [[]]}],
+    }
+    loaded, parsed = load_instance(instance), parse_query(Path(query).read_text())
+    with Meter() as meter:
+        actual_causes(loaded, parsed)
+    assert meter.used == 1202
+
+
+def test_abduce_with_a_1200_atom_rule_body_answers(tmp_path, capsys):
+    instance, program = _long_body_request(tmp_path, "ans()")
+    code, out, err = run(capsys, "abduce", "-i", instance, "-p", program)
+    assert code == 0 and err == ""
+    assert json.loads(out)["solutions"] == [[["S", "a"]]]
+
+
+def test_deeply_nested_instance_json_is_a_parse_error(tmp_path, capsys):
+    # json.loads recurses once per level and gives up long before 10^4
+    instance = tmp_path / "deep.json"
+    instance.write_text('{"schemas": ' + "[" * 10_000 + "]" * 10_000 + "}")
     query = tmp_path / "q.dl"
-    query.write_text("q() :- " + ", ".join(f"S(X{i})" for i in range(n)) + ".\n")
+    query.write_text("q() :- S(X).\n")
     code, out, err = run(capsys, "causes", "-i", str(instance), "-q", str(query))
-    assert code == 3
+    assert code == 2
     assert out == ""
-    assert err.startswith("causelab: budget exceeded: maximum recursion depth exceeded")
+    assert err.startswith("causelab: parse error: ")
+    assert "too deeply" in err
     assert err.count("\n") == 1
 
 
