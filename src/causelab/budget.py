@@ -22,28 +22,42 @@ outside a block ``actual_causes`` is capped per phase, not as a whole;
 the CLI runs each request inside one block.  The current meter lives in
 a :class:`contextvars.ContextVar`, so it is per thread and per asyncio
 task.
+
+The block is also the request's scope for the families its phases
+share.  The witnesses of one query over one fact set, the minimal
+supports of one Datalog goal set and the component split of one
+hitting-set family are each computed once per meter
+(:meth:`Meter.once`): a later call with equal inputs in the same block
+gets the stored family back and charges nothing, since it does no work.
+So ``check``, which asks every per-tuple route about every tuple,
+builds each family once.  Outside any block each call has a fresh meter, and
+nothing is shared; no family outlives its block.
 """
 from __future__ import annotations
 
 import os
 from contextvars import ContextVar, Token
+from typing import Any, Callable, Hashable, TypeVar
 
 from .errors import BudgetError
 
 DEFAULT_BUDGET = 1_000_000
 ENV_VAR = "CAUSELAB_BUDGET"
 
+V = TypeVar("V")
+
 
 class Meter:
     """Tick counter that fails loudly once more than ``limit`` units are
     spent; a context manager that makes itself the current meter."""
 
-    __slots__ = ("limit", "used", "_tokens")
+    __slots__ = ("limit", "used", "_tokens", "_memo")
 
     def __init__(self, limit: int | None = None) -> None:
         self.limit = DEFAULT_BUDGET if limit is None else int(limit)
         self.used = 0
         self._tokens: list[Token[Meter | None]] = []
+        self._memo: dict[Hashable, Any] = {}
 
     def charge(self, amount: int = 1) -> None:
         self.used += amount
@@ -52,6 +66,15 @@ class Meter:
                 f"{self.used} work units spent against a budget of {self.limit}",
                 budget=self.limit,
             )
+
+    def once(self, key: Hashable, compute: Callable[[], V]) -> V:
+        """The value stored under ``key`` in this meter, else
+        ``compute()``, stored once it returns.  A hit charges nothing; an
+        exception out of ``compute``, a :class:`~causelab.errors.BudgetError`
+        say, leaves no entry."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def __enter__(self) -> Meter:
         self._tokens.append(_current.set(self))

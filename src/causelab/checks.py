@@ -12,7 +12,10 @@ prints both sides in input syntax (``R(a, b)``), with facts, fact sets
 and map keys in :mod:`causelab.serialize`'s canonical order.  So a
 counterexample's text depends on the inputs alone, not on hash order.
 The work units several properties share are cached properties of
-:class:`CorpusItem`.
+:class:`CorpusItem`.  The per-tuple routes rebuild their family for every
+tuple; inside the request's ``with Meter`` block, which the CLI opens,
+each witness family, support family and component split is built once
+and handed back to every later call (:meth:`causelab.budget.Meter.once`).
 
 Failures are data, not errors: each report carries serialized
 counterexamples for replay.

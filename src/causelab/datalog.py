@@ -299,10 +299,17 @@ def minimal_supports(
     first met, so a support is an int bitset: a union is ``|`` and
     containment ``k & c == k``; supports become fact sets only in the
     answer.  Empty when the goals are not entailed by the full fact set.
+    Computed once per ``with Meter`` block for equal inputs
+    (:meth:`~causelab.budget.Meter.once`).
     """
-    base = frozenset(facts)
-    goal_set = frozenset(goals)
-    meter = current_meter()
+    base, goal_set, meter = frozenset(facts), frozenset(goals), current_meter()
+    key = ("supports", program, base, goal_set)
+    return meter.once(key, lambda: _minimal_supports(program, base, goal_set, meter))
+
+
+def _minimal_supports(
+    program: DatalogProgram, base: frozenset[Fact], goal_set: frozenset[Fact], meter: Meter
+) -> frozenset[frozenset[Fact]]:
     entailed, derivations = _demanded(program, base, goal_set, meter)
     if not entailed:
         return frozenset()

@@ -137,19 +137,33 @@ def _split(
     keep their sorted order and members their ``(len, sorted)`` order, so
     a one-component family is numbered as by a search of the whole.  None
     when nothing qualifies: the family holds the empty set, or ``forced``
-    is in no subset-minimal member.
+    is in no subset-minimal member.  The split does not depend on
+    ``forced``, so it is computed once per ``with Meter`` block for an
+    equal family (:meth:`~causelab.budget.Meter.once`) and ``forced``
+    only picks each component's root.
     """
+    family = frozenset(map(frozenset, family))
+    split = current_meter().once(("split", family), lambda: _numbered(family))
+    if split is None:
+        return None
+    essential, parts = split
+    if forced is not None and forced not in essential and all(forced not in p[3] for p in parts):
+        return None
+    return essential, [(e, m, h, 1 << i[forced] if forced in i else 0) for e, m, h, i in parts]
+
+
+def _numbered(
+    family: frozenset[frozenset[T]],
+) -> tuple[frozenset[T], list[tuple[list[T], list[int], list[int], dict[T, int]]]] | None:
+    """:func:`_split` with each component's element numbers in place of
+    its root; None when the family holds the empty set."""
     base = sorted(map(sorted, minimize_family(family)), key=lambda s: (len(s), s))
-    if not base:
-        return None if forced is not None else (_EMPTY, [])
-    if not base[0]:
+    if base and not base[0]:
         return None
     singletons = bisect_right(base, 1, key=len)
     essential = _EMPTY.union(*base[:singletons])
     base = base[singletons:]
     parent = {x: x for s in base for x in s}
-    if forced is not None and forced not in parent and forced not in essential:
-        return None
     # a union-find over the elements: each member joins the root of its
     # smallest element
     for s in base:
@@ -164,9 +178,9 @@ def _split(
         elements = sorted(_EMPTY.union(*rows))
         index = {x: i for i, x in enumerate(elements)}
         members, hits = _masks([[index[x] for x in s] for s in rows], len(elements))
-        parts.append((elements, members, hits, 1 << index[forced] if forced in index else 0))
+        parts.append((elements, members, hits, index))
     # components share no element, so their first elements decide the order
-    return essential, sorted(parts)
+    return essential, sorted(parts, key=lambda p: p[0][0])
 
 
 def _masks(rows: list[list[int]], width: int) -> tuple[list[int], list[int]]:

@@ -541,10 +541,15 @@ def witnesses(
     Each witness is the set of facts one match of the join engine maps
     the atoms onto; enumeration keeps the subset-minimal ones, so it does
     not walk the subset lattice.  The join candidates are charged to the
-    current meter.
+    current meter, once per ``with Meter`` block for equal facts and query
+    (:meth:`~causelab.budget.Meter.once`).
     """
     check_query_schema(query, schemas)
-    return minimize_family(matches(FactIndex(facts), query.atoms, current_meter()))
+    facts, meter = frozenset(facts), current_meter()
+    return meter.once(
+        ("witnesses", facts, query),
+        lambda: minimize_family(matches(FactIndex(facts), query.atoms, meter)),
+    )
 
 
 def satisfies_dc(

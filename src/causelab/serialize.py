@@ -99,6 +99,17 @@ def _ranked(order: list[Fact], family: Iterable[Iterable[Fact]]) -> RankedFamily
     return RankedFamily(order, sorted([tuple(sorted(map(rank, s))) for s in family]))
 
 
+#: The most characters of an offending value's repr a ParseError shows.
+_SHOWN_CHARS = 80
+
+
+def _shown(value: Any) -> str:
+    """``repr(value)``, cut to its first :data:`_SHOWN_CHARS` characters, so
+    one malformed value cannot make an error line of any length."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+
+
 def fact_to_list(f: Fact) -> list[str]:
     return [f.relation, *f.args]
 
@@ -107,7 +118,7 @@ def fact_from_list(data: Any) -> Fact:
     """One row ``[relation, arg...]`` as a fact, every check made on the
     row alone: the reference for :func:`instance_from_dict`'s bulk checks."""
     if not isinstance(data, list) or not data or not all(isinstance(x, str) for x in data):
-        raise ParseError(f"a fact must be a nonempty list of strings, got {data!r}")
+        raise ParseError(f"a fact must be a nonempty list of strings, got {_shown(data)}")
     return Fact(data[0], tuple(data[1:]))
 
 
@@ -175,7 +186,7 @@ def instance_from_dict(data: Any) -> Instance:
     fields = {key: data.get(key, []) for key in ("schemas", "endogenous", "exogenous")}
     for key, value in fields.items():
         if not isinstance(value, list):
-            raise ParseError(f"instance field {key!r} must be a list, got {value!r}")
+            raise ParseError(f"instance field {key!r} must be a list, got {_shown(value)}")
     schemas = set()
     for s in fields["schemas"]:
         # JSON true is a Python bool, which isinstance(..., int) accepts as 1
@@ -184,7 +195,9 @@ def instance_from_dict(data: Any) -> Instance:
             or not isinstance(s.get("name"), str)
             or type(s.get("arity")) is not int
         ):
-            raise ParseError(f"a schema needs a string 'name' and an integer 'arity', got {s!r}")
+            raise ParseError(
+                f"a schema needs a string 'name' and an integer 'arity', got {_shown(s)}"
+            )
         schemas.add(RelationSchema(s["name"], s["arity"]))
     endo = _facts_from_rows(fields["endogenous"])
     exo = _facts_from_rows(fields["exogenous"])

@@ -365,6 +365,27 @@ def test_malformed_instance_json_exits_2(in_data_dir, tmp_path, capsys, text):
     assert "must be a list" in err
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"schemas": [["x" * 10**6]]},
+        {"schemas": "x" * 10**6},
+        {"schemas": [], "endogenous": [["R", "a" * 10**6, 7]]},
+        {"schemas": [json.loads("[" * 500 + "]" * 500)]},
+    ],
+    ids=["schema", "field", "fact", "nested-schema"],
+)
+def test_a_huge_malformed_value_prints_one_short_error_line(
+    in_data_dir, tmp_path, capsys, document
+):
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(document))
+    code, out, err = run(capsys, "causes", "-i", str(broken), "-q", Q0)
+    assert (code, out) == (2, "")
+    assert err.startswith("causelab: parse error: ") and err.endswith("...\n")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 def test_arity_mismatch_exits_2(in_data_dir, tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text(

@@ -25,10 +25,18 @@ RELATIONS = {"R": 2, "S": 1, "T": 3, "Rel\xe9": 1, "W": 4}
 CONSTANTS = ["a", "b", "c", "", "\xe9t\xe9", "€", "\U0001d11e", "x y", '"q"', "\\"]
 
 
+def _shown(value: Any) -> str:
+    """An offending value as an error message shows it: its repr, cut
+    after 80 characters."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def _old_instance_from_dict(data: Any) -> Instance:
     """The per-row loader: each row checked on its own and built through
     ``Fact.__new__``, then each fact checked against the schemas in a
-    Python loop, as ``Instance`` did before its checks became set passes."""
+    Python loop, as ``Instance`` did before its checks became set passes.
+    Its messages show an offending value as :func:`_shown` does."""
     if not isinstance(data, dict):
         raise ParseError("an instance must be a JSON object")
     if "schemas" not in data:
@@ -36,7 +44,7 @@ def _old_instance_from_dict(data: Any) -> Instance:
     fields = {key: data.get(key, []) for key in ("schemas", "endogenous", "exogenous")}
     for key, value in fields.items():
         if not isinstance(value, list):
-            raise ParseError(f"instance field {key!r} must be a list, got {value!r}")
+            raise ParseError(f"instance field {key!r} must be a list, got {_shown(value)}")
     schemas = set()
     for s in fields["schemas"]:
         if (
@@ -44,12 +52,12 @@ def _old_instance_from_dict(data: Any) -> Instance:
             or not isinstance(s.get("name"), str)
             or type(s.get("arity")) is not int
         ):
-            raise ParseError(f"a schema needs a string 'name' and an integer 'arity', got {s!r}")
+            raise ParseError(f"a schema needs a string 'name' and an integer 'arity', got {_shown(s)}")
         schemas.add(RelationSchema(s["name"], s["arity"]))
 
     def fact_from_list(row: Any) -> Fact:
         if not isinstance(row, list) or not row or not all(isinstance(x, str) for x in row):
-            raise ParseError(f"a fact must be a nonempty list of strings, got {row!r}")
+            raise ParseError(f"a fact must be a nonempty list of strings, got {_shown(row)}")
         return Fact(row[0], tuple(row[1:]))
 
     endo = frozenset(fact_from_list(f) for f in fields["endogenous"])
@@ -125,6 +133,12 @@ def _bad_element(doc: dict[str, Any], rng: random.Random) -> None:
     row[rng.randrange(len(row))] = rng.choice([["a"], [], 7, 0, 1.5, None, True, False])
 
 
+def _long_bad_row(doc: dict[str, Any], rng: random.Random) -> None:
+    # a row whose repr runs past the shown prefix
+    part, i = _rows(doc, rng)
+    part[i] = [*part[i], "z" * rng.randrange(60, 400), rng.choice([7, None, ["a"]])]
+
+
 def _empty_relation(doc: dict[str, Any], rng: random.Random) -> None:
     part, i = _rows(doc, rng)
     part[i] = ["", *part[i][1:]]
@@ -158,6 +172,7 @@ DEFECTS: dict[str, Callable[[dict[str, Any], random.Random], None]] = {
     "non-list-row": _non_list_row,
     "empty-row": _empty_row,
     "bad-element": _bad_element,
+    "long-bad-row": _long_bad_row,
     "empty-relation": _empty_relation,
     "undeclared-relation": _undeclared_relation,
     "wrong-arity": _wrong_arity,
