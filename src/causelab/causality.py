@@ -113,9 +113,11 @@ def cause_set_from_hitting_sets(sets: Iterable[frozenset[Fact]]) -> HittingCause
     Each set H is charged ``|H|(|H| - 1)`` units, the size of the
     contingency sets built from it, before any of them is built; the
     cause set keeps the sets and builds a cause's contingency sets only
-    when they are read.
+    when they are read.  A frozenset (a hitting-set answer, which keeps
+    its ranking) is kept as it is.
     """
-    sets = frozenset(sets)
+    if not isinstance(sets, frozenset):
+        sets = frozenset(sets)
     charge = current_meter().charge
     for n in map(len, sets):
         charge(n * (n - 1))

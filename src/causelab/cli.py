@@ -32,11 +32,9 @@ from .parsing import (
 from .repairs import c_repairs, consistently_true, endogenous_s_repairs, s_repairs
 from .serialize import (
     cause_set_to_list,
-    diagnosis_to_dict,
     dumps,
     family_to_list,
     instance_from_dict,
-    repair_to_dict,
 )
 
 EXIT_OK = 0
@@ -165,7 +163,7 @@ def _cmd_repairs(args: argparse.Namespace) -> dict[str, Any]:
     kind = args.semantics.upper()
     payload: dict[str, Any] = {
         "semantics": kind,
-        "repairs": [repair_to_dict(r, kind) for r in family_to_list(found)],
+        "repairs": family_to_list(found, "removed", kind=kind),
     }
     if args.endogenous_only:
         payload["endogenous_only"] = True
@@ -188,7 +186,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> dict[str, Any]:
     problem = build_problem(instance, query)
     return {
         "vacuous": problem.vacuous,
-        "diagnoses": [diagnosis_to_dict(d) for d in family_to_list(minimal_diagnoses(problem))],
+        "diagnoses": family_to_list(minimal_diagnoses(problem), "abnormal"),
     }
 
 
@@ -203,16 +201,17 @@ def _cmd_abduce(args: argparse.Namespace) -> dict[str, Any]:
     # necessary set and its responsibility is 1/|N| for the smallest such
     # N.  The necessary sets are listed anyway, so the least size is read
     # off them: visited largest first, each tuple keeps the last, least one.
+    # A smaller least size is a higher responsibility, so the hypotheses
+    # sort by (size, tuple).
     solutions = abductive_solutions(problem)
     necessary = necessary_sets(problem)
     least = {t: len(n) for n in sorted(necessary, key=len, reverse=True) for t in n}
-    rho = {t: Fraction(1, k) for t, k in least.items()}
     return {
         "observations": sorted(problem.obs),
         "solutions": family_to_list(solutions),
         "relevant_hypotheses": [
-            {"tuple": t, "responsibility": str(rho[t])}
-            for t in sorted(rho, key=lambda t: (-rho[t], t))
+            {"tuple": t, "responsibility": str(Fraction(1, k))}
+            for k, t in sorted(zip(least.values(), least))
         ],
         "necessary_sets": family_to_list(necessary),
     }

@@ -58,12 +58,21 @@ node each, and a root when nothing else is searched.  A family of
 several components costs one unit per set of the product, all charged
 before any product set is built, so a product too large for the budget
 fails on it instead of filling memory.
+
+An answer is a :class:`HittingFamily`: the frozenset of its sets, which
+also keeps the essential elements and each component's sorted elements
+and leaves.  A report ranks it from those (:meth:`HittingFamily.ranking`,
+which :mod:`causelab.serialize` reads): each element is ranked once and
+each leaf becomes one tuple of ranks, so no element is hashed once per
+set holding it.  The ranking is computed on its first read only, so an
+answer no report prints, as in the cross-check harness, pays nothing
+for it.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import reduce
-from itertools import compress, product, starmap
+from itertools import chain, compress, product, repeat, starmap
 from math import prod
 from operator import or_
 from typing import Hashable, Iterable, TypeVar
@@ -288,9 +297,49 @@ def _factored(
     return essential, leaves, meter
 
 
+class HittingFamily(frozenset):
+    """A product of component leaves: the frozenset of its sets, which also
+    keeps the essential elements and each component's sorted elements and
+    leaves, to rank the sets from them on the first call of
+    :meth:`ranking` only."""
+
+    __slots__ = ("_essential", "_parts", "_ranking")
+
+    def __new__(cls, sets: Iterable[frozenset[T]], essential: frozenset[T], parts: list):
+        self = super().__new__(cls, sets)
+        self._essential, self._parts, self._ranking = essential, parts, None
+        return self
+
+    def __reduce__(self) -> tuple:
+        # copied or pickled as the plain frozenset of its sets
+        return frozenset, (list(self),)
+
+    def ranking(self) -> tuple[list[T], list[tuple[int, ...]]]:
+        """The sorted union of the sets, and each set as the sorted tuple
+        of its members' ranks in that union, the tuples in sorted order.
+
+        Each element's rank is looked up once and each leaf becomes one
+        tuple of ranks; a set's tuple is its leaves' and the essential
+        elements' ranks, sorted, so no element is hashed once per set
+        holding it.
+        """
+        if self._ranking is None:
+            essential, parts = self._essential, self._parts
+            used = [compress(elements, _bits(reduce(or_, leaves, 0))) for elements, leaves in parts]
+            order = sorted(chain(essential, *used))
+            rank = {x: r for r, x in enumerate(order)}.get
+            choices = [[tuple(map(rank, essential))]]
+            for elements, leaves in parts:
+                ranks = list(map(rank, elements, repeat(0)))
+                choices.append([tuple(compress(ranks, _bits(h))) for h in leaves])
+            combos = map(chain.from_iterable, product(*choices))
+            self._ranking = order, sorted(map(tuple, map(sorted, combos)))
+        return self._ranking
+
+
 def _product(
     essential: frozenset[T], parts: list[tuple[list[T], list[int]]], meter: Meter
-) -> frozenset[frozenset[T]]:
+) -> HittingFamily:
     """Every union of the essential elements and one leaf per component.
 
     Each leaf becomes a frozenset once.  With several components, one unit
@@ -303,9 +352,8 @@ def _product(
     sets = [[frozenset(compress(elements, _bits(h))) for h in leaves] for elements, leaves in parts]
     if essential:
         sets.append([essential])
-    if len(sets) == 1:
-        return frozenset(sets[0])
-    return frozenset(starmap(_EMPTY.union, product(*sets)))
+    found = sets[0] if len(sets) == 1 else starmap(_EMPTY.union, product(*sets))
+    return HittingFamily(found, essential, parts)
 
 
 def components(family: Iterable[Iterable[T]]) -> list[frozenset[frozenset[T]]]:

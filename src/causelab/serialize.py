@@ -16,7 +16,12 @@ facts is sorted once, each set becomes the sorted tuple of its members'
 ranks, and the tuples are sorted once.  That is the order of
 ``sorted(family, key=sorted)``: each set's sorted facts, compared
 lexicographically, so a set comes before its extensions and the empty
-set first.  The value reads as a list of lists of facts.
+set first.  A hitting-set answer (:class:`~causelab.hitting.HittingFamily`)
+brings its own ranking, built from the search's component numbering;
+any other family (abductive solutions, an oracle's sets, a plain set) is
+ranked here.  The value reads as a list of lists of facts, or, given a
+record key, as a list of records: the repairs' ``{"kind": ...,
+"removed": [...]}`` and the diagnoses' ``{"abnormal": [...]}``.
 
 A cause set is printed from the minimal hitting sets it is read off,
 ranked and sorted once for all its causes: cause t's minimal
@@ -32,8 +37,8 @@ Gamma plus t.
 ``plain`` being the payload with each fact replaced by its flat list
 and each ranked family by its list of lists, byte for byte; it builds
 each fact's text once per indent depth, since facts recur across
-thousands of sets, and each set of a ranked family with one
-``str.join``.
+thousands of sets, and each set of a ranked family, record head and
+tail included, as one concatenation of its facts' texts.
 
 :func:`instance_from_dict` loads an instance with no per-fact Python
 check: each part's rows are checked in whole-list passes that run in C
@@ -50,6 +55,7 @@ from typing import Any, Iterable, Iterator
 
 from .causality import CauseSet, HittingCauseSet, responsibility_of
 from .errors import ParseError
+from .hitting import HittingFamily
 from .model import Fact, Instance, RelationSchema
 
 __all__ = [
@@ -66,37 +72,47 @@ __all__ = [
 ]
 
 
-class RankedFamily(Sequence[list[Fact]]):
+class RankedFamily(Sequence[Any]):
     """A family of fact sets in canonical order, held as rank tuples over
     ``order``, a list of facts in canonical order; it reads as the list
-    of its sets, each a list of facts."""
+    of its sets, each a list of facts, or with ``key`` as the list of its
+    records, each the dict ``{**fields, key: set}`` of string fields."""
 
-    __slots__ = ("order", "ranks")
+    __slots__ = ("order", "ranks", "key", "fields")
 
-    def __init__(self, order: list[Fact], ranks: list[tuple[int, ...]]) -> None:
-        self.order = order
-        self.ranks = ranks
+    def __init__(self, order: list[Fact], ranks: list[tuple[int, ...]],
+                 key: str | None = None, fields: dict[str, str] | None = None) -> None:
+        self.order, self.ranks, self.key, self.fields = order, ranks, key, fields or {}
 
-    def __iter__(self) -> Iterator[list[Fact]]:
-        return map(list, map(map, repeat(self.order.__getitem__), self.ranks))
+    def _read(self, ranks: tuple[int, ...]) -> Any:
+        facts = list(map(self.order.__getitem__, ranks))
+        return facts if self.key is None else {**self.fields, self.key: facts}
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self._read, self.ranks)
 
     def __len__(self) -> int:
         return len(self.ranks)
 
     def __getitem__(self, i):  # type: ignore[override]
         if isinstance(i, slice):
-            return list(RankedFamily(self.order, self.ranks[i]))
-        return list(map(self.order.__getitem__, self.ranks[i]))
+            return list(map(self._read, self.ranks[i]))
+        return self._read(self.ranks[i])
 
     def __eq__(self, other: object) -> bool:
         return list(self) == other if isinstance(other, (list, RankedFamily)) else NotImplemented
 
 
-def _ranked(order: list[Fact], family: Iterable[Iterable[Fact]]) -> RankedFamily:
-    """A family drawn from ``order`` in rank form: each set the sorted
-    tuple of its members' ranks, the tuples sorted once."""
+def _ranking(family: Iterable[Iterable[Fact]]) -> tuple[list[Fact], list[tuple[int, ...]]]:
+    """The sorted union of a family's sets, and each set as the sorted
+    tuple of its members' ranks in it, the tuples sorted: read off a
+    hitting-set answer's components, or ranked here for any other family."""
+    if isinstance(family, HittingFamily):
+        return family.ranking()
+    sets = list(map(tuple, family))
+    order = sorted(set().union(*sets))
     rank = dict(zip(order, range(len(order)))).__getitem__
-    return RankedFamily(order, sorted([tuple(sorted(map(rank, s))) for s in family]))
+    return order, sorted([tuple(sorted(map(rank, s))) for s in sets])
 
 
 #: The most characters of an offending value's repr a ParseError shows.
@@ -148,10 +164,13 @@ def _facts_from_rows(rows: list[Any]) -> frozenset[Fact]:
     return frozenset(map(tuple.__new__, repeat(Fact), pairs))
 
 
-def family_to_list(families: Iterable[Iterable[Fact]]) -> RankedFamily:
-    """A family as a payload: its sets in canonical order."""
-    sets = list(map(tuple, families))
-    return _ranked(sorted(set().union(*sets)), sets)
+def family_to_list(
+    family: Iterable[Iterable[Fact]], key: str | None = None, /, **fields: str
+) -> RankedFamily:
+    """A family as a payload: its sets in canonical order, each with
+    ``key`` the record ``{**fields, key: set}``, ``key`` not among the
+    string ``fields``."""
+    return RankedFamily(*_ranking(family), key, fields)
 
 
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
@@ -211,9 +230,9 @@ def cause_set_to_list(cause_set: CauseSet) -> list[dict[str, Any]]:
     not keep them is read through its sets Gamma plus t."""
     if not isinstance(cause_set, HittingCauseSet):
         cause_set = HittingCauseSet({g | {t} for t, gammas in cause_set.items() for g in gammas})
-    order = sorted(cause_set)
+    order, ranks = _ranking(cause_set.hitting_sets)
     contingencies: list[list[tuple[int, ...]]] = [[] for _ in order]
-    for key in _ranked(order, cause_set.hitting_sets).ranks:
+    for key in ranks:
         for i, r in enumerate(key):
             contingencies[r].append(key[:i] + key[i + 1 :])
     return [
@@ -271,14 +290,26 @@ def dumps(payload: Any) -> str:
         return texts
 
     def write_family(family: RankedFamily, depth: int) -> None:
-        key = (id(family.order), depth)
-        if key not in rank_texts:
-            rank_texts[key] = list(map(texts_at(depth + 2).__getitem__, family.order))
-        at = rank_texts[key].__getitem__
+        # each set is one concatenation of its facts' texts; a record's set
+        # sits one level deeper, between the record's head and tail
+        at_set = depth + 1 + (family.key is not None)
+        cached = (id(family.order), at_set)
+        if cached not in rank_texts:
+            rank_texts[cached] = list(map(texts_at(at_set + 1).__getitem__, family.order))
+        at = rank_texts[cached].__getitem__
         inner = "\n" + "  " * (depth + 1)
-        open_set, sep, close = "[" + inner + "  ", "," + inner + "  ", "\n" + "  " * depth + "]"
-        sets = [open_set + sep.join(map(at, k)) + inner + "]" if k else "[]" for k in family.ranks]
-        emit("[" + inner + ("," + inner).join(sets) + close if sets else "[]")
+        set_inner = "\n" + "  " * (at_set + 1)
+        open_set, sep, close_set = "[" + set_inner, "," + set_inner, "\n" + "  " * at_set + "]"
+        head = tail = ""
+        if family.key is not None:
+            enc = encode_basestring_ascii
+            items = [enc(k) + ": " + enc(v) for k, v in family.fields.items()] + [enc(family.key) + ": "]
+            head, tail = "{" + inner + "  " + ("," + inner + "  ").join(items), inner + "}"
+        sets = [
+            head + (open_set + sep.join(map(at, k)) + close_set if k else "[]") + tail
+            for k in family.ranks
+        ]
+        emit("[" + inner + ("," + inner).join(sets) + "\n" + "  " * depth + "]" if sets else "[]")
 
     def write(value: Any, depth: int) -> None:
         # a container's items are written one level deeper, each followed

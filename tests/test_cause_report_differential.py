@@ -13,20 +13,44 @@ per-tuple differentials, path instances whose witness family is one
 component, the eight gadget shapes of the benchmark's enumeration
 workload, and the brute-force cause oracle's dicts at up to
 ``LATTICE_CAP`` facts.
+
+The hitting-set engine's answers carry their own ranking, read off the
+search's component numbering: on the same cases, and on essential-only,
+empty and empty-set-holding families, a report of an engine answer (its
+rank tuples, its ``dumps`` text, plain or as records, and the cause
+report read off it) equals the report of the same sets as a plain
+frozenset, which the writer ranks itself; an answer no report reads
+computes no ranking, and a copy or pickle of one is that plain frozenset.
 """
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from causelab import Instance, actual_causes, fact, parse_query
-from causelab.causality import cause_set_from_hitting_sets
-from causelab.hitting import minimize_family
+from causelab import (
+    Instance,
+    actual_causes,
+    build_problem,
+    causes_from_repairs,
+    causes_via_diagnosis,
+    cross_check,
+    fact,
+    parse_query,
+)
+from causelab.causality import cause_set_from_hitting_sets, endogenous_parts
+from causelab.hitting import (
+    HittingFamily,
+    minimal_hitting_sets,
+    minimize_family,
+    smallest_hitting_sets,
+)
 from causelab.oracles import LATTICE_CAP, causes_by_enumeration
-from causelab.serialize import cause_set_to_list, dumps
+from causelab.serialize import cause_set_to_list, dumps, family_to_list
 
 import test_component_differential
 from test_serialize_differential import _old_cause_set_to_list, plain
@@ -102,6 +126,9 @@ def test_cases_cover_the_tiers_and_the_gadgets():
     hitting_sets = {g | {t} for t, gammas in actual_causes(*CASES[-1][1:]).items() for g in gammas}
     assert len(hitting_sets) == 1024
     assert SMALL and all(len(instance.facts) <= LATTICE_CAP for _, instance, _ in SMALL)
+    # most cases have several hitting sets, so their ranking sorts something
+    several = [len(minimal_hitting_sets(endogenous_parts(*case[1:]))) > 1 for case in CASES]
+    assert sum(several) >= len(CASES) // 2
 
 
 def _check_report(cause_set, expected) -> str:
@@ -153,3 +180,101 @@ def test_a_family_that_is_no_antichain_can_flip():
     keys = sorted([(1, 2, 3), (1, 3)])
     sub = [tuple(x for x in key if x != 3) for key in keys]
     assert sub == [(1, 2), (1,)] != sorted(sub)
+
+
+def _engine_families(family, forced):
+    """The engine's answers on a family: all minimal and all least hitting
+    sets, and both again holding each of ``forced``."""
+    found = [minimal_hitting_sets(family), smallest_hitting_sets(family)]
+    for t in forced:
+        found += [minimal_hitting_sets(family, forced=t), smallest_hitting_sets(family, forced=t)]
+    return found
+
+
+def _check_ranking(found) -> None:
+    """An engine answer reports as the same sets held as a plain frozenset."""
+    plain = frozenset(found)
+    assert type(plain) is frozenset
+    ranked, expected = family_to_list(found), family_to_list(plain)
+    assert (ranked.order, ranked.ranks) == (expected.order, expected.ranks)
+    assert ranked == [sorted(s) for s in sorted(plain, key=sorted)]
+    for args, fields in [((), {}), (("removed",), {"kind": "S"}), (("abnormal",), {})]:
+        text = dumps({"family": family_to_list(found, *args, **fields)})
+        assert text == dumps({"family": family_to_list(plain, *args, **fields)})
+
+
+@pytest.mark.parametrize("name, instance, query", CASES, ids=[c[0] for c in CASES])
+def test_engine_ranking_matches_the_plain_frozenset(name, instance, query):
+    parts = endogenous_parts(instance, query)
+    # a cause, a fact in no witness and one more, wherever they fall
+    endogenous = sorted(instance.endogenous)
+    for family in _engine_families(parts, endogenous[:: max(1, len(endogenous) // 3)]):
+        _check_ranking(family)
+
+
+A, B, C, D, E = (fact("R", x) for x in "abcde")
+EDGE_FAMILIES = {
+    "essential-only": [{A}, {B}, {C}],
+    "essential-and-components": [{A}, {B, C}, {C, D}, {D, E}, {A, E}],
+    "empty": [],
+    "holds-the-empty-set": [set(), {A}],
+    "one-member": [{A, B, C}],
+    # the product lists {C, E} before {B, D}: only the sort puts them in order
+    "interleaved": [{A, C, D}, {B, E}],
+}
+
+
+@pytest.mark.parametrize("family", EDGE_FAMILIES.values(), ids=EDGE_FAMILIES)
+def test_edge_family_ranking_matches_the_plain_frozenset(family):
+    for found in _engine_families(family, [A, C]):
+        _check_ranking(found)
+        # a copy or a pickle is the plain frozenset of the same sets
+        for copied in (copy.copy(found), copy.deepcopy(found), pickle.loads(pickle.dumps(found))):
+            assert type(copied) is frozenset and copied == found
+
+
+def test_the_empty_family_and_one_holding_the_empty_set_rank_apart():
+    assert family_to_list(minimal_hitting_sets([])) == [[]]
+    assert family_to_list(minimal_hitting_sets([set(), {A}])) == []
+    assert dumps(family_to_list(minimal_hitting_sets([]), "abnormal")) == (
+        '[\n  {\n    "abnormal": []\n  }\n]\n'
+    )
+
+
+@pytest.mark.parametrize("name, instance, query", CASES, ids=[c[0] for c in CASES])
+def test_every_cause_route_reports_from_the_engine_ranking(name, instance, query):
+    routes = [
+        actual_causes(instance, query),
+        causes_from_repairs(instance, query),
+        causes_via_diagnosis(build_problem(instance, query)),
+    ]
+    texts = set()
+    for causes in routes:
+        # the cause set keeps the engine's answer, not a copy of it
+        assert isinstance(causes.hitting_sets, HittingFamily) or not causes.hitting_sets
+        plain = cause_set_from_hitting_sets(frozenset(causes.hitting_sets))
+        assert type(plain.hitting_sets) is frozenset
+        text = dumps(cause_set_to_list(causes))
+        assert text == dumps(cause_set_to_list(plain))
+        texts.add(text)
+    assert len(texts) == 1
+
+
+def test_a_family_no_report_reads_computes_no_ranking(monkeypatch):
+    _, instance, query = CASES[-1]
+    causes = actual_causes(instance, query)
+    assert cause_set_from_hitting_sets(causes.hitting_sets).hitting_sets is causes.hitting_sets
+    assert causes.hitting_sets._ranking is None
+    cause_set_to_list(causes)
+    ranking = causes.hitting_sets._ranking
+    assert ranking is not None
+    # a second report reads the same ranking
+    cause_set_to_list(causes)
+    assert causes.hitting_sets._ranking is ranking
+    # the harness's properties compare families and print none of them
+    calls = []
+    read = HittingFamily.ranking
+    monkeypatch.setattr(HittingFamily, "ranking", lambda self: calls.append(self) or read(self))
+    reports = cross_check(2, 20, 7)
+    assert all(r.passed for r in reports if r.property_id.startswith(("repairs.", "diagnosis.")))
+    assert calls == []

@@ -1,8 +1,10 @@
 """Differential tests of the canonical writer and the rank-based family
 order against their definitions: ``dumps`` against
-``json.dumps(plain, indent=2) + "\\n"`` on seeded random payloads, and
-``family_to_list`` against ``sorted(family, key=sorted)`` (each set's
-sorted facts, compared lexicographically)."""
+``json.dumps(plain, indent=2) + "\\n"`` on seeded random payloads, plain
+families and record families (each set printed as a dict, as repairs and
+diagnoses are) included, and ``family_to_list`` against
+``sorted(family, key=sorted)`` (each set's sorted facts, compared
+lexicographically)."""
 from __future__ import annotations
 
 import json
@@ -63,10 +65,20 @@ def random_family(rng: random.Random, pool: list[Fact]) -> list[list[Fact]]:
     )
 
 
+def random_records(rng: random.Random) -> RankedFamily:
+    """A family printed as records: a key for the set and leading string
+    fields, the key never among them."""
+    key = rng.choice(["removed", "abnormal", random_text(rng)])
+    fields = {random_text(rng): random_text(rng) for _ in range(rng.randrange(3))}
+    fields.pop(key, None)
+    family = random_family(rng, [random_fact(rng) for _ in range(rng.randrange(5))])
+    return family_to_list(map(frozenset, family), key, **fields)
+
+
 def random_payload(rng: random.Random, depth: int = 0) -> Any:
     kinds = ["str", "int", "bool", "none", "fact"]
     if depth < 4:
-        kinds += ["list", "dict", "facts", "family"]
+        kinds += ["list", "dict", "facts", "family", "records"]
     kind = rng.choice(kinds)
     if kind == "str":
         return random_text(rng)
@@ -82,6 +94,8 @@ def random_payload(rng: random.Random, depth: int = 0) -> Any:
         return [random_fact(rng) for _ in range(rng.randrange(4))]
     if kind == "family":
         return random_family(rng, [random_fact(rng) for _ in range(rng.randrange(5))])
+    if kind == "records":
+        return random_records(rng)
     if kind == "list":
         return [random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
     return {random_text(rng): random_payload(rng, depth + 1) for _ in range(rng.randrange(4))}
@@ -115,6 +129,41 @@ def test_dumps_edge_cases(payload):
     assert dumps(payload) == reference(payload)
 
 
+A, B, C = fact("R", "a", "b"), fact("R", "b", "c"), fact("S", "\xe9t\xe9", "\U0001d11e")
+REPAIRS = [{A}, {B, C}]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"semantics": "S", "repairs": family_to_list(REPAIRS, "removed", kind="S")},
+        {"semantics": "C", "repairs": family_to_list([{A}], "removed", kind="C")},
+        {"semantics": "S", "repairs": family_to_list([], "removed", kind="S")},
+        {"semantics": "S", "repairs": family_to_list([set()], "removed", kind="S")},
+        {"vacuous": True, "diagnoses": family_to_list([set()], "abnormal")},
+        {"vacuous": False, "diagnoses": family_to_list([], "abnormal")},
+        {"diagnoses": family_to_list(REPAIRS, "abnormal")},
+        family_to_list(REPAIRS, "removed", kind="S", note="two fields"),
+        [[[family_to_list(REPAIRS, "removed", kind="C")]]],
+        {"a": {"b": [family_to_list(REPAIRS, "abnormal"), family_to_list(REPAIRS)]}},
+        {"s": family_to_list(REPAIRS, "k\xe9y", **{"\u2028": "\U0001d11e", "q": '"\\'})},
+    ],
+    ids=["s-repairs", "c-repairs", "no-repairs", "empty-repair", "vacuous-diagnosis",
+         "no-diagnosis", "diagnoses", "top-level-records", "nested-records",
+         "records-beside-a-family", "non-ascii-fields"],
+)
+def test_dumps_matches_json_dumps_on_record_families(payload):
+    assert dumps(payload) == reference(payload)
+
+
+def test_a_record_family_reads_as_its_records():
+    records = family_to_list(REPAIRS, "removed", kind="S")
+    expected = [{"kind": "S", "removed": [A]}, {"kind": "S", "removed": [B, C]}]
+    assert list(records) == records == expected
+    assert len(records) == 2 and records[1] == expected[1] and records[:1] == expected[:1]
+    assert family_to_list([set()], "abnormal") == [{"abnormal": []}]
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -126,9 +175,11 @@ def test_dumps_edge_cases(payload):
         {1: "int key"},
         [b"bytes"],
         {"x": object()},
+        family_to_list([{fact("R", "a")}], "removed", kind=1),
     ],
     # a plain tuple equals the fact it is shaped like, but is not a fact
-    ids=["float", "tuple", "fact-shaped-tuple", "set", "fraction", "int-key", "bytes", "object"],
+    ids=["float", "tuple", "fact-shaped-tuple", "set", "fraction", "int-key", "bytes", "object",
+         "int-record-field"],
 )
 def test_dumps_rejects_other_types(payload):
     with pytest.raises(TypeError):
