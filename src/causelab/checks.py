@@ -143,11 +143,6 @@ class CorpusItem:
         return causes_by_enumeration(self.instance, self.query)
 
     @cached_property
-    def witnesses(self) -> frozenset[frozenset[Fact]]:
-        # the module's model.witnesses: class attributes are not in scope here
-        return witnesses(self.instance.facts, self.query, self.instance.schemas)
-
-    @cached_property
     def s_removals(self) -> frozenset[Repair]:
         return s_repairs(self.instance, [self.query])
 
@@ -521,7 +516,7 @@ def _prop_responsibility_matches_bcq(item: CorpusItem, rng: random.Random) -> st
 PROPERTIES: dict[str, Property] = {
     "core.witnesses-match-enumeration": _agree(
         "witnesses vs enumeration",
-        lambda i: i.witnesses,
+        lambda i: witnesses(i.instance.facts, i.query, i.instance.schemas),
         lambda i: witnesses_by_enumeration(i.instance.facts, i.query),
     ),
     "core.constraint-duality": _prop_constraint_duality,

@@ -97,17 +97,7 @@ def minimize_family(sets: Iterable[Iterable[T]]) -> frozenset[frozenset[T]]:
     than it, since distinct sets of one size never contain each other:
     a family of equal-size sets takes one linear pass.
     """
-    return _antichain(sets, reverse=False)
-
-
-def maximize_family(sets: Iterable[Iterable[T]]) -> frozenset[frozenset[T]]:
-    """Subset-maximal members of a family of sets, compared as in
-    :func:`minimize_family` with the kept sets strictly larger."""
-    return _antichain(sets, reverse=True)
-
-
-def _antichain(sets: Iterable[Iterable[T]], reverse: bool) -> frozenset[frozenset[T]]:
-    unique = sorted({frozenset(s) for s in sets}, key=len, reverse=reverse)
+    unique = sorted({frozenset(s) for s in sets}, key=len)
     # `settled` holds the kept sets of the sizes already passed, `level`
     # those of the current candidate's size
     settled: list[frozenset[T]] = []
@@ -118,9 +108,18 @@ def _antichain(sets: Iterable[Iterable[T]], reverse: bool) -> frozenset[frozense
             settled += level
             level = []
             size = len(cand)
-        if not any(map(cand.issubset if reverse else cand.issuperset, settled)):
+        if not any(map(cand.issuperset, settled)):
             level.append(cand)
     return frozenset(settled + level)
+
+
+def maximize_family(sets: Iterable[Iterable[T]]) -> frozenset[frozenset[T]]:
+    """Subset-maximal members of a family of sets: within the union U of
+    the family, S is a subset of S' iff U - S contains U - S', so they
+    are the complements of the minimal complements."""
+    family = [frozenset(s) for s in sets]
+    union = _EMPTY.union(*family)
+    return frozenset(union - s for s in minimize_family(union - s for s in family))
 
 
 def _bits(h: int) -> bytes:

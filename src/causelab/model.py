@@ -227,9 +227,6 @@ class ConjunctiveQuery:
                 raise ValueError(f"expected an Atom, got {a!r}")
         object.__setattr__(self, "atoms", out)
 
-    def variables(self) -> frozenset[Variable]:
-        return frozenset(v for a in self.atoms for v in a.variables())
-
     def __str__(self) -> str:
         return ", ".join(str(a) for a in self.atoms)
 

@@ -246,15 +246,13 @@ def cause_set_to_list(cause_set: CauseSet) -> list[dict[str, Any]]:
 
 
 def repair_to_dict(repair: Iterable[Fact], kind: str) -> dict[str, Any]:
-    """A repair as its kind ("S" or "C") and the facts it removes; a list
-    is taken to be in canonical order already, as the sets of a
-    :class:`RankedFamily` are, and any other collection is sorted."""
-    return {"kind": kind, "removed": repair if isinstance(repair, list) else sorted(repair)}
+    """A repair as its kind ("S" or "C") and the facts it removes, sorted."""
+    return {"kind": kind, "removed": sorted(repair)}
 
 
 def diagnosis_to_dict(diagnosis: Iterable[Fact]) -> dict[str, Any]:
-    """A diagnosis as its abnormal facts, ordered as :func:`repair_to_dict` orders them."""
-    return {"abnormal": diagnosis if isinstance(diagnosis, list) else sorted(diagnosis)}
+    """A diagnosis as its abnormal facts, sorted."""
+    return {"abnormal": sorted(diagnosis)}
 
 
 class _FactTexts(dict):
@@ -321,16 +319,11 @@ def dumps(payload: Any) -> str:
                 emit("[]")
                 return
             inner = "\n" + "  " * (depth + 1)
-            close = "\n" + "  " * depth + "]"
-            if all(map(isinstance, value, repeat(Fact))):
-                texts = texts_at(depth + 1).__getitem__
-                emit("[" + inner + ("," + inner).join(map(texts, value)) + close)
-                return
             emit("[" + inner)
             for item in value:
                 write(item, depth + 1)
                 emit("," + inner)
-            chunks[-1] = close
+            chunks[-1] = "\n" + "  " * depth + "]"
         elif isinstance(value, dict):
             if not value:
                 emit("{}")

@@ -53,7 +53,7 @@ from causelab.oracles import LATTICE_CAP, causes_by_enumeration
 from causelab.serialize import cause_set_to_list, dumps, family_to_list
 
 import test_component_differential
-from test_serialize_differential import _old_cause_set_to_list, plain
+from test_serialize_differential import _old_cause_set_to_list, first_difference, plain
 
 pytestmark = pytest.mark.differential
 
@@ -136,10 +136,10 @@ def _check_report(cause_set, expected) -> str:
     and ``json.dumps``; its text, which a plain dict of the same cause set
     prints too."""
     payload = cause_set_to_list(cause_set)
-    assert plain(payload) == expected
+    assert first_difference(plain(payload), expected) is None
     text = dumps(payload)
-    assert text == json.dumps(plain(payload), indent=2) + "\n"
-    assert dumps(cause_set_to_list(dict(cause_set))) == text
+    assert first_difference(text, json.dumps(plain(payload), indent=2) + "\n") is None
+    assert first_difference(dumps(cause_set_to_list(dict(cause_set))), text) is None
     return text
 
 
@@ -154,7 +154,7 @@ def test_rank_space_report_matches_the_sorted_frozensets(name, instance, query):
 def test_oracle_dicts_print_as_the_hitting_set_cause_set(name, instance, query):
     oracle = causes_by_enumeration(instance, query)
     text = _check_report(oracle, _old_cause_set_to_list(oracle))
-    assert dumps(cause_set_to_list(actual_causes(instance, query))) == text
+    assert first_difference(dumps(cause_set_to_list(actual_causes(instance, query))), text) is None
 
 
 def test_an_empty_cause_set_prints_no_causes():
@@ -196,11 +196,13 @@ def _check_ranking(found) -> None:
     plain = frozenset(found)
     assert type(plain) is frozenset
     ranked, expected = family_to_list(found), family_to_list(plain)
-    assert (ranked.order, ranked.ranks) == (expected.order, expected.ranks)
-    assert ranked == [sorted(s) for s in sorted(plain, key=sorted)]
+    assert first_difference(ranked.order, expected.order) is None
+    assert first_difference(ranked.ranks, expected.ranks) is None
+    assert first_difference(ranked, [sorted(s) for s in sorted(plain, key=sorted)]) is None
     for args, fields in [((), {}), (("removed",), {"kind": "S"}), (("abnormal",), {})]:
         text = dumps({"family": family_to_list(found, *args, **fields)})
-        assert text == dumps({"family": family_to_list(plain, *args, **fields)})
+        want = dumps({"family": family_to_list(plain, *args, **fields)})
+        assert first_difference(text, want) is None
 
 
 @pytest.mark.parametrize("name, instance, query", CASES, ids=[c[0] for c in CASES])
@@ -255,7 +257,7 @@ def test_every_cause_route_reports_from_the_engine_ranking(name, instance, query
         plain = cause_set_from_hitting_sets(frozenset(causes.hitting_sets))
         assert type(plain.hitting_sets) is frozenset
         text = dumps(cause_set_to_list(causes))
-        assert text == dumps(cause_set_to_list(plain))
+        assert first_difference(text, dumps(cause_set_to_list(plain))) is None
         texts.add(text)
     assert len(texts) == 1
 
