@@ -62,10 +62,7 @@ class Meter:
     def charge(self, amount: int = 1) -> None:
         self.used += amount
         if self.used > self.limit:
-            raise BudgetError(
-                f"{self.used} work units spent against a budget of {self.limit}",
-                budget=self.limit,
-            )
+            raise BudgetError(f"{self.used} work units spent against a budget of {self.limit}")
 
     def once(self, key: Hashable, compute: Callable[[], V]) -> V:
         """The value stored under ``key`` in this meter, else

@@ -41,7 +41,7 @@ from typing import Any, Iterable, TypeAlias
 from .budget import current_meter
 from .errors import DomainError
 from .hitting import min_hitting_size, minimal_hitting_sets, smallest_set_elements
-from .model import ConjunctiveQuery, Fact, Instance, eval_bcq, witnesses
+from .model import ConjunctiveQuery, Fact, Instance, witnesses
 
 __all__ = [
     "ContingencySet",
@@ -114,7 +114,7 @@ def cause_set_from_hitting_sets(sets: Iterable[frozenset[Fact]]) -> HittingCause
     contingency sets built from it, before any of them is built; the
     cause set keeps the sets and builds a cause's contingency sets only
     when they are read.  A frozenset (a hitting-set answer, which keeps
-    its ranking) is kept as it is.
+    the leaves it is ranked from) is kept as it is.
     """
     if not isinstance(sets, frozenset):
         sets = frozenset(sets)
@@ -135,11 +135,12 @@ def require_endogenous(instance: Instance, t: Fact) -> None:
 
 
 def is_counterfactual_cause(instance: Instance, query: ConjunctiveQuery, t: Fact) -> bool:
-    """True iff the query holds and deleting ``t`` alone falsifies it."""
+    """True iff the query holds and deleting ``t`` alone falsifies it: the
+    query has a witness, and every witness, so every endogenous part,
+    contains ``t``."""
     require_endogenous(instance, t)
-    facts = instance.facts
-    # the first evaluation checks the query's schema for both
-    return eval_bcq(facts, query, instance.schemas) and not eval_bcq(facts - {t}, query)
+    parts = endogenous_parts(instance, query)
+    return bool(parts) and all(t in part for part in parts)
 
 
 def endogenous_parts(instance: Instance, query: ConjunctiveQuery) -> frozenset[frozenset[Fact]]:

@@ -21,7 +21,7 @@ from .causality import actual_causes, responsibility
 from .checks import cross_check, fixture_checks
 from .diagnosis import build_problem, minimal_diagnoses
 from .errors import BudgetError, DomainError, ParseError, SchemaError
-from .model import Fact, Instance, eval_bcq
+from .model import Fact, Instance, witnesses
 from .oracles import LATTICE_CAP
 from .parsing import (
     parse_denial_constraints,
@@ -135,8 +135,9 @@ def _cmd_causes(args: argparse.Namespace) -> dict[str, Any]:
     instance = load_instance(args.instance)
     query = parse_query(_read(args.query))
     causes = actual_causes(instance, query)
-    # a query with a cause holds; only one without runs a second join
-    holds = bool(causes) or eval_bcq(instance.facts, query, instance.schemas)
+    # a query with a cause holds; one without reads the witnesses the
+    # causes were read off
+    holds = bool(causes) or bool(witnesses(instance.facts, query, instance.schemas))
     payload: dict[str, Any] = {"query_holds": holds, "causes": cause_set_to_list(causes)}
     if not holds:
         payload["note"] = "the query is false in this instance; there is no answer to explain"

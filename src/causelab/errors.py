@@ -12,18 +12,16 @@ class SchemaError(CauselabError):
 
 class DomainError(CauselabError):
     """An argument lies outside the operation's domain, e.g. a tuple that
-    is not endogenous where only endogenous tuples are admissible."""
+    is not endogenous where only endogenous tuples are admissible, or a
+    pool over a brute-force oracle's cap."""
 
 
 class BudgetError(CauselabError):
-    """An enumeration exceeded its configured budget.
+    """A request's work exceeded its meter's budget.
 
-    Raised instead of silently truncating results.
+    Raised by :meth:`causelab.budget.Meter.charge` alone, instead of
+    silently truncating results.
     """
-
-    def __init__(self, message: str, budget: int | None = None) -> None:
-        super().__init__(message)
-        self.budget = budget
 
 
 class ParseError(CauselabError):

@@ -64,9 +64,9 @@ also keeps the essential elements and each component's sorted elements
 and leaves.  A report ranks it from those (:meth:`HittingFamily.ranking`,
 which :mod:`causelab.serialize` reads): each element is ranked once and
 each leaf becomes one tuple of ranks, so no element is hashed once per
-set holding it.  The ranking is computed on its first read only, so an
-answer no report prints, as in the cross-check harness, pays nothing
-for it.
+set holding it.  The family is ranked on each call of
+:meth:`~HittingFamily.ranking` and on no other, so an answer no report
+prints, as in the cross-check harness, pays nothing for it.
 """
 from __future__ import annotations
 
@@ -83,11 +83,6 @@ T = TypeVar("T", bound=Hashable)
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
 _EMPTY: frozenset = frozenset()
-
-#: One component: its elements in sorted order, its members and each
-#: element's members as bitmasks over them, and the root branch of its
-#: search (the forced element's bit, or 0).
-_Part = tuple[list[T], list[int], list[int], int]
 
 
 def minimize_family(sets: Iterable[Iterable[T]]) -> frozenset[frozenset[T]]:
@@ -133,38 +128,20 @@ def _root(parent: dict[T, T], x: T) -> T:
     return x
 
 
-def _split(
-    family: Iterable[Iterable[T]], forced: T | None
-) -> tuple[frozenset[T], list[_Part]] | None:
+def _numbered(
+    family: frozenset[frozenset[T]],
+) -> tuple[frozenset[T], list[tuple[list[T], list[int], list[int], dict[T, int]]]] | None:
     """The minimized family cut into components, each numbered once.
 
     A member of one element is a component of its own whose element is in
     every hitting set, so those elements come back as one set, the
-    *essential* elements.  The rest come back as one :data:`_Part` per
-    component, ordered by smallest element; within a component elements
-    keep their sorted order and members their ``(len, sorted)`` order, so
-    a one-component family is numbered as by a search of the whole.  None
-    when nothing qualifies: the family holds the empty set, or ``forced``
-    is in no subset-minimal member.  The split does not depend on
-    ``forced``, so it is computed once per ``with Meter`` block for an
-    equal family (:meth:`~causelab.budget.Meter.once`) and ``forced``
-    only picks each component's root.
+    *essential* elements.  The rest come back as one part per component,
+    ordered by smallest element: its elements in sorted order, its members
+    in ``(len, sorted)`` order and each element's members as bitmasks over
+    them, and each element's number.  So a one-component family is
+    numbered as by a search of the whole.  None when the family holds the
+    empty set.
     """
-    family = frozenset(map(frozenset, family))
-    split = current_meter().once(("split", family), lambda: _numbered(family))
-    if split is None:
-        return None
-    essential, parts = split
-    if forced is not None and forced not in essential and all(forced not in p[3] for p in parts):
-        return None
-    return essential, [(e, m, h, 1 << i[forced] if forced in i else 0) for e, m, h, i in parts]
-
-
-def _numbered(
-    family: frozenset[frozenset[T]],
-) -> tuple[frozenset[T], list[tuple[list[T], list[int], list[int], dict[T, int]]]] | None:
-    """:func:`_split` with each component's element numbers in place of
-    its root; None when the family holds the empty set."""
     base = sorted(map(sorted, minimize_family(family)), key=lambda s: (len(s), s))
     if base and not base[0]:
         return None
@@ -278,35 +255,45 @@ def _factored(
 ) -> tuple[frozenset[T], list[tuple[list[T], list[int]]], Meter] | None:
     """The essential elements, each component's elements with the leaves
     of its search in mode ``least``, and the one meter they were charged
-    to; None as for :func:`_split`.
+    to; None when nothing qualifies: the family holds the empty set, or
+    ``forced`` is in no subset-minimal member.
 
-    The essential elements are charged as the whole-family search would
-    charge their members, which come first: one node per member below a
-    root, the last of them the root of the rest of the search, so the
-    root is charged here only when no component is searched.
+    The split does not depend on ``forced``, so it is computed once per
+    ``with Meter`` block for an equal family
+    (:meth:`~causelab.budget.Meter.once`), and ``forced`` only picks the
+    root branch of its own component's search.  The essential elements
+    are charged as the whole-family search would charge their members,
+    which come first: one node per member below a root, the last of them
+    the root of the rest of the search, so the root is charged here only
+    when no component is searched.
     """
-    split = _split(family, forced)
+    family = frozenset(map(frozenset, family))
+    meter = current_meter()
+    split = meter.once(("split", family), lambda: _numbered(family))
     if split is None:
         return None
     essential, parts = split
-    meter = current_meter()
+    if forced is not None and forced not in essential and all(forced not in p[3] for p in parts):
+        return None
     if essential:
         meter.charge(len(essential) + (not parts))
-    leaves = [(elements, _mmcs(m, h, root, meter, least)) for elements, m, h, root in parts]
+    leaves = [
+        (elements, _mmcs(members, hits, 1 << index[forced] if forced in index else 0, meter, least))
+        for elements, members, hits, index in parts
+    ]
     return essential, leaves, meter
 
 
 class HittingFamily(frozenset):
     """A product of component leaves: the frozenset of its sets, which also
     keeps the essential elements and each component's sorted elements and
-    leaves, to rank the sets from them on the first call of
-    :meth:`ranking` only."""
+    leaves, to rank the sets from them when :meth:`ranking` is called."""
 
-    __slots__ = ("_essential", "_parts", "_ranking")
+    __slots__ = ("_essential", "_parts")
 
     def __new__(cls, sets: Iterable[frozenset[T]], essential: frozenset[T], parts: list):
         self = super().__new__(cls, sets)
-        self._essential, self._parts, self._ranking = essential, parts, None
+        self._essential, self._parts = essential, parts
         return self
 
     def __reduce__(self) -> tuple:
@@ -322,18 +309,16 @@ class HittingFamily(frozenset):
         elements' ranks, sorted, so no element is hashed once per set
         holding it.
         """
-        if self._ranking is None:
-            essential, parts = self._essential, self._parts
-            used = [compress(elements, _bits(reduce(or_, leaves, 0))) for elements, leaves in parts]
-            order = sorted(chain(essential, *used))
-            rank = {x: r for r, x in enumerate(order)}.get
-            choices = [[tuple(map(rank, essential))]]
-            for elements, leaves in parts:
-                ranks = list(map(rank, elements, repeat(0)))
-                choices.append([tuple(compress(ranks, _bits(h))) for h in leaves])
-            combos = map(chain.from_iterable, product(*choices))
-            self._ranking = order, sorted(map(tuple, map(sorted, combos)))
-        return self._ranking
+        essential, parts = self._essential, self._parts
+        used = [compress(elements, _bits(reduce(or_, leaves, 0))) for elements, leaves in parts]
+        order = sorted(chain(essential, *used))
+        rank = {x: r for r, x in enumerate(order)}.get
+        choices = [[tuple(map(rank, essential))]]
+        for elements, leaves in parts:
+            ranks = list(map(rank, elements, repeat(0)))
+            choices.append([tuple(compress(ranks, _bits(h))) for h in leaves])
+        combos = map(chain.from_iterable, product(*choices))
+        return order, sorted(map(tuple, map(sorted, combos)))
 
 
 def _product(
@@ -353,22 +338,6 @@ def _product(
         sets.append([essential])
     found = sets[0] if len(sets) == 1 else starmap(_EMPTY.union, product(*sets))
     return HittingFamily(found, essential, parts)
-
-
-def components(family: Iterable[Iterable[T]]) -> list[frozenset[frozenset[T]]]:
-    """The subset-minimal members of ``family`` grouped into connected
-    components, two members being connected when they share an element;
-    ordered by smallest element.  A family holding the empty set minimizes
-    to ``{frozenset()}``, its one component."""
-    split = _split(family, None)
-    if split is None:
-        return [frozenset({_EMPTY})]
-    essential, parts = split
-    found = [frozenset({frozenset({x})}) for x in essential] + [
-        frozenset(frozenset(compress(elements, _bits(m))) for m in members)
-        for elements, members, _, _ in parts
-    ]
-    return sorted(found, key=lambda c: min(_EMPTY.union(*c)))
 
 
 def minimal_hitting_sets(

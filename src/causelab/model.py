@@ -290,9 +290,6 @@ class Instance:
     def with_endogenous(self, f: Fact) -> "Instance":
         return Instance(self.schemas, self.endogenous | {f}, self.exogenous)
 
-    def with_exogenous(self, f: Fact) -> "Instance":
-        return Instance(self.schemas, self.endogenous, self.exogenous | {f})
-
     @classmethod
     def infer(cls, endogenous: Iterable[Fact] = (), exogenous: Iterable[Fact] = ()) -> "Instance":
         """Build an instance inferring the schemas from the facts given.

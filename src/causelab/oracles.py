@@ -25,7 +25,10 @@ hitting-set search, the semi-naive fixpoint, the indexed join or the
 antichain filters, and keep no state between calls.
 :func:`holds_by_nested_loops` is also the cross-check harness's
 independent per-subset evaluator.  Each oracle checks its query's schema
-once per call, before its walk.  They only make sense at small sizes.
+once per call, before its walk.  They only make sense at small sizes:
+each raises :class:`~causelab.errors.DomainError` before its walk when
+its pool is over its cap, since such a pool lies outside the oracle's
+domain; it is not a spent budget, which only the meter reports.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from typing import Hashable, Iterable, Iterator, Sequence, TypeAlias, TypeVar
 
 from .abduction import AbductionProblem
 from .diagnosis import DiagnosisProblem
-from .errors import BudgetError
+from .errors import DomainError
 from .model import (
     Atom,
     ConjunctiveQuery,
@@ -63,7 +66,7 @@ FactSet: TypeAlias = frozenset[Fact]
 
 def _guard(n: int, cap: int, what: str) -> None:
     if n > cap:
-        raise BudgetError(f"{what} oracle is capped at {cap} facts, got {n}", budget=cap)
+        raise DomainError(f"{what} oracle is capped at {cap} facts, got {n}")
 
 
 def subsets_of(items: Iterable[T]) -> Iterator[frozenset[T]]:

@@ -266,13 +266,6 @@ def test_a_family_no_report_reads_computes_no_ranking(monkeypatch):
     _, instance, query = CASES[-1]
     causes = actual_causes(instance, query)
     assert cause_set_from_hitting_sets(causes.hitting_sets).hitting_sets is causes.hitting_sets
-    assert causes.hitting_sets._ranking is None
-    cause_set_to_list(causes)
-    ranking = causes.hitting_sets._ranking
-    assert ranking is not None
-    # a second report reads the same ranking
-    cause_set_to_list(causes)
-    assert causes.hitting_sets._ranking is ranking
     # the harness's properties compare families and print none of them
     calls = []
     read = HittingFamily.ranking

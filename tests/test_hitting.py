@@ -14,7 +14,6 @@ from causelab.errors import BudgetError
 from causelab.oracles import minimal_hitting_sets_by_enumeration, subsets_of
 from causelab import hitting
 from causelab.hitting import (
-    components,
     maximize_family,
     min_hitting_size,
     minimal_hitting_sets,
@@ -30,6 +29,13 @@ from causelab.causality import responsibility
 
 def fsets(*groups):
     return frozenset(frozenset(g) for g in groups)
+
+
+def _component_count(family) -> int:
+    """The components of a family without the empty set: one per
+    essential element, and one per searched part."""
+    essential, parts = hitting._numbered(frozenset(map(frozenset, family)))
+    return len(essential) + len(parts)
 
 
 def test_minimize_drops_supersets():
@@ -121,7 +127,7 @@ def test_hitting_search_charges_are_pinned():
         w & instance.endogenous
         for w in witnesses(instance.facts, demo_query(), instance.schemas)
     ]
-    assert len(components(parts)) == 2
+    assert _component_count(parts) == 2
     assert _charged(parts) == 2 * 3 + 4
 
 
@@ -231,25 +237,13 @@ def test_empty_family_and_empty_member_without_forcing():
         assert min_hitting_size([]) == 0
         assert min_hitting_size([{1}, set()]) is None
     assert meter.used == 0
-    assert components([]) == []
-    assert components([{1}, set(), {2, 3}]) == [fsets(())]
 
 
-def test_components_split_minimized_members_by_shared_elements():
-    family = [{5, 6}, {1, 2}, {2, 3}, {1, 2, 9}, {7}, {3, 4}]
-    # {1, 2, 9} is not minimal, so 9 joins nothing; ordered by smallest element
-    assert components(family) == [
-        fsets({1, 2}, {2, 3}, {3, 4}),
-        fsets({5, 6}),
-        fsets({7}),
-    ]
-
-
-def _reference_split(family, forced):
-    """The numbering of ``_split`` restated from its definition."""
+def _reference_split(family):
+    """The numbering of ``_numbered`` restated from its definition."""
     minimal = {frozenset(s) for s in family}
     minimal = [s for s in minimal if not any(o < s for o in minimal)]
-    if frozenset() in minimal or (forced is not None and not any(forced in s for s in minimal)):
+    if frozenset() in minimal:
         return None
     essential = frozenset().union(*(s for s in minimal if len(s) == 1))
     # connected components: each member merges every group it meets
@@ -263,8 +257,7 @@ def _reference_split(family, forced):
         rows = sorted(g, key=lambda s: (len(s), sorted(s)))
         members = [sum(1 << i for i, x in enumerate(elements) if x in s) for s in rows]
         hits = [sum(1 << j for j, s in enumerate(rows) if x in s) for x in elements]
-        root = 1 << elements.index(forced) if forced in elements else 0
-        parts.append((elements, members, hits, root))
+        parts.append((elements, members, hits, {x: i for i, x in enumerate(elements)}))
     return essential, parts
 
 
@@ -281,17 +274,25 @@ def test_split_numbers_each_component_once(family, forced):
     # every pinned node count depends on this numbering: essential
     # elements apart, components by smallest element, each with its
     # elements sorted and its members in (len, sorted) order
-    assert hitting._split(family, forced) == _reference_split(family, forced)
+    expected = _reference_split(family)
+    assert hitting._numbered(frozenset(map(frozenset, family))) == expected
+    # a forced element in no subset-minimal member leaves nothing to search
+    unforceable = expected is None or (
+        forced is not None
+        and forced not in expected[0]
+        and all(forced not in part[3] for part in expected[1])
+    )
+    assert (hitting._factored(family, forced) is None) == unforceable
 
 
 def test_one_component_costs_the_whole_family_search():
     # a path 0-1-2-3-4 is one component: the factored search charges exactly
     # the nodes of one kernel run over the whole family, and no product
     path = [{i, i + 1} for i in range(4)]
-    essential, (part,) = hitting._split(path, None)
+    essential, ((_, members, hits, _),) = hitting._numbered(fsets(*path))
     assert not essential
     with Meter() as kernel:
-        leaves = hitting._mmcs(*part[1:], kernel)
+        leaves = hitting._mmcs(members, hits, 0, kernel)
     with Meter() as meter:
         got = minimal_hitting_sets(path)
     assert got == fsets({1, 3}, {0, 2, 3}, {1, 2, 4}, {0, 2, 4})
@@ -373,7 +374,7 @@ def test_minimum_answers_on_the_baseline_do_not_enumerate():
     instance = _baseline(60)
     query = parse_query("q() :- R(X, Y), S(Y).")
     parts = endogenous_parts(instance, query)
-    assert len(components(parts)) == 17
+    assert _component_count(parts) == 17
     first = min(frozenset().union(*minimize_family(parts)))
     with Meter() as meter:
         assert responsibility(instance, query, first) == Fraction(1, 19)

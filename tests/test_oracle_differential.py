@@ -21,8 +21,8 @@ import pytest
 
 from causelab import (
     Atom,
-    BudgetError,
     DiagnosisProblem,
+    DomainError,
     Instance,
     build_problem,
     fact,
@@ -288,5 +288,5 @@ CAPPED = _calls_over_the_caps()
 def test_caps_raise_before_any_evaluation(what, call, monkeypatch):
     monkeypatch.setattr(oracles, "valuations_by_nested_loops", _no_evaluation)
     monkeypatch.setattr(oracles, "naive_datalog_model", _no_evaluation)
-    with pytest.raises(BudgetError, match=f"^{what} oracle is capped at"):
+    with pytest.raises(DomainError, match=f"^{what} oracle is capped at"):
         call()
