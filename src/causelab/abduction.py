@@ -20,7 +20,7 @@ from typing import Iterable, TypeAlias
 from .causality import require_endogenous
 from .errors import DomainError
 from .hitting import min_hitting_size, minimal_hitting_sets, minimize_family
-from .model import Fact, Instance
+from .model import ConjunctiveQuery, Fact, Instance, check_query_schema
 from .datalog import DatalogProgram, minimal_supports
 
 __all__ = [
@@ -82,7 +82,15 @@ def problem_for_instance(
 ) -> AbductionProblem:
     """The canonical problem for a query program over a partitioned
     instance: exogenous facts form the background, endogenous facts are
-    the abducibles, and the observation defaults to the answer atom."""
+    the abducibles, and the observation defaults to the answer atom.
+
+    A body atom whose relation no rule head defines reads the instance,
+    so it must use a declared relation at its declared arity, as a query
+    atom must; a declared relation with no facts is fine."""
+    heads = program.head_predicates()
+    stored = tuple(a for r in program.rules for a in r.body if a.relation not in heads)
+    if stored:
+        check_query_schema(ConjunctiveQuery(stored), instance.schemas)
     obs = (
         frozenset(observations)
         if observations is not None

@@ -60,7 +60,6 @@ from .errors import DomainError
 from .model import (
     Atom,
     ConjunctiveQuery,
-    DenialConstraint,
     Fact,
     Instance,
     RelationSchema,
@@ -105,7 +104,6 @@ __all__ = [
     "PROPERTIES",
     "demo_instance",
     "demo_query",
-    "demo_constraint",
     "demo_program",
     "closure_instance",
     "closure_program",
@@ -196,10 +194,6 @@ def demo_instance() -> Instance:
 
 def demo_query() -> ConjunctiveQuery:
     return parse_query("q() :- R(X, Y), S(Y).")
-
-
-def demo_constraint() -> DenialConstraint:
-    return demo_query()
 
 
 def demo_program() -> DatalogProgram:
@@ -360,15 +354,6 @@ def _prop_eval_iff_witnesses(item: CorpusItem, rng: random.Random) -> str | None
     )
 
 
-def _prop_engines_agree(item: CorpusItem, rng: random.Random) -> str | None:
-    endo = item.instance.endogenous
-    return _differ(
-        "minimal contingency sets vs enumeration",
-        {t: minimal_contingency_sets(item.instance, item.query, t) for t in endo},
-        {t: item.oracle_causes.get(t, frozenset()) for t in endo},
-    )
-
-
 def _prop_endogenous_insertion_monotone(item: CorpusItem, rng: random.Random) -> str | None:
     extra = _fresh_fact(item.instance, rng)
     if extra is None:
@@ -504,15 +489,6 @@ def _prop_relevant_equal_causes(item: CorpusItem, rng: random.Random) -> str | N
     )
 
 
-def _prop_responsibility_matches_bcq(item: CorpusItem, rng: random.Random) -> str | None:
-    endo = item.instance.endogenous
-    return _differ(
-        "responsibility via the program vs via the query",
-        {t: datalog_responsibility(item.program, item.instance, t) for t in endo},
-        {t: responsibility(item.instance, item.query, t) for t in endo},
-    )
-
-
 PROPERTIES: dict[str, Property] = {
     "core.witnesses-match-enumeration": _agree(
         "witnesses vs enumeration",
@@ -525,7 +501,11 @@ PROPERTIES: dict[str, Property] = {
     "causality.causes-match-enumeration": _agree(
         "causes vs enumeration", lambda i: i.causes, lambda i: i.oracle_causes
     ),
-    "causality.engines-agree": _prop_engines_agree,
+    "causality.engines-agree": _agree(
+        "minimal contingency sets vs enumeration",
+        lambda i: {t: minimal_contingency_sets(i.instance, i.query, t) for t in i.instance.endogenous},
+        lambda i: {t: i.oracle_causes.get(t, frozenset()) for t in i.instance.endogenous},
+    ),
     "causality.endogenous-insertion-monotone": _prop_endogenous_insertion_monotone,
     "causality.exogenous-insertion-antimonotone": _prop_exogenous_relabel_antimonotone,
     "causality.responsibility-boundaries": _prop_responsibility_boundaries,
@@ -580,7 +560,11 @@ PROPERTIES: dict[str, Property] = {
         "necessary sets vs diagnoses", lambda i: necessary_sets(i.problem), lambda i: i.diagnoses
     )),
     "datalog.relevant-equal-causes": _prop_relevant_equal_causes,
-    "datalog.responsibility-matches-bcq": _prop_responsibility_matches_bcq,
+    "datalog.responsibility-matches-bcq": _agree(
+        "responsibility via the program vs via the query",
+        lambda i: {t: datalog_responsibility(i.program, i.instance, t) for t in i.instance.endogenous},
+        lambda i: {t: responsibility(i.instance, i.query, t) for t in i.instance.endogenous},
+    ),
 }
 
 
@@ -635,7 +619,7 @@ def _fixture_demo_values() -> list[str]:
         _differ("necessary set sizes", {len(n) for n in necessary_sets(problem)}, {2}),
         _differ(
             "repair removals",
-            s_repairs(instance, [demo_constraint()]),
+            s_repairs(instance, [demo_query()]),
             _family({r21, r33}, {r21, s3}, {s1, r33}, {s1, s3}),
         ),
     )

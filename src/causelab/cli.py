@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .abduction import abductive_solutions, necessary_sets, problem_for_instance
 from .budget import Meter, budget_from_env
@@ -124,7 +124,7 @@ def _facts_table(rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fact_sets(family: list[list[Fact]]) -> str:
+def _fact_sets(family: Iterable[list[Fact]]) -> str:
     """Set notation for a family of fact sets, each fact in input syntax:
     ``{}`` is the empty set and ``none`` the empty family."""
     sets = ("{" + ", ".join(map(str, fs)) + "}" for fs in family)

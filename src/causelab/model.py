@@ -93,7 +93,7 @@ class RelationSchema:
     arity: int
 
     def __post_init__(self) -> None:
-        if not self.name:
+        if not isinstance(self.name, str) or not self.name:
             raise ValueError("relation name must be nonempty")
         if self.arity < 1:
             raise ValueError(f"arity of {self.name!r} must be at least 1, got {self.arity}")
@@ -123,7 +123,7 @@ class Fact(_FactFields):
 
     def __new__(cls, relation: str, args: Iterable[str] = ()) -> Fact:
         args = tuple(args)
-        if not relation:
+        if not isinstance(relation, str) or not relation:
             raise ValueError("a fact needs a relation name")
         if not all(isinstance(a, str) for a in args):
             raise ValueError("fact arguments must be strings")
@@ -169,7 +169,7 @@ class Atom:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.relation:
+        if not isinstance(self.relation, str) or not self.relation:
             raise ValueError("an atom needs a relation name")
         for t in self.terms:
             if not isinstance(t, (Variable, str)):
@@ -514,14 +514,9 @@ def valuations(facts: Iterable[Fact], query: ConjunctiveQuery) -> Iterator[dict[
     return ({v: m[k].args[p] for v, (k, p) in sources.items()} for m in found)
 
 
-def eval_bcq(
-    facts: Iterable[Fact],
-    query: ConjunctiveQuery,
-    schemas: frozenset[RelationSchema] | None = None,
-) -> bool:
+def eval_bcq(facts: Iterable[Fact], query: ConjunctiveQuery) -> bool:
     """True iff some valuation maps every atom of the query into ``facts``.
     The probes are charged to the current meter."""
-    check_query_schema(query, schemas)
     return next(matches(FactIndex(facts), query.atoms, current_meter()), None) is not None
 
 
@@ -546,11 +541,7 @@ def witnesses(
     )
 
 
-def satisfies_dc(
-    facts: Iterable[Fact],
-    constraint: DenialConstraint,
-    schemas: frozenset[RelationSchema] | None = None,
-) -> bool:
+def satisfies_dc(facts: Iterable[Fact], constraint: DenialConstraint) -> bool:
     """True iff the constraint's violation view, the query it forbids, is
     false on ``facts``."""
-    return not eval_bcq(facts, constraint, schemas)
+    return not eval_bcq(facts, constraint)

@@ -19,9 +19,11 @@ lexicographically, so a set comes before its extensions and the empty
 set first.  A hitting-set answer (:class:`~causelab.hitting.HittingFamily`)
 brings its own ranking, built from the search's component numbering;
 any other family (abductive solutions, an oracle's sets, a plain set) is
-ranked here.  The value reads as a list of lists of facts, or, given a
-record key, as a list of records: the repairs' ``{"kind": ...,
-"removed": [...]}`` and the diagnoses' ``{"abnormal": [...]}``.
+ranked here.  The value iterates over its sets, each a list of facts,
+or, given a record key, over its records: the repairs' ``{"kind": ...,
+"removed": [...]}`` and the diagnoses' ``{"abnormal": [...]}``.  It is
+no list: :func:`dumps` reads its ranks and the table renderer iterates
+it.
 
 A cause set is printed from the minimal hitting sets it is read off,
 ranked and sorted once for all its causes: cause t's minimal
@@ -47,7 +49,6 @@ one, with :func:`fact_from_list`, to raise the first bad row's error.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -72,11 +73,11 @@ __all__ = [
 ]
 
 
-class RankedFamily(Sequence[Any]):
+class RankedFamily:
     """A family of fact sets in canonical order, held as rank tuples over
-    ``order``, a list of facts in canonical order; it reads as the list
-    of its sets, each a list of facts, or with ``key`` as the list of its
-    records, each the dict ``{**fields, key: set}`` of string fields."""
+    ``order``, a list of facts in canonical order; it iterates over its
+    sets, each a list of facts, or with ``key`` over its records, each
+    the dict ``{**fields, key: set}`` of string fields."""
 
     __slots__ = ("order", "ranks", "key", "fields")
 
@@ -90,17 +91,6 @@ class RankedFamily(Sequence[Any]):
 
     def __iter__(self) -> Iterator[Any]:
         return map(self._read, self.ranks)
-
-    def __len__(self) -> int:
-        return len(self.ranks)
-
-    def __getitem__(self, i):  # type: ignore[override]
-        if isinstance(i, slice):
-            return list(map(self._read, self.ranks[i]))
-        return self._read(self.ranks[i])
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == other if isinstance(other, (list, RankedFamily)) else NotImplemented
 
 
 def _ranking(family: Iterable[Iterable[Fact]]) -> tuple[list[Fact], list[tuple[int, ...]]]:

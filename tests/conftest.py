@@ -9,7 +9,6 @@ from causelab import ConjunctiveQuery, DenialConstraint, Instance
 from causelab.checks import (
     closure_instance,
     closure_program,
-    demo_constraint,
     demo_instance,
     demo_program,
     demo_query,
@@ -43,7 +42,7 @@ def q0() -> ConjunctiveQuery:
 
 @pytest.fixture
 def k0() -> DenialConstraint:
-    return demo_constraint()
+    return demo_query()
 
 
 @pytest.fixture

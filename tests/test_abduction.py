@@ -10,6 +10,7 @@ from causelab import (
     DomainError,
     Instance,
     Meter,
+    RelationSchema,
     SchemaError,
     abductive_solutions,
     build_problem,
@@ -17,6 +18,7 @@ from causelab import (
     datalog_responsibility,
     fact,
     necessary_sets,
+    parse_program,
     parse_query,
     problem_for_instance,
     relevant_hypotheses,
@@ -72,6 +74,28 @@ def test_problem_for_instance_splits_parts(d0, prog0):
     assert problem.edb == frozenset()
     assert problem.hyp == d0.endogenous
     assert problem.obs == frozenset({fact("ans")})
+
+
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        ("ans :- R(X, Y), Q(Y).", r"^query atom Q\(Y\) uses the undeclared relation 'Q'$"),
+        ("ans :- R(X).", r"^query atom R\(X\) has arity 1, but 'R' is declared with arity 2$"),
+        # a relation a rule head defines is the program's own, checked nowhere
+        ("T(X) :- S(X).\nans :- T(X), Z(X).", r"^query atom Z\(X\) uses the undeclared relation 'Z'$"),
+    ],
+    ids=["undeclared", "wrong-arity", "beside-a-head"],
+)
+def test_problem_for_instance_checks_the_stored_relations(d0, rules, message):
+    # before the problem is built: the observation is not entailed either
+    with pytest.raises(SchemaError, match=message):
+        problem_for_instance(parse_program(rules), d0)
+
+
+def test_problem_for_instance_accepts_a_declared_relation_without_facts(d0, prog0):
+    declared = Instance(d0.schemas | {RelationSchema("T", 1)}, d0.endogenous)
+    problem = problem_for_instance(parse_program("ans :- R(X, Y), S(Y).\nans :- T(X)."), declared)
+    assert abductive_solutions(problem) == abductive_solutions(problem_for_instance(prog0, d0))
 
 
 def test_solutions_on_demo(d0, prog0):

@@ -170,6 +170,25 @@ def test_criterion_8_oracle_equivalences(corpus_reports):
             ["repairs", "-i", "d0.json", "-c", "k0.dl", "--endogenous-only", "--format", "table"],
         ),
         ("check.json", ["check", "--seed", "1"]),
+        # the same requests as tables, which iterate the payload's families
+        ("causes.txt", ["causes", "-i", "d0.json", "-q", "q0.dl", "--format", "table"]),
+        (
+            "responsibility.txt",
+            ["responsibility", "-i", "d0.json", "-q", "q0.dl", "--tuple", "S(a1)",
+             "--format", "table"],
+        ),
+        (
+            "repairs_s_all.txt",
+            ["repairs", "-i", "d0.json", "-c", "k0.dl", "--semantics", "s", "--format", "table"],
+        ),
+        (
+            "repairs_c.txt",
+            ["repairs", "-i", "d0.json", "-c", "k0.dl", "--semantics", "c", "--format", "table"],
+        ),
+        ("cqa.txt", ["cqa", "-i", "d0.json", "-c", "k0.dl", "--atom", "R(a1, a4)", "--format", "table"]),
+        ("diagnose.txt", ["diagnose", "-i", "d0.json", "-q", "q0.dl", "--format", "table"]),
+        ("abduce.txt", ["abduce", "-i", "d0.json", "-p", "prog0.dl", "--format", "table"]),
+        ("check.txt", ["check", "--seed", "1", "--format", "table"]),
     ],
 )
 def test_criterion_9_determinism(golden, argv, data_dir, monkeypatch, capsys):

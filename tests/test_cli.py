@@ -446,6 +446,23 @@ def test_undeclared_query_relation_exits_2(in_data_dir, tmp_path, capsys):
     assert run(capsys, "causes", "-i", D0, "-q", str(query))[0] == 2
 
 
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ("ans :- R(X, Y), Q(Y).", "query atom Q(Y) uses the undeclared relation 'Q'"),
+        ("ans :- R(X).", "query atom R(X) has arity 1, but 'R' is declared with arity 2"),
+    ],
+    ids=["undeclared", "wrong-arity"],
+)
+def test_undeclared_program_relation_exits_2(in_data_dir, tmp_path, capsys, rule, message):
+    # a schema error, as for a query, not the unentailed observation's exit 4
+    program = tmp_path / "alien.dl"
+    program.write_text(rule)
+    assert run(capsys, "abduce", "-i", D0, "-p", str(program)) == (
+        2, "", f"causelab: schema error: {message}\n"
+    )
+
+
 def test_budget_exhaustion_exits_3(in_data_dir, capsys):
     code, _, err = run(capsys, "repairs", "-i", D0, "-c", K0, "--budget", "2")
     assert code == 3

@@ -25,6 +25,7 @@ from causelab import (
     satisfies_dc,
     witnesses,
 )
+from causelab.model import check_query_schema
 from causelab.oracles import valuations_by_nested_loops, witnesses_by_enumeration
 
 
@@ -54,10 +55,28 @@ def test_fact_ordering_is_canonical():
     assert sorted(quoted) == [fact("R", "a"), fact("R", "a b"), fact("R", "b"), fact("R", "it's")]
 
 
-@pytest.mark.parametrize("relation, args", [("", ()), ("R", (1,)), ("R", ("a", None))])
+# a relation name is checked where it enters, not when it is first printed
+NOT_NAMES = pytest.mark.parametrize("name", ["", 5, b"R"])
+
+
+@pytest.mark.parametrize(
+    "relation, args", [("", ()), (5, ("a",)), (b"R", ("a",)), ("R", (1,)), ("R", ("a", None))]
+)
 def test_fact_rejects_bad_fields(relation, args):
     with pytest.raises(ValueError):
         Fact(relation, args)
+
+
+@NOT_NAMES
+def test_schema_rejects_a_name_that_is_no_nonempty_string(name):
+    with pytest.raises(ValueError, match="^relation name must be nonempty$"):
+        RelationSchema(name, 1)
+
+
+@NOT_NAMES
+def test_atom_rejects_a_relation_that_is_no_nonempty_string(name):
+    with pytest.raises(ValueError, match="^an atom needs a relation name$"):
+        Atom(name, ())
 
 
 def test_fact_is_its_relation_args_tuple():
@@ -148,15 +167,11 @@ def test_eval_after_removing_join_tuples(d0_facts, q0):
     assert not eval_bcq(remaining, q0)
 
 
-def test_eval_schema_check(q0):
+def test_query_schema_check(q0):
     with pytest.raises(SchemaError):
-        eval_bcq(frozenset(), q0, frozenset({RelationSchema("R", 2)}))
+        check_query_schema(q0, frozenset({RelationSchema("R", 2)}))
     with pytest.raises(SchemaError):
-        eval_bcq(
-            frozenset(),
-            q0,
-            frozenset({RelationSchema("R", 1), RelationSchema("S", 1)}),
-        )
+        check_query_schema(q0, frozenset({RelationSchema("R", 1), RelationSchema("S", 1)}))
 
 
 def test_witnesses_on_demo_instance(d0_facts, q0):

@@ -74,7 +74,7 @@ def test_first_difference_names_the_first_differing_offset():
     assert first_difference("abc" * 10**6, "abc" * 10**6) is None
     assert first_difference("ab" + "x" * 99, "ab" + "y" * 99).startswith("offset 2 of 101 and 101: 'xxx")
     assert first_difference([(1, 2)], [(1, 3)]) == "offset 5 of 8 and 8: '2)]' vs '3)]'"
-    assert first_difference(family_to_list([{fact("R", "a")}]), [[fact("R", "a")]]) is None
+    assert first_difference(list(family_to_list([{fact("R", "a")}])), [[fact("R", "a")]]) is None
 
 
 def random_text(rng: random.Random) -> str:
@@ -86,7 +86,7 @@ def random_fact(rng: random.Random) -> Fact:
     return Fact(name, tuple(random_text(rng) for _ in range(rng.randrange(4))))
 
 
-def random_family(rng: random.Random, pool: list[Fact]) -> list[list[Fact]]:
+def random_family(rng: random.Random, pool: list[Fact]) -> RankedFamily:
     """Sets drawn from a small pool, so sets share facts and prefixes; the
     empty set included at times."""
     return family_to_list(
@@ -188,9 +188,8 @@ def test_dumps_matches_json_dumps_on_record_families(payload):
 def test_a_record_family_reads_as_its_records():
     records = family_to_list(REPAIRS, "removed", kind="S")
     expected = [{"kind": "S", "removed": [A]}, {"kind": "S", "removed": [B, C]}]
-    assert list(records) == records == expected
-    assert len(records) == 2 and records[1] == expected[1] and records[:1] == expected[:1]
-    assert family_to_list([set()], "abnormal") == [{"abnormal": []}]
+    assert list(records) == expected
+    assert list(family_to_list([set()], "abnormal")) == [{"abnormal": []}]
 
 
 @pytest.mark.parametrize(
@@ -216,7 +215,7 @@ def test_dumps_rejects_other_types(payload):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_sort_families_matches_family_key_order(seed):
+def test_family_to_list_matches_sorted_by_sorted_members(seed):
     rng = random.Random(seed)
     pool = [random_fact(rng) for _ in range(rng.randrange(1, 7))]
     family = [frozenset(rng.sample(pool, rng.randrange(len(pool) + 1))) for _ in range(8)]
@@ -224,19 +223,19 @@ def test_sort_families_matches_family_key_order(seed):
     chosen = sorted(rng.choice(family))
     family += [frozenset(chosen[:k]) for k in range(len(chosen))]
     expected = [sorted(s) for s in sorted(family, key=sorted)]
-    assert first_difference(family_to_list(family), expected) is None
-    assert first_difference(family_to_list(iter(family)), expected) is None
+    assert first_difference(list(family_to_list(family)), expected) is None
+    assert first_difference(list(family_to_list(iter(family))), expected) is None
     distinct = set(family)
     expected = [sorted(s) for s in sorted(distinct, key=sorted)]
-    assert first_difference(family_to_list(distinct), expected) is None
+    assert first_difference(list(family_to_list(distinct)), expected) is None
 
 
 def test_sort_families_puts_prefixes_first():
     a, b, c = fact("R", "a"), fact("R", "b"), fact("S", "a")
     family = [{a, b, c}, {b}, {a, c}, set(), {a, b}, {a}]
-    assert family_to_list(family) == [[], [a], [a, b], [a, b, c], [a, c], [b]]
-    assert family_to_list([]) == []
-    assert family_to_list([set()]) == [[]]
+    assert list(family_to_list(family)) == [[], [a], [a, b], [a, b, c], [a, c], [b]]
+    assert list(family_to_list([])) == []
+    assert list(family_to_list([set()])) == [[]]
 
 
 def _old_cause_set_to_list(cause_set) -> list[dict[str, Any]]:
@@ -256,7 +255,7 @@ def _old_cause_set_to_list(cause_set) -> list[dict[str, Any]]:
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_cause_payload_matches_family_key_order(seed):
+def test_cause_payload_matches_sorted_by_sorted_members(seed):
     rng = random.Random(seed)
     consts = [rng.choice(["a", "b", "c", "it's", "Upper", "d e"]) for _ in range(4)]
     facts = {fact("R", rng.choice(consts), rng.choice(consts)) for _ in range(10)}
