@@ -10,6 +10,11 @@ containing a fact gives that fact's responsibility for the observation,
 which extends cause/responsibility from conjunctive queries to
 recursive Datalog queries.  The definition-level searches over subsets
 of abducibles and contingency sets live in :mod:`causelab.oracles`.
+
+:func:`problem_for_instance` is where a program meets an instance: it
+holds the body atoms over stored relations, and any explicit
+observations, to the instance's schemas with
+:func:`~causelab.model.check_schema`.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from typing import Iterable, TypeAlias
 from .causality import require_endogenous
 from .errors import DomainError
 from .hitting import min_hitting_size, minimal_hitting_sets, minimize_family
-from .model import ConjunctiveQuery, Fact, Instance, check_query_schema
+from .model import Fact, Instance, check_schema
 from .datalog import DatalogProgram, minimal_supports
 
 __all__ = [
@@ -86,16 +91,22 @@ def problem_for_instance(
 
     A body atom whose relation no rule head defines reads the instance,
     so it must use a declared relation at its declared arity, as a query
-    atom must; a declared relation with no facts is fine."""
+    atom must; a declared relation with no facts is fine.  An explicit
+    observation must match a rule head or a declared relation in both
+    name and arity; the observations are checked in canonical order, so
+    the error names the smallest offender.  The default answer atom is
+    not checked: a program without an answer rule just does not entail
+    it."""
     heads = program.head_predicates()
-    stored = tuple(a for r in program.rules for a in r.body if a.relation not in heads)
-    if stored:
-        check_query_schema(ConjunctiveQuery(stored), instance.schemas)
-    obs = (
-        frozenset(observations)
-        if observations is not None
-        else frozenset({program.answer_atom()})
-    )
+    declared = {s.name: s.arity for s in instance.schemas}.items()
+    stored = (a for r in program.rules for a in r.body if a.relation not in heads)
+    check_schema("query atom", stored, declared)
+    if observations is None:
+        obs = frozenset({program.answer_atom()})
+    else:
+        obs = frozenset(observations)
+        defined = {(r.head.relation, r.head.arity) for r in program.rules}
+        check_schema("observation", sorted(obs), declared | defined)
     return AbductionProblem(program, instance.exogenous, instance.endogenous, obs)
 
 

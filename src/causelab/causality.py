@@ -30,6 +30,11 @@ smallest contingency set).  The most responsible causes are the tuples
 in a least hitting set of their own component.  The definition-level
 search over contingency candidates lives in :mod:`causelab.oracles`,
 which the cross-check harness compares against.
+
+Every route here reads the witnesses through :func:`endogenous_parts`,
+which checks the query against the instance's schemas
+(:func:`~causelab.model.check_query_schema`) before it reads them, so a
+family kept for the request never lets a call skip the check.
 """
 from __future__ import annotations
 
@@ -41,7 +46,7 @@ from typing import Any, Iterable, TypeAlias
 from .budget import current_meter
 from .errors import DomainError
 from .hitting import min_hitting_size, minimal_hitting_sets, smallest_set_elements
-from .model import ConjunctiveQuery, Fact, Instance, witnesses
+from .model import ConjunctiveQuery, Fact, Instance, check_query_schema, witnesses
 
 __all__ = [
     "ContingencySet",
@@ -147,9 +152,12 @@ def endogenous_parts(instance: Instance, query: ConjunctiveQuery) -> frozenset[f
     """The endogenous part of every witness of the query: the family whose
     minimal hitting sets are the contingency-extended causes and the
     minimal diagnoses.  Empty iff the query is false; it holds the empty
-    set iff some witness is wholly exogenous, and then nothing is a cause."""
+    set iff some witness is wholly exogenous, and then nothing is a cause.
+    Raises SchemaError first when the query does not fit the instance's
+    schemas."""
+    check_query_schema(query, instance.schemas)
     endogenous = instance.endogenous
-    return frozenset(w & endogenous for w in witnesses(instance.facts, query, instance.schemas))
+    return frozenset(w & endogenous for w in witnesses(instance.facts, query))
 
 
 def minimal_contingency_sets(

@@ -358,7 +358,8 @@ def _prop_endogenous_insertion_monotone(item: CorpusItem, rng: random.Random) ->
     extra = _fresh_fact(item.instance, rng)
     if extra is None:
         return None
-    after = actual_causes(item.instance.with_endogenous(extra), item.query).keys()
+    grown = Instance(item.instance.schemas, item.instance.endogenous | {extra}, item.instance.exogenous)
+    after = actual_causes(grown, item.query).keys()
     return _differ(f"causes lost by adding endogenous {extra}", item.causes.keys() - after, set())
 
 
@@ -492,7 +493,7 @@ def _prop_relevant_equal_causes(item: CorpusItem, rng: random.Random) -> str | N
 PROPERTIES: dict[str, Property] = {
     "core.witnesses-match-enumeration": _agree(
         "witnesses vs enumeration",
-        lambda i: witnesses(i.instance.facts, i.query, i.instance.schemas),
+        lambda i: witnesses(i.instance.facts, i.query),
         lambda i: witnesses_by_enumeration(i.instance.facts, i.query),
     ),
     "core.constraint-duality": _prop_constraint_duality,

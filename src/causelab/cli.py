@@ -137,7 +137,7 @@ def _cmd_causes(args: argparse.Namespace) -> dict[str, Any]:
     causes = actual_causes(instance, query)
     # a query with a cause holds; one without reads the witnesses the
     # causes were read off
-    holds = bool(causes) or bool(witnesses(instance.facts, query, instance.schemas))
+    holds = bool(causes) or bool(witnesses(instance.facts, query))
     payload: dict[str, Any] = {"query_holds": holds, "causes": cause_set_to_list(causes)}
     if not holds:
         payload["note"] = "the query is false in this instance; there is no answer to explain"

@@ -6,6 +6,17 @@ enumeration.  A denial constraint forbids exactly the pattern of a query
 and its violation view is that query, so :data:`DenialConstraint` is the
 query itself and :func:`satisfies_dc` is the one place that negates it.
 
+Schema rule
+-----------
+:func:`check_schema` is the one place that holds an atom or a fact to
+the declared relations and their arities.  An :class:`Instance` runs it
+over its facts, :func:`check_query_schema` over a query's or a
+constraint's atoms, and :func:`causelab.abduction.problem_for_instance`
+over a program's body atoms on stored relations and its explicit
+observations.  The join engine and :func:`witnesses` take no schemas: a
+route that receives an instance checks its query against the
+instance's schemas where it receives it.
+
 Join engine
 -----------
 :func:`matches` is the one join behind query evaluation, witnesses and
@@ -57,6 +68,7 @@ __all__ = [
     "DenialConstraint",
     "Witness",
     "Instance",
+    "check_schema",
     "check_query_schema",
     "ground_atom",
     "FactIndex",
@@ -248,8 +260,9 @@ class Instance:
     A fact lives in exactly one part; overlap is rejected.  Every fact
     must conform to a declared relation schema: the set of the facts'
     (relation, arity) pairs, gathered in C, must lie within the declared
-    ones.  An error names the smallest offender in canonical order, so
-    its text does not depend on set iteration order.
+    ones.  Only when it does not does :func:`check_schema` walk the
+    facts in canonical order, so the error names the smallest offender
+    and its text does not depend on set iteration order.
     """
 
     schemas: frozenset[RelationSchema]
@@ -275,20 +288,11 @@ class Instance:
         facts = self.endogenous | self.exogenous
         object.__setattr__(self, "facts", facts)
         if not _signatures(facts).issubset(arities.items()):
-            f = min(f for f in facts if arities.get(f.relation) != f.arity)
-            declared = arities.get(f.relation)
-            if declared is None:
-                raise SchemaError(f"fact {f} uses the undeclared relation {f.relation!r}")
-            raise SchemaError(
-                f"fact {f} has arity {f.arity}, but {f.relation!r} is declared with arity {declared}"
-            )
+            check_schema("fact", sorted(facts), arities.items())
 
     def all_endogenous(self) -> "Instance":
         """The same facts with the whole instance treated as endogenous."""
         return Instance(self.schemas, self.facts, frozenset())
-
-    def with_endogenous(self, f: Fact) -> "Instance":
-        return Instance(self.schemas, self.endogenous | {f}, self.exogenous)
 
     @classmethod
     def infer(cls, endogenous: Iterable[Fact] = (), exogenous: Iterable[Fact] = ()) -> "Instance":
@@ -305,20 +309,27 @@ class Instance:
         return cls(frozenset(RelationSchema(name, arity) for name, arity in used), endo, exo)
 
 
-def check_query_schema(query: ConjunctiveQuery, schemas: frozenset[RelationSchema] | None) -> None:
-    """Raise SchemaError when the query mentions an undeclared relation or
-    uses one at the wrong arity.  No-op when schemas is None."""
-    if schemas is None:
-        return
-    arities = {s.name: s.arity for s in schemas}
-    for a in query.atoms:
-        declared = arities.get(a.relation)
-        if declared is None:
-            raise SchemaError(f"query atom {a} uses the undeclared relation {a.relation!r}")
-        if declared != a.arity:
+def check_schema(
+    what: str, items: Iterable[Atom | Fact], signatures: AbstractSet[tuple[str, int]]
+) -> None:
+    """The one schema rule: raise SchemaError at the first of ``items``
+    whose (relation, arity) pair is not among ``signatures``.  The
+    message calls the relation undeclared when no pair names it, else
+    gives its least declared arity; ``what`` names the kind of item."""
+    for x in items:
+        if (x.relation, x.arity) not in signatures:
+            declared = min((a for name, a in signatures if name == x.relation), default=None)
+            if declared is None:
+                raise SchemaError(f"{what} {x} uses the undeclared relation {x.relation!r}")
             raise SchemaError(
-                f"query atom {a} has arity {a.arity}, but {a.relation!r} is declared with arity {declared}"
+                f"{what} {x} has arity {x.arity}, but {x.relation!r} is declared with arity {declared}"
             )
+
+
+def check_query_schema(query: ConjunctiveQuery, schemas: frozenset[RelationSchema]) -> None:
+    """Raise SchemaError when a query atom uses an undeclared relation or
+    a declared one at another arity."""
+    check_schema("query atom", query.atoms, {s.name: s.arity for s in schemas}.items())
 
 
 def ground_atom(a: Atom, valuation: Mapping[Variable, str]) -> Fact:
@@ -520,11 +531,7 @@ def eval_bcq(facts: Iterable[Fact], query: ConjunctiveQuery) -> bool:
     return next(matches(FactIndex(facts), query.atoms, current_meter()), None) is not None
 
 
-def witnesses(
-    facts: Iterable[Fact],
-    query: ConjunctiveQuery,
-    schemas: frozenset[RelationSchema] | None = None,
-) -> frozenset[Witness]:
+def witnesses(facts: Iterable[Fact], query: ConjunctiveQuery) -> frozenset[Witness]:
     """Exactly the minimal support sets of the query within ``facts``.
 
     Each witness is the set of facts one match of the join engine maps
@@ -533,7 +540,6 @@ def witnesses(
     current meter, once per ``with Meter`` block for equal facts and query
     (:meth:`~causelab.budget.Meter.once`).
     """
-    check_query_schema(query, schemas)
     facts, meter = frozenset(facts), current_meter()
     return meter.once(
         ("witnesses", facts, query),

@@ -20,6 +20,11 @@ A ground atom is consistently true, kept by every S-repair, iff it lies
 in no witness of the constraint, so :func:`consistently_true` reads the
 answer off the witnesses alone.
 
+Each constraint is checked against the instance's schemas before its
+witnesses are read: by :func:`_violations` and :func:`consistently_true`
+here, and by :func:`causelab.causality.endogenous_parts` on the routes
+that read endogenous parts.
+
 The *_from_causes constructions rebuild repairs out of the cause and
 contingency classes of the violation view and must coincide with the
 direct computation; the cross-check harness verifies this on random
@@ -38,7 +43,7 @@ from .causality import (
 )
 from .errors import DomainError
 from .hitting import minimal_hitting_sets, smallest_hitting_sets
-from .model import ConjunctiveQuery, DenialConstraint, Fact, Instance, witnesses
+from .model import ConjunctiveQuery, DenialConstraint, Fact, Instance, check_query_schema, witnesses
 
 __all__ = [
     "Repair",
@@ -62,7 +67,8 @@ def _violations(
     """The witnesses of every constraint's violation view, pooled."""
     pooled: set[frozenset[Fact]] = set()
     for constraint in constraints:
-        pooled |= witnesses(instance.facts, constraint, instance.schemas)
+        check_query_schema(constraint, instance.schemas)
+        pooled |= witnesses(instance.facts, constraint)
     return pooled
 
 
@@ -163,7 +169,8 @@ def consistently_true(instance: Instance, constraint: DenialConstraint, a: Fact)
     """
     if a not in instance.facts:
         raise DomainError(f"{a} is not a fact of the instance")
-    return not any(a in w for w in witnesses(instance.facts, constraint, instance.schemas))
+    check_query_schema(constraint, instance.schemas)
+    return not any(a in w for w in witnesses(instance.facts, constraint))
 
 
 def endogenous_s_repairs(

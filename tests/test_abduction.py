@@ -98,6 +98,31 @@ def test_problem_for_instance_accepts_a_declared_relation_without_facts(d0, prog
     assert abductive_solutions(problem) == abductive_solutions(problem_for_instance(prog0, d0))
 
 
+@pytest.mark.parametrize(
+    "observation, message",
+    [
+        (fact("anz"), r"^observation anz uses the undeclared relation 'anz'$"),
+        (
+            fact("R", "a1", "a4", "a5"),
+            r"^observation R\(a1, a4, a5\) has arity 3, but 'R' is declared with arity 2$",
+        ),
+        (fact("ans", "a"), r"^observation ans\(a\) has arity 1, but 'ans' is declared with arity 0$"),
+    ],
+    ids=["undeclared", "wrong-arity", "head-at-wrong-arity"],
+)
+def test_problem_for_instance_checks_the_observations(d0, prog0, observation, message):
+    # before the problem is built: the observation is not entailed either
+    with pytest.raises(SchemaError, match=message):
+        problem_for_instance(prog0, d0, [fact("ans"), observation])
+
+
+def test_an_observation_may_match_a_declared_relation_or_any_arity_of_a_head(d0):
+    program = parse_program("P(X) :- S(X).\nP(X, Y) :- R(X, Y).")
+    r14 = fact("R", "a1", "a4")
+    problem = problem_for_instance(program, d0, [r14, fact("P", "a1"), fact("P", "a1", "a4")])
+    assert abductive_solutions(problem) == frozenset({frozenset({S1, r14})})
+
+
 def test_solutions_on_demo(d0, prog0):
     assert abductive_solutions(problem_for_instance(prog0, d0)) == DEMO_SOLUTIONS
 

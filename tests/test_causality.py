@@ -147,7 +147,7 @@ def test_cause_oracle_cap(q0):
 
 def test_monotonicity_when_endogenous_tuple_is_added(d0, q0):
     before = actual_causes(d0, q0).keys()
-    grown = d0.with_endogenous(fact("S", "a4"))
+    grown = Instance(d0.schemas, d0.endogenous | {fact("S", "a4")}, d0.exogenous)
     after = actual_causes(grown, q0).keys()
     assert before <= after
 

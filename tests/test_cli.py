@@ -463,6 +463,44 @@ def test_undeclared_program_relation_exits_2(in_data_dir, tmp_path, capsys, rule
     )
 
 
+@pytest.mark.parametrize(
+    "observations, message",
+    [
+        (["anz"], "observation anz uses the undeclared relation 'anz'"),
+        (
+            ["R(a1, a4, a5)"],
+            "observation R(a1, a4, a5) has arity 3, but 'R' is declared with arity 2",
+        ),
+        (["ans(a)"], "observation ans(a) has arity 1, but 'ans' is declared with arity 0"),
+        # the smaller of two bad observations in canonical order, whatever the hash seed
+        (
+            ["anz", "R(a1, a4, a5)"],
+            "observation R(a1, a4, a5) has arity 3, but 'R' is declared with arity 2",
+        ),
+    ],
+    ids=["undeclared", "wrong-arity", "head-at-wrong-arity", "smallest-of-two"],
+)
+def test_observation_outside_the_schema_exits_2(in_data_dir, capsys, observations, message):
+    # a misspelled or misshapen observation is a schema error, not exit 4
+    argv = [arg for o in observations for arg in ("--obs", o)]
+    assert run(capsys, "abduce", "-i", D0, "-p", PROG0, *argv) == (
+        2, "", f"causelab: schema error: {message}\n"
+    )
+
+
+def test_observation_inside_the_schema_keeps_its_exit(in_data_dir, tmp_path, capsys):
+    assert run(capsys, "abduce", "-i", D0, "-p", PROG0, "--obs", "R(a1, a4)")[0] == 0
+    not_entailed = (
+        4, "", "causelab: domain error: the observations are not entailed even with every "
+        "hypothesis included\n"
+    )
+    assert run(capsys, "abduce", "-i", D0, "-p", PROG0, "--obs", "S(a9)") == not_entailed
+    # the default answer atom is not user input: without an ans rule it is just not entailed
+    program = tmp_path / "no_ans.dl"
+    program.write_text("T(X) :- S(X).")
+    assert run(capsys, "abduce", "-i", D0, "-p", str(program)) == not_entailed
+
+
 def test_budget_exhaustion_exits_3(in_data_dir, capsys):
     code, _, err = run(capsys, "repairs", "-i", D0, "-c", K0, "--budget", "2")
     assert code == 3

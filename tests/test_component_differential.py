@@ -228,7 +228,7 @@ def test_minimum_routes_match_enumerate_and_filter(kind, seed, case):
     )
     assert c_repairs(instance, [constraint]) == _least(s_repairs(instance, [constraint]))
     assert s_repairs(instance, [constraint]) == _whole(
-        witnesses(instance.facts, constraint, instance.schemas)
+        witnesses(instance.facts, constraint)
     )
     if len(instance.facts) <= LATTICE_CAP:
         oracle = causes_by_enumeration(instance, query)

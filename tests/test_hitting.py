@@ -125,7 +125,7 @@ def test_hitting_search_charges_are_pinned():
     instance = demo_instance()
     parts = [
         w & instance.endogenous
-        for w in witnesses(instance.facts, demo_query(), instance.schemas)
+        for w in witnesses(instance.facts, demo_query())
     ]
     assert _component_count(parts) == 2
     assert _charged(parts) == 2 * 3 + 4

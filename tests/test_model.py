@@ -130,7 +130,7 @@ def test_instance_keeps_its_fact_set():
     everything = inst.all_endogenous()
     assert (everything.endogenous, everything.exogenous) == (inst.facts, frozenset())
     assert everything.facts == inst.facts
-    grown = inst.with_endogenous(fact("S", "b"))
+    grown = Instance(inst.schemas, inst.endogenous | {fact("S", "b")}, inst.exogenous)
     assert grown.facts == facts("R(a,b)", "S(a)", "S(b)")
     assert grown.endogenous == facts("R(a,b)", "S(b)")
     # the kept set takes no part in equality, hashing or the repr

@@ -97,7 +97,7 @@ def test_routes_match_the_reference(case, ref):
     instance, text = case
     query, constraint = parse_query("q() " + text), parse_denial_constraint(text)
     found = ref.witnesses(set(map(_tuple, instance.facts)), _atoms(query))
-    assert _plain(witnesses(instance.facts, query, instance.schemas)) == found
+    assert _plain(witnesses(instance.facts, query)) == found
     endogenous = set(map(_tuple, instance.endogenous))
     parts = {w & endogenous for w in found}
     hitting = ref.transversals(parts)
@@ -117,7 +117,7 @@ def test_routes_match_the_reference(case, ref):
     # query's witnesses; with every witness endogenous they are the parts
     removals = hitting if parts == found else ref.transversals(found)
     repairs = s_repairs(instance, [constraint])
-    _certify(repairs, witnesses(instance.facts, constraint, instance.schemas))
+    _certify(repairs, witnesses(instance.facts, constraint))
     assert _plain(repairs) == removals
     least = min(map(len, removals))
     assert _plain(c_repairs(instance, [constraint])) == {r for r in removals if len(r) == least}

@@ -198,7 +198,7 @@ def test_consistently_true_spends_only_the_witness_join():
     constraint = parse_denial_constraint(":- R(X, Y), R(Y, Z).")
     assert len(s_repairs(inst, [constraint])) == 1024
     with Meter() as join:
-        witnesses(inst.facts, constraint, inst.schemas)
+        witnesses(inst.facts, constraint)
     for a in chains[0]:
         with Meter() as cqa:
             assert not consistently_true(inst, constraint, a)

@@ -17,11 +17,11 @@ import pytest
 
 from causelab import BudgetError, Meter, cli, datalog, hitting, model
 from causelab.abduction import datalog_actual_causes, datalog_responsibility
-from causelab.causality import minimal_contingency_sets, responsibility
+from causelab.causality import actual_causes, minimal_contingency_sets, responsibility
 from causelab.checks import cross_check, fixture_checks
 from causelab.datalog import minimal_supports
 from causelab.errors import SchemaError
-from causelab.model import fact, witnesses
+from causelab.model import ConjunctiveQuery, Instance, RelationSchema, atom, fact, witnesses
 
 S1 = fact("S", "a1")
 
@@ -193,13 +193,20 @@ def test_a_raising_computation_leaves_no_entry():
     assert len(calls) == 2
 
 
-def test_a_schema_error_is_raised_on_every_call(d0, q0):
-    undeclared = frozenset(s for s in d0.schemas if s.name != "S")
+def test_a_schema_error_is_raised_on_every_call(d0, q0, counts):
+    # the witnesses over d0's facts are kept once the instance that
+    # declares P has asked for them, yet a route checks the query against
+    # its own instance's schemas before it reads them, and d0 has no P
+    query = ConjunctiveQuery((*q0.atoms, atom("P", "X")))
+    declared = Instance(d0.schemas | {RelationSchema("P", 1)}, d0.endogenous, d0.exogenous)
+    undeclared = r"^query atom P\(X\) uses the undeclared relation 'P'$"
     with Meter():
-        assert witnesses(d0.facts, q0, d0.schemas)
+        assert not actual_causes(declared, query)
         for _ in range(2):
-            with pytest.raises(SchemaError):
-                witnesses(d0.facts, q0, undeclared)
+            with pytest.raises(SchemaError, match=undeclared):
+                actual_causes(d0, query)
+        assert witnesses(d0.facts, query) == frozenset()
+    assert counts["join"] == 1
 
 
 def _harness(seed):
