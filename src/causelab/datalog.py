@@ -6,13 +6,17 @@ monotonicity is what the abduction layer exploits.  Evaluation is
 semi-naive: each iteration joins the facts first derived in the previous
 round against everything older, so no ground rule instance fires twice.
 The joins run on the engine of :mod:`causelab.model`: one
-:class:`~causelab.model.FactIndex` over the model grows with each round,
-and the "old" pool is the full index with the delta facts skipped.  Each
-round groups its delta by relation and arity in a plain dict and visits,
-in (rule, position) order, only the positions whose group the delta
-holds and whose earlier atoms have old facts.  A delta atom's rows are
-its group's delta facts, filtered on its constants; a position's join
-plan is looked up once per fixpoint.  The current meter
+:class:`~causelab.model.FactIndex` over the model grows in place with
+each round, and the "old" pool is the full index with the delta facts
+skipped.  A map from each (relation, arity) group to the rule positions
+whose atom is in it is built once per fixpoint, so a round's cost
+follows its delta: it groups the delta in a plain dict and visits, in
+(rule, position) order, only the positions of the groups the delta
+holds whose earlier atoms have old facts.  Each position's
+:class:`~causelab.model.Join` is prepared the first time it is visited,
+on the index's live tables, and each round hands it only the delta
+rows of its group and the delta as the skip set.  A delta atom's rows
+are filtered on its constants.  The current meter
 (:func:`causelab.budget.current_meter`) is charged per candidate fact an
 index probe or the delta filter returns, not per fact scanned, and per
 support combination.
@@ -35,15 +39,15 @@ engine builds it with ``tuple.__new__`` and skips
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import chain, compress, product
+from itertools import chain, compress, count, product
 from operator import or_
 from typing import Iterable, Iterator
 
 from .budget import Meter, current_meter
 from .hitting import _bits
-from .model import Atom, Fact, FactIndex, Variable, _plan, matches, variable_positions
+from .model import Atom, Fact, FactIndex, Join, Variable, variable_positions
 
 __all__ = [
     "DatalogRule",
@@ -66,16 +70,22 @@ class DatalogRule:
 
     head: Atom
     body: tuple[Atom, ...]
+    #: Each head term as the (atom, position) of its variable's first
+    #: occurrence in the body, or as (-1, constant): built once, it takes
+    #: no part in ``==``, ``hash`` or ``repr``.
+    _head_sources: tuple[tuple[int, object], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "body", tuple(self.body))
         if not self.body:
             raise ValueError(f"rule for {self.head} needs a nonempty body")
-        body_vars = frozenset(v for a in self.body for v in a.variables())
-        loose = self.head.variables() - body_vars
+        sources = variable_positions(self.body)
+        loose = self.head.variables() - sources.keys()
         if loose:
             names = ", ".join(sorted(v.name for v in loose))
             raise ValueError(f"unsafe rule: head variables {names} do not occur in the body")
+        head = tuple(sources[t] if isinstance(t, Variable) else (-1, t) for t in self.head.terms)
+        object.__setattr__(self, "_head_sources", head)
 
     def __str__(self) -> str:
         return f"{self.head} :- {', '.join(str(a) for a in self.body)}."
@@ -114,32 +124,34 @@ def _seminaive(
     full = FactIndex(model)
     delta: set[Fact] = set(model)
     derivations: dict[Fact, set[frozenset[Fact]]] = {}
-    # One entry per (rule, position), in order: the rule, its head terms as
-    # (atom, position) of a body match or (-1, constant), the position, its
-    # group, the groups before it, and its plan once the position is visited.
-    positions = []
+    # One entry per (rule, position), listed under its atom's group: its
+    # number in (rule, position) order, the rule, the position, its group,
+    # the groups before it, and its join once it is prepared.
+    dispatch: dict[tuple[str, int], list[list]] = {}
+    number = count()
     for r in program.rules:
-        sources = variable_positions(r.body)
-        head = tuple(sources[t] if isinstance(t, Variable) else (-1, t) for t in r.head.terms)
         groups = [(a.relation, a.arity) for a in r.body]
-        positions += [[r, head, i, g, groups[:i], None] for i, g in enumerate(groups)]
+        for i, g in enumerate(groups):
+            dispatch.setdefault(g, []).append([next(number), r, i, g, groups[:i], None])
     while delta:
         by_group: dict[tuple[str, int], list[Fact]] = {}
         for f in delta:
             by_group.setdefault((f.relation, len(f.args)), []).append(f)
         fresh: set[Fact] = set()
-        for position in positions:
-            r, head, i, group, earlier, plan = position
-            rows = by_group.get(group)
-            # skip when the delta has no facts for atom i, or an earlier
-            # atom has no facts outside the delta
-            if rows is None or any(full.size(g) == len(by_group.get(g, ())) for g in earlier):
-                continue
-            if plan is None:
-                plan = position[5] = _plan(r.body, i)
-            for m in matches(full, r.body, meter, (plan, rows, delta)):
+        # one group's entries are in order already; several are merged
+        hit = [dispatch[g] for g in by_group if g in dispatch]
+        for entry in hit[0] if len(hit) == 1 else sorted(chain.from_iterable(hit)):
+            _, r, i, group, earlier, join = entry
+            if join is None:
+                # skip while an earlier atom has no facts outside the delta;
+                # once it has some, it has some in every later round
+                if any(full.size(g) == len(by_group.get(g, ())) for g in earlier):
+                    continue
+                join = entry[5] = Join(full, r.body, meter, i)
+            relation, head = r.head.relation, r._head_sources
+            for m in join(by_group[group], delta):
                 args = tuple([p if k < 0 else m[k].args[p] for k, p in head])
-                derived = tuple.__new__(Fact, (r.head.relation, args))
+                derived = tuple.__new__(Fact, (relation, args))
                 derivations.setdefault(derived, set()).add(frozenset(m))
                 if derived not in model:
                     fresh.add(derived)

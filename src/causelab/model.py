@@ -19,19 +19,24 @@ instance's schemas where it receives it.
 
 Join engine
 -----------
-:func:`matches` is the one join behind query evaluation, witnesses and
-the Datalog fixpoint.  A :class:`FactIndex` groups facts by relation and
-builds a hash table on a tuple of argument positions the first time a
-probe needs it.  Each atom tuple gets a static plan, cached with a bound:
-atoms with the most bound terms go first, and each step probes the index
-on its bound positions, binds the free ones and checks repeated
-variables.  The walk over the steps is depth first on an explicit stack
-of candidate iterators, so a body of any length stays within Python's
-recursion limit.  The engine yields the matched facts, so witnesses and
-derivation bodies reuse them instead of grounding new ones.  The
-request's meter (:func:`causelab.budget.current_meter`) is charged per
-candidate fact a probe returns, by evaluation and witness enumeration
-alike.
+:class:`Join` is the one join behind query evaluation, witnesses and
+the Datalog fixpoint; :func:`matches` is its one-shot use.  A
+:class:`FactIndex` groups facts by relation and arity and builds a hash
+table on a tuple of argument positions the first time a probe needs it;
+each group keeps its tables with their key getters, and adding facts
+grows only the tables of their groups, in place.  Each atom tuple gets
+a static plan, cached with a bound: atoms with the most bound terms go
+first, and each step probes the index on its bound positions, binds the
+free ones and checks repeated variables.  A join resolves its plan's
+steps to the index's live tables once, when it is prepared, so the
+fixpoint prepares one join per rule position and each round hands it
+only the round's delta facts.  The walk over the steps is depth first
+on an explicit stack of candidate iterators, so a body of any length
+stays within Python's recursion limit.  The engine yields the matched
+facts, so witnesses and derivation bodies reuse them instead of
+grounding new ones.  The request's meter
+(:func:`causelab.budget.current_meter`) is charged per candidate fact a
+probe returns, by evaluation and witness enumeration alike.
 
 Conventions
 -----------
@@ -72,6 +77,7 @@ __all__ = [
     "check_query_schema",
     "ground_atom",
     "FactIndex",
+    "Join",
     "matches",
     "variable_positions",
     "valuations",
@@ -352,22 +358,28 @@ def variable_positions(atoms: Iterable[Atom]) -> dict[Variable, tuple[int, int]]
 
 #: Facts of one relation at one arity.
 _Group: TypeAlias = tuple[str, int]
+#: A hash table from probe keys to facts.
+_Table: TypeAlias = dict[object, list[Fact]]
 
 
 class FactIndex:
     """Facts grouped by relation and arity, plus hash tables on tuples of
     argument positions, each built the first time a lookup needs it.
 
-    :meth:`add` extends the groups and every table already built, so one
-    index can grow across fixpoint rounds.  A table key is the bare
-    argument for one position and the tuple of arguments for several.
+    Each group keeps its tables with their key getters, and :meth:`add`
+    fills only the tables of the groups it grows, in place: one index
+    grows across fixpoint rounds, and a table or group list handed out
+    stays current.  A table key is the bare argument for one position
+    and the tuple of arguments for several.
     """
 
-    __slots__ = ("groups", "_tables")
+    __slots__ = ("groups", "_tables", "_grown")
 
     def __init__(self, facts: Iterable[Fact] = ()) -> None:
         self.groups: dict[_Group, list[Fact]] = {}
-        self._tables: dict[tuple[_Group, tuple[int, ...]], dict[object, list[Fact]]] = {}
+        self._tables: dict[tuple[_Group, tuple[int, ...]], _Table] = {}
+        # per group, its tables with their key getters
+        self._grown: dict[_Group, list[tuple[_Table, itemgetter]]] = {}
         self.add(facts)
 
     def add(self, facts: Iterable[Fact]) -> None:
@@ -376,25 +388,23 @@ class FactIndex:
             fresh.setdefault((f.relation, len(f.args)), []).append(f)
         for group, new in fresh.items():
             self.groups.setdefault(group, []).extend(new)
-        for (group, positions), table in self._tables.items():
-            if group in fresh:
-                _fill(table, positions, fresh[group])
+            for table, key_of in self._grown.get(group, ()):
+                _fill(table, key_of, new)
 
     def size(self, group: _Group) -> int:
         return len(self.groups.get(group, ()))
 
-    def table(self, group: _Group, positions: tuple[int, ...]) -> dict[object, list[Fact]]:
+    def table(self, group: _Group, positions: tuple[int, ...]) -> _Table:
         table = self._tables.get((group, positions))
         if table is None:
             table = self._tables[(group, positions)] = {}
-            _fill(table, positions, self.groups.get(group, ()))
+            key_of = itemgetter(*positions)
+            self._grown.setdefault(group, []).append((table, key_of))
+            _fill(table, key_of, self.groups.get(group, ()))
         return table
 
 
-def _fill(
-    table: dict[object, list[Fact]], positions: tuple[int, ...], facts: Iterable[Fact]
-) -> None:
-    key_of = itemgetter(*positions)
+def _fill(table: _Table, key_of: itemgetter, facts: Iterable[Fact]) -> None:
     for f in facts:
         table.setdefault(key_of(f.args), []).append(f)
 
@@ -448,55 +458,65 @@ def _plan(atoms: tuple[Atom, ...], first: int | None) -> tuple[tuple, tuple]:
     return tuple(steps), tuple(None if isinstance(t, Variable) else t for t in slots)
 
 
-def matches(
-    index: FactIndex,
-    atoms: tuple[Atom, ...],
-    meter: Meter,
-    delta: tuple[tuple[tuple, tuple], Sequence[Fact], AbstractSet[Fact]] | None = None,
-) -> Iterator[tuple[Fact, ...]]:
+class Join:
     """The join engine: every tuple of facts from ``index``, one per atom
     and in atom order, onto which one valuation maps the atoms.
 
-    Each step of the cached plan probes the index on its bound positions
-    and binds the free ones.  ``meter`` is charged once per candidate
-    fact a probe returns, so facts the index never hands out cost
-    nothing.  With ``delta = (plan, rows, skip)``, where ``plan`` is
-    ``_plan(atoms, i)``, resolved once by the caller, atom ``i`` matches
-    only ``rows`` (the delta facts of its relation and arity), atoms
-    before it only facts outside the delta ``skip``, and atoms after it
-    any fact: one semi-naive term.  Filtering ``rows`` on atom ``i``'s
-    constants costs what a probe of an index over the delta would.
+    A join is prepared once per index, atom tuple and leading atom: each
+    step of the cached plan is resolved here to the index table it
+    probes on its bound positions, or to its group's fact list when none
+    is bound.  The index grows both in place, so one prepared join
+    serves every later call.  The calls share one binding array, so a
+    call's matches are read to the end, or dropped, before the next
+    call.  A call walks the steps depth first on an explicit stack of
+    candidate iterators, so a body of any length stays within Python's
+    recursion limit.  ``meter`` is charged once per candidate fact a
+    probe returns, so facts the index never hands out cost nothing.
+
+    With ``first`` given, each call is one semi-naive term: atom
+    ``first`` leads and matches only the ``rows`` passed (the delta
+    facts of its relation and arity), atoms before it only facts outside
+    ``skip``, and atoms after it any fact.  Filtering ``rows`` on atom
+    ``first``'s constants costs what a probe of an index over the delta
+    would.
     """
-    (steps, init), rows, skip = delta or (_plan(atoms, None), (), frozenset())
-    first = None if delta is None else steps[0][0]
-    vals = list(init)
-    matched: list[Fact | None] = [None] * len(atoms)
-    resolved = []
-    for k, group, positions, key_of, binds, checks in steps:
-        if k != first:
-            rows = index.table(group, positions) if positions else index.groups.get(group, ())
-        elif positions:  # atom i leads with only constants bound: filter its rows
-            want, key, key_of = key_of(vals), itemgetter(*positions), None
-            rows = [f for f in rows if key(f.args) == want]
-        if not (rows or resolved):  # the leading atom has no candidate: no match, no charge
-            return iter(())
-        resolved.append((k, rows, key_of, binds, checks, first is not None and k < first))
-    last = len(resolved) - 1
 
-    def enter(i: int) -> Iterator[Fact]:
-        k, rows, key_of, binds, checks, old = resolved[i]
-        candidates = rows if key_of is None else rows.get(key_of(vals), ())
-        if candidates:
-            meter.charge(len(candidates))
-        return iter(candidates)
+    __slots__ = ("_steps", "_vals", "_matched", "_charge", "_delta")
 
-    def walk() -> Iterator[tuple[Fact, ...]]:
-        # depth first, one candidate iterator per entered step: the top one
-        # advances until a fact extends the match, then the next step is entered
-        stack = [enter(0)]
-        while stack:
-            i = len(stack) - 1
-            k, _, _, binds, checks, old = resolved[i]
+    def __init__(
+        self, index: FactIndex, atoms: tuple[Atom, ...], meter: Meter, first: int | None = None
+    ) -> None:
+        plan, init = _plan(atoms, first)
+        steps, delta = [], first is not None
+        for k, group, positions, key_of, binds, checks in plan:
+            if k == first:  # its rows come with each call: keep the getter of its constants
+                source = itemgetter(*positions) if positions else None
+            elif positions:
+                source = index.table(group, positions)
+            else:
+                source = index.groups.setdefault(group, [])
+            steps.append((k, source, key_of, binds, checks, delta and k < first))
+        self._steps, self._vals, self._matched = steps, list(init), [None] * len(atoms)
+        self._charge, self._delta = meter.charge, delta
+
+    def __call__(
+        self, rows: Sequence[Fact] = (), skip: AbstractSet[Fact] = frozenset()
+    ) -> Iterator[tuple[Fact, ...]]:
+        steps, charge, vals, matched = self._steps, self._charge, self._vals, self._matched
+        source, key_of = steps[0][1:3]
+        if not self._delta:
+            rows = source if key_of is None else source.get(key_of(vals), ())
+        elif source is not None:  # atom first leads with only constants bound
+            want = key_of(vals)
+            rows = [f for f in rows if source(f.args) == want]
+        if not rows:
+            return
+        charge(len(rows))
+        # one candidate iterator per entered step: the top one, step i,
+        # advances until a fact extends the match, then step i + 1 is entered
+        stack, i, last = [iter(rows)], 0, len(steps) - 1
+        while i >= 0:
+            k, _, _, binds, checks, old = steps[i]
             for f in stack[i]:
                 if old and f in skip:
                     continue
@@ -509,12 +529,22 @@ def matches(
                 if i == last:
                     yield tuple(matched)  # type: ignore[arg-type]
                 else:
-                    stack.append(enter(i + 1))
+                    i += 1
+                    source, key_of = steps[i][1:3]
+                    candidates = source if key_of is None else source.get(key_of(vals), ())
+                    if candidates:
+                        charge(len(candidates))
+                    stack.append(iter(candidates))
                     break
             else:
                 stack.pop()
+                i -= 1
 
-    return walk()
+
+def matches(index: FactIndex, atoms: tuple[Atom, ...], meter: Meter) -> Iterator[tuple[Fact, ...]]:
+    """The matches of ``atoms`` in ``index``: one call of a :class:`Join`
+    prepared for it."""
+    return Join(index, atoms, meter)()
 
 
 def valuations(facts: Iterable[Fact], query: ConjunctiveQuery) -> Iterator[dict[Variable, str]]:

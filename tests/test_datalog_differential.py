@@ -10,7 +10,9 @@ facts or not entailed, and head predicates among the facts.
 The fixpoint and the support fixpoint are also checked against short
 reference engines kept here in their earlier form (a fresh delta index
 per round, every rule position tried, frozenset supports): same model,
-same derivations in the same order, same meter units.  Minimal supports
+same derivations in the same order, same meter units, on the seeded
+cases and on chains and ladders above the corpus sizes.  Counters check
+that the fixpoint's work follows its delta.  Minimal supports
 are checked against a brute-force search over subsets of the base facts
 where there are at most 12, and on chains and ladders above the corpus
 sizes."""
@@ -22,7 +24,7 @@ from itertools import chain, combinations, product
 import pytest
 
 from causelab import DatalogProgram, Fact, Meter, entails, evaluate, fact, minimal_supports, parse_program
-from causelab import datalog
+from causelab import datalog, model
 from causelab.hitting import minimize_family
 from causelab.model import FactIndex, Variable, _plan, variable_positions
 from causelab.oracles import naive_datalog_model
@@ -360,11 +362,72 @@ def test_brute_force_runs_on_small_cases():
 
 
 @pytest.mark.parametrize("n", [20, 40, 80, 160])
-def test_a_long_chain_has_one_support_at_linear_cost(n):
+def test_a_long_chain_has_one_support_at_linear_cost(n, monkeypatch):
     program, edges = _chain(n)
     with Meter() as meter:
         assert minimal_supports(program, edges, {fact("ans")}) == {frozenset(edges)}
     assert meter.used == 11 * n + 7
+    _check_against_reference(program, edges, {fact("ans")}, monkeypatch)
+
+
+def test_work_follows_the_delta(monkeypatch):
+    # counted, not timed: each rule position's join is prepared once, each
+    # index table is built once and then grows by new facts only, and a
+    # round joins a position only with delta facts of the position's group
+    program, edges = _chain(80)
+    prepared, calls, indexes, tables, fills = [], [], [], {}, []
+
+    class CountedJoin(model.Join):
+        __slots__ = ("group",)
+
+        def __init__(self, index, atoms, meter, first=None):
+            prepared.append((atoms, first))
+            self.group = (atoms[first].relation, atoms[first].arity)
+            super().__init__(index, atoms, meter, first)
+
+        def __call__(self, rows=(), skip=frozenset()):
+            calls.append((self.group, rows, skip))
+            return super().__call__(rows, skip)
+
+    class CountedIndex(FactIndex):
+        __slots__ = ()
+
+        def __init__(self, facts=()):
+            indexes.append(self)
+            super().__init__(facts)
+
+        def table(self, group, positions):
+            table = super().table(group, positions)
+            tables.setdefault((group, positions), []).append(table)
+            return table
+
+    fill = model._fill
+
+    def counted_fill(table, key_of, facts):
+        facts = list(facts)
+        fills.append((table, len(facts)))
+        fill(table, key_of, facts)
+
+    monkeypatch.setattr(datalog, "Join", CountedJoin)
+    monkeypatch.setattr(datalog, "FactIndex", CountedIndex)
+    monkeypatch.setattr(model, "_fill", counted_fill)
+    with Meter() as meter:
+        assert minimal_supports(program, edges, {fact("ans")}) == {frozenset(edges)}
+    assert meter.used == 11 * 80 + 7
+    [index] = indexes
+    assert prepared and len(set(prepared)) == len(prepared)
+    # a round of the chain holds one new fact, and joins two or three positions
+    assert len(calls) <= 3 * 2 * (80 + 1)
+    for group, rows, skip in calls:
+        assert rows and {(f.relation, f.arity) for f in rows} == {group} and set(rows) <= skip
+    kept = [handed_out[0] for handed_out in tables.values()]
+    assert kept and all(any(t is k for k in kept) for t, _ in fills)
+    for (group, positions), handed_out in tables.items():
+        table = handed_out[0]
+        assert all(t is table for t in handed_out)
+        # built once over the group, then filled with each later round's new facts
+        grown = [n for t, n in fills if t is table]
+        assert all(grown[1:]) and sum(grown) == index.size(group) == sum(map(len, table.values()))
 
 
 def _ladder(rungs: int) -> tuple[DatalogProgram, list]:
@@ -390,3 +453,4 @@ def test_ladders_match_the_full_model(rungs, units, monkeypatch):
     assert meter.used == units
     assert supports == _full_model(monkeypatch, minimal_supports, program, edges, goal)
     assert len(supports) == 2 ** (rungs - 1)
+    _check_against_reference(program, edges, goal, monkeypatch)
