@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, TypeAlias
 
+from .budget import current_meter
 from .causality import require_endogenous
 from .errors import DomainError
 from .hitting import min_hitting_size, minimal_hitting_sets, minimize_family
@@ -149,9 +150,16 @@ def _endogenous_support_parts(
     Empty when the answer is not derived; ``{frozenset()}`` when some
     support is wholly exogenous.  Their minimal hitting sets are the
     necessary sets of the instance's canonical abduction problem.
+    Computed once per ``with Meter`` block for an equal program and
+    instance (:meth:`~causelab.budget.Meter.once`), so the per-tuple
+    routes minimize them once.
     """
-    supports = minimal_supports(program, instance.facts, {program.answer_atom()})
-    return minimize_family(s & instance.endogenous for s in supports)
+
+    def parts() -> frozenset[frozenset[Fact]]:
+        supports = minimal_supports(program, instance.facts, {program.answer_atom()})
+        return minimize_family(s & instance.endogenous for s in supports)
+
+    return current_meter().once(("support parts", program, instance), parts)
 
 
 def datalog_actual_causes(program: DatalogProgram, instance: Instance) -> frozenset[Fact]:

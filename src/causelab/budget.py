@@ -24,13 +24,20 @@ a :class:`contextvars.ContextVar`, so it is per thread and per asyncio
 task.
 
 The block is also the request's scope for the families its phases
-share.  The witnesses of one query over one fact set, the minimal
-supports of one Datalog goal set and the component split of one
-hitting-set family are each computed once per meter
-(:meth:`Meter.once`): a later call with equal inputs in the same block
-gets the stored family back and charges nothing, since it does no work.
-So ``check``, which asks every per-tuple route about every tuple,
-builds each family once.  Outside any block each call has a fresh meter, and
+share.  Each of these is computed once per meter (:meth:`Meter.once`):
+
+- the witnesses of one query over one fact set;
+- the endogenous parts of those witnesses for one instance, which hold
+  the query's schema check;
+- the minimal supports of one Datalog goal set over one fact set;
+- the minimized endogenous parts of the answer's supports for one
+  program and instance;
+- the component split of one hitting-set family.
+
+A later call with equal inputs in the same block gets the stored family
+back, with one lookup, and charges nothing, since it does no work.  So
+``check``, which asks every per-tuple route about every tuple, builds
+each family once.  Outside any block each call has a fresh meter, and
 nothing is shared; no family outlives its block.
 """
 from __future__ import annotations
@@ -45,6 +52,9 @@ DEFAULT_BUDGET = 1_000_000
 ENV_VAR = "CAUSELAB_BUDGET"
 
 V = TypeVar("V")
+
+#: What :meth:`Meter.once` finds under a key it has not stored.
+_MISSING: Any = object()
 
 
 class Meter:
@@ -68,10 +78,12 @@ class Meter:
         """The value stored under ``key`` in this meter, else
         ``compute()``, stored once it returns.  A hit charges nothing; an
         exception out of ``compute``, a :class:`~causelab.errors.BudgetError`
-        say, leaves no entry."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+        say, leaves no entry.  A hit looks ``key`` up once; the sentinel
+        tells a stored None from a miss."""
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = compute()
+        return value
 
     def __enter__(self) -> Meter:
         self._tokens.append(_current.set(self))

@@ -33,8 +33,11 @@ which the cross-check harness compares against.
 
 Every route here reads the witnesses through :func:`endogenous_parts`,
 which checks the query against the instance's schemas
-(:func:`~causelab.model.check_query_schema`) before it reads them, so a
-family kept for the request never lets a call skip the check.
+(:func:`~causelab.model.check_query_schema`) before it reads them.  It
+keeps its parts for the request under the instance and the query, and
+the check is part of computing them: the key holds the schemas, and a
+failing check raises and stores nothing, so every call on a query that
+does not fit raises again.
 """
 from __future__ import annotations
 
@@ -154,10 +157,15 @@ def endogenous_parts(instance: Instance, query: ConjunctiveQuery) -> frozenset[f
     minimal diagnoses.  Empty iff the query is false; it holds the empty
     set iff some witness is wholly exogenous, and then nothing is a cause.
     Raises SchemaError first when the query does not fit the instance's
-    schemas."""
-    check_query_schema(query, instance.schemas)
-    endogenous = instance.endogenous
-    return frozenset(w & endogenous for w in witnesses(instance.facts, query))
+    schemas.  Computed once per ``with Meter`` block for an equal instance
+    and query (:meth:`~causelab.budget.Meter.once`)."""
+
+    def parts() -> frozenset[frozenset[Fact]]:
+        check_query_schema(query, instance.schemas)
+        endogenous = instance.endogenous
+        return frozenset(w & endogenous for w in witnesses(instance.facts, query))
+
+    return current_meter().once(("parts", instance, query), parts)
 
 
 def minimal_contingency_sets(

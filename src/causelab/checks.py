@@ -12,10 +12,11 @@ prints both sides in input syntax (``R(a, b)``), with facts, fact sets
 and map keys in :mod:`causelab.serialize`'s canonical order.  So a
 counterexample's text depends on the inputs alone, not on hash order.
 The work units several properties share are cached properties of
-:class:`CorpusItem`.  The per-tuple routes rebuild their family for every
+:class:`CorpusItem`.  The per-tuple routes ask for their family for every
 tuple; inside the request's ``with Meter`` block, which the CLI opens,
-each witness family, support family and component split is built once
-and handed back to every later call (:meth:`causelab.budget.Meter.once`).
+each witness family, endogenous parts, support family, support parts and
+component split is built once and handed back to every later call
+(:meth:`causelab.budget.Meter.once`).
 
 Failures are data, not errors: each report carries serialized
 counterexamples for replay.
@@ -215,13 +216,12 @@ def random_instance(rng: random.Random, max_size: int) -> Instance:
     names = ["R", "S", "T"][: rng.randint(1, 3)]
     schemas = frozenset(RelationSchema(n, rng.randint(1, 2)) for n in names)
     constants = list("abcde")[: rng.randint(2, 5)]
+    # only the drawn tuples become facts: each is checked where it is made
     possible = [
-        Fact(s.name, combo)
-        for s in sorted(schemas)
-        for combo in product(constants, repeat=s.arity)
+        (s.name, combo) for s in sorted(schemas) for combo in product(constants, repeat=s.arity)
     ]
     probability = rng.uniform(0.05, 0.45)
-    chosen = [f for f in possible if rng.random() < probability]
+    chosen = [Fact(name, combo) for name, combo in possible if rng.random() < probability]
     if len(chosen) > max_size:
         chosen = rng.sample(chosen, max_size)
     endogenous, exogenous = [], []

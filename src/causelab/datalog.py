@@ -47,7 +47,7 @@ from typing import Iterable, Iterator
 
 from .budget import Meter, current_meter
 from .hitting import _bits
-from .model import Atom, Fact, FactIndex, Join, Variable, variable_positions
+from .model import Atom, Fact, FactIndex, Join, Variable, _rebuilt, _stored_hash, variable_positions
 
 __all__ = [
     "DatalogRule",
@@ -74,6 +74,9 @@ class DatalogRule:
     #: occurrence in the body, or as (-1, constant): built once, it takes
     #: no part in ``==``, ``hash`` or ``repr``.
     _head_sources: tuple[tuple[int, object], ...] = field(init=False, repr=False, compare=False)
+    #: ``hash((head, body))``, computed once; it takes no part in ``==``
+    #: or ``repr``.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "body", tuple(self.body))
@@ -86,6 +89,10 @@ class DatalogRule:
             raise ValueError(f"unsafe rule: head variables {names} do not occur in the body")
         head = tuple(sources[t] if isinstance(t, Variable) else (-1, t) for t in self.head.terms)
         object.__setattr__(self, "_head_sources", head)
+        object.__setattr__(self, "_hash", hash((self.head, self.body)))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def __str__(self) -> str:
         return f"{self.head} :- {', '.join(str(a) for a in self.body)}."
@@ -100,12 +107,18 @@ class DatalogProgram:
     """A list of rules; the answer predicate, if defined, is zero-ary."""
 
     rules: tuple[DatalogRule, ...]
+    #: ``hash(rules)``, computed once; it takes no part in ``==`` or ``repr``.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
         for r in self.rules:
             if r.head.relation == ANSWER_PREDICATE and r.head.terms:
                 raise ValueError(f"the answer predicate {ANSWER_PREDICATE!r} must be zero-ary")
+        object.__setattr__(self, "_hash", hash(self.rules))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def head_predicates(self) -> frozenset[str]:
         return frozenset(r.head.relation for r in self.rules)

@@ -43,7 +43,15 @@ Conventions
 Constants are opaque strings; there are no typed attributes.  In textual
 form variables start with an uppercase letter and constants start with a
 lowercase letter or are double-quoted; the :func:`atom` helper applies
-the same convention to bare strings.  Every value here except a
+the same convention to bare strings.  A :class:`Fact` and a
+:class:`Variable` are tuples, so they hash and compare in C; a variable
+never equals its name, and an atom never equals its ground fact.  An
+:class:`Atom` and a :class:`ConjunctiveQuery` (and a Datalog rule and
+program) hash once, at construction, into a ``_hash`` field outside
+``==`` and ``repr``, so a memo or cache lookup keyed by one costs one
+Python call, not one per atom and term.  That hash holds only under the
+process's hash seed, so a copy or a pickle is rebuilt through the
+constructor and never carries it.  Every value here except a
 :class:`FactIndex`, which each caller builds for itself, is immutable and
 every operation is a pure function apart from charging the current
 meter, which is per thread and per task, so concurrent use is safe.
@@ -51,7 +59,7 @@ meter, which is per thread and per task, so concurrent use is safe.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -165,14 +173,33 @@ def fact(relation: str, *args: str) -> Fact:
     return Fact(relation, tuple(args))
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
-    """A query variable, distinct from constant strings."""
-
+class _VariableFields(NamedTuple):
     name: str
+
+
+class Variable(_VariableFields):
+    """A query variable, distinct from constant strings: the one-field
+    tuple of its name, so it hashes, compares and sorts in C, as a fact
+    does."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.name
+
+
+def _stored_hash(self) -> int:
+    """The ``__hash__`` of a syntax value that computes its hash once, at
+    construction, into its ``_hash`` field."""
+    return self._hash
+
+
+def _rebuilt(self) -> tuple:
+    """The ``__reduce__`` of a syntax value with a stored hash: a copy or
+    a pickle is rebuilt through the constructor from the init fields, so
+    the hash is computed again, under the hash seed of the process that
+    loads it, and ``_hash`` never travels."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 Term: TypeAlias = Variable | str
@@ -184,6 +211,9 @@ class Atom:
 
     relation: str
     terms: tuple[Term, ...] = ()
+    #: ``hash((relation, terms))``, computed once; it takes no part in
+    #: ``==`` or ``repr``.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -192,6 +222,10 @@ class Atom:
         for t in self.terms:
             if not isinstance(t, (Variable, str)):
                 raise ValueError(f"atom term must be a Variable or a constant string, got {t!r}")
+        object.__setattr__(self, "_hash", hash((self.relation, self.terms)))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     @property
     def arity(self) -> int:
@@ -235,6 +269,8 @@ class ConjunctiveQuery:
     """
 
     atoms: tuple[Atom, ...]
+    #: ``hash(atoms)``, computed once; it takes no part in ``==`` or ``repr``.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         out = tuple(self.atoms)
@@ -244,6 +280,10 @@ class ConjunctiveQuery:
             if not isinstance(a, Atom):
                 raise ValueError(f"expected an Atom, got {a!r}")
         object.__setattr__(self, "atoms", out)
+        object.__setattr__(self, "_hash", hash(out))
+
+    __hash__ = _stored_hash
+    __reduce__ = _rebuilt
 
     def __str__(self) -> str:
         return ", ".join(str(a) for a in self.atoms)
@@ -557,8 +597,10 @@ def valuations(facts: Iterable[Fact], query: ConjunctiveQuery) -> Iterator[dict[
 
 def eval_bcq(facts: Iterable[Fact], query: ConjunctiveQuery) -> bool:
     """True iff some valuation maps every atom of the query into ``facts``.
-    The probes are charged to the current meter."""
-    return next(matches(FactIndex(facts), query.atoms, current_meter()), None) is not None
+    The probes are charged to the current meter.  The search stops at the
+    first match, so the facts are indexed in canonical order: the units
+    spent before it do not depend on set iteration order."""
+    return next(matches(FactIndex(sorted(facts)), query.atoms, current_meter()), None) is not None
 
 
 def witnesses(facts: Iterable[Fact], query: ConjunctiveQuery) -> frozenset[Witness]:

@@ -237,3 +237,29 @@ def test_failure_details_do_not_depend_on_hash_order():
     assert outputs[0] == outputs[1]
     assert b"witnesses vs enumeration: " in outputs[0]
     assert b"Fact(" not in outputs[0]
+
+
+UNITS = """
+from causelab import Meter
+from causelab.checks import cross_check
+
+with Meter() as meter:
+    cross_check(2, 40, 7)
+print(meter.used)
+"""
+
+
+def test_the_harness_charges_alike_under_any_hash_seed():
+    # eval_bcq stops at its first match, so the units spent before it
+    # follow the order the facts are indexed in, which must not be set
+    # iteration order (this corpus read 2,113 / 2,115 / 2,117 units when it was)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    used = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", UNITS], capture_output=True, env=env, check=True, text=True
+        )
+        used.add(int(proc.stdout))
+    assert len(used) == 1 and used.pop() > 0

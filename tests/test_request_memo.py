@@ -1,7 +1,8 @@
 """The request-scoped families: inside one ``with Meter`` block the
-witnesses of one query over one fact set, the minimal supports of one
-goal set and the component split of one hitting-set family are computed
-once (:meth:`causelab.budget.Meter.once`).  A later call with equal
+witnesses of one query over one fact set, the endogenous parts of one
+query over one instance, the minimal supports of one goal set, their
+minimized endogenous parts and the component split of one hitting-set
+family are computed once (:meth:`causelab.budget.Meter.once`).  A later call with equal
 inputs runs no join and no fixpoint, charges nothing for them and gives
 the same answer; outside any block nothing is kept; a computation that
 raises leaves no entry; and a request's units and bytes do not depend
@@ -15,13 +16,20 @@ from fractions import Fraction
 
 import pytest
 
-from causelab import BudgetError, Meter, cli, datalog, hitting, model
+from causelab import BudgetError, Meter, abduction, cli, datalog, hitting, model
 from causelab.abduction import datalog_actual_causes, datalog_responsibility
-from causelab.causality import actual_causes, minimal_contingency_sets, responsibility
+from causelab.causality import (
+    actual_causes,
+    endogenous_parts,
+    minimal_contingency_sets,
+    responsibility,
+)
 from causelab.checks import cross_check, fixture_checks
 from causelab.datalog import minimal_supports
 from causelab.errors import SchemaError
+from causelab.hitting import min_hitting_size
 from causelab.model import ConjunctiveQuery, Instance, RelationSchema, atom, fact, witnesses
+from causelab.parsing import parse_query
 
 S1 = fact("S", "a1")
 
@@ -205,8 +213,66 @@ def test_a_schema_error_is_raised_on_every_call(d0, q0, counts):
         for _ in range(2):
             with pytest.raises(SchemaError, match=undeclared):
                 actual_causes(d0, query)
+            # the check is part of computing the parts, which are kept
+            # under the instance: a failing check stores nothing
+            with pytest.raises(SchemaError, match=undeclared):
+                endogenous_parts(d0, query)
         assert witnesses(d0.facts, query) == frozenset()
     assert counts["join"] == 1
+
+
+def test_equal_parts_come_back_as_the_same_object_for_nothing(d0, q0, counts):
+    # an equal instance and query, built afresh, find the stored parts
+    twin = Instance(d0.schemas, set(d0.endogenous), set(d0.exogenous))
+    with Meter() as m:
+        first = endogenous_parts(d0, q0)
+        used = m.used
+        second = endogenous_parts(twin, parse_query(f"q() :- {q0}."))
+        assert m.used == used > 0
+    assert second is first and first
+    assert counts["join"] == 1
+
+
+def test_a_stored_none_or_empty_value_is_computed_once(d0, counts):
+    calls = []
+
+    def compute(value):
+        def run():
+            calls.append(value)
+            return value
+
+        return run
+
+    with Meter() as m:
+        for _ in range(3):
+            assert m.once("none", compute(None)) is None
+            assert m.once("empty", compute(frozenset())) == frozenset()
+        # a false query has no parts; a family holding the empty set has
+        # no split, so its split is stored as None
+        false = ConjunctiveQuery((atom("S", "a9"),))
+        for _ in range(3):
+            assert endogenous_parts(d0, false) == frozenset()
+            assert min_hitting_size(frozenset({frozenset()}), forced=S1) is None
+    assert calls == [None, frozenset()]
+    assert counts["join"] == 1 and counts["split"] == 1
+
+
+def test_every_tuple_reads_one_minimization_of_the_supports(d0, prog0, monkeypatch):
+    calls = []
+    minimize = abduction.minimize_family
+
+    def counted(sets):
+        calls.append(None)
+        return minimize(sets)
+
+    monkeypatch.setattr(abduction, "minimize_family", counted)
+    alone = {t: datalog_responsibility(prog0, d0, t) for t in d0.endogenous}
+    assert len(calls) == len(d0.endogenous) > 1
+    with Meter():
+        shared = {t: datalog_responsibility(prog0, d0, t) for t in d0.endogenous}
+        datalog_actual_causes(prog0, d0)
+    assert shared == alone
+    assert len(calls) == len(d0.endogenous) + 1
 
 
 def _harness(seed):
