@@ -45,7 +45,9 @@ form variables start with an uppercase letter and constants start with a
 lowercase letter or are double-quoted; the :func:`atom` helper applies
 the same convention to bare strings.  A :class:`Fact` and a
 :class:`Variable` are tuples, so they hash and compare in C; a variable
-never equals its name, and an atom never equals its ground fact.  An
+never equals its name, and an atom never equals its ground fact, but
+a variable equals the plain 1-tuple of its name, as a fact equals its
+plain tuple, so no set or key mixes variables with plain tuples.  An
 :class:`Atom` and a :class:`ConjunctiveQuery` (and a Datalog rule and
 program) hash once, at construction, into a ``_hash`` field outside
 ``==`` and ``repr``, so a memo or cache lookup keyed by one costs one
@@ -173,16 +175,12 @@ def fact(relation: str, *args: str) -> Fact:
     return Fact(relation, tuple(args))
 
 
-class _VariableFields(NamedTuple):
-    name: str
-
-
-class Variable(_VariableFields):
+class Variable(NamedTuple):
     """A query variable, distinct from constant strings: the one-field
     tuple of its name, so it hashes, compares and sorts in C, as a fact
     does."""
 
-    __slots__ = ()
+    name: str
 
     def __str__(self) -> str:
         return self.name

@@ -108,6 +108,15 @@ def test_a_variable_is_not_its_name_and_an_atom_is_not_its_fact():
     assert ConjunctiveQuery((Atom("R", ("a",)),)) != Atom("R", ("a",))
 
 
+def test_a_variable_equals_the_plain_tuple_of_its_name():
+    # the one equality a tuple-backed variable adds: like a fact, it is
+    # its plain tuple, so it equals, hashes and sorts as ``(name,)``
+    assert Variable("X") == ("X",) and ("X",) == Variable("X")
+    assert hash(Variable("X")) == hash(("X",))
+    assert Variable("X") != ("Y",) and Variable("X") != ("X", "Y")
+    assert sorted([("Y",), Variable("X")]) == [("X",), ("Y",)]
+
+
 def test_equal_values_hash_alike_and_the_stored_hash_is_not_compared():
     for name in VALUES:
         first, second = _build(name), _build(name)
